@@ -6,7 +6,7 @@ standard relaxations, baselines, and stationarity checkers used to study
 such problems at desk scale.
 """
 
-from .baselines import apgm, cvx_l1_sweep, iht, omp, pgm
+from .baselines import apgm, cvx_l1_sweep, omp, pgm
 from .bench import benchmark, run_solver, write_trace
 from .data import (corrupt, gen_random, load_dense_instance, load_instance,
                    load_point, load_sparse_text, save_instance, save_point,
@@ -38,12 +38,12 @@ __all__ = [
     "L1Penalty", "LandscapeCounts", "NumericalError", "QuadraticObjective",
     "SolveTrace", "WorkingSet", "apgm", "benchmark", "composite_value",
     "corrupt", "cvx_l1_sweep", "enumerate_basic_points", "gen_random",
-    "greedy_scores", "half_threshold", "hard_threshold_topk", "iht",
-    "init_solution", "is_basic", "is_block_k", "is_l_stationary",
-    "landscape_table", "load_dense_instance", "load_instance", "load_point",
-    "load_sparse_text", "omp", "pgm", "prox_l0_penalty", "proximal_step",
-    "random_set", "relative_drop", "restricted_minimize", "run_dec",
-    "run_solver", "save_instance", "save_point", "save_sparse_text",
-    "select_working_set", "soft_threshold", "solve_block", "stopping_rule",
-    "table1_problem", "write_trace",
+    "greedy_scores", "half_threshold", "hard_threshold_topk", "init_solution",
+    "is_basic", "is_block_k", "is_l_stationary", "landscape_table",
+    "load_dense_instance", "load_instance", "load_point", "load_sparse_text",
+    "omp", "pgm", "prox_l0_penalty", "proximal_step", "random_set",
+    "relative_drop", "restricted_minimize", "run_dec", "run_solver",
+    "save_instance", "save_point", "save_sparse_text", "select_working_set",
+    "soft_threshold", "solve_block", "stopping_rule", "table1_problem",
+    "write_trace",
 ]

@@ -10,34 +10,32 @@ import numpy as np
 
 from .dec import IterationRecord, SolveTrace, relative_drop, stopping_rule
 from .errors import InvalidParameterError
-from .problem import (INFEASIBLE, Cardinality, CompositeProblem, L1Penalty,
-                      QuadraticObjective, composite_value)
+from .problem import (INFEASIBLE, CompositeProblem, L1Penalty, QuadraticObjective,
+                      composite_value)
 from .prox import hard_threshold_topk, proximal_step
 
 
-def _start_value(prob, x):
-    f = composite_value(prob, x)
-    if f is INFEASIBLE:
-        raise InvalidParameterError("infeasible start for the constrained problem")
-    return f
-
-
-def _step_size(prob):
+def _proximal_gradient(prob, x0, max_iters, epsilon, window, accelerated):
     L = prob.objective.lipschitz_global()
     if not L > 0:
         raise InvalidParameterError("zero quadratic: no meaningful step size 1/L")
-    return 1.0 / L
-
-
-def pgm(prob, x0, max_iters=1000, epsilon=1e-5, window=50):
-    """Proximal-gradient method with fixed step 1/L; returns (x, trace)."""
-    beta = _step_size(prob)
+    beta = 1.0 / L
     x = np.array(x0, dtype=float)
-    f = _start_value(prob, x)
+    f = composite_value(prob, x)
+    if f is INFEASIBLE:
+        raise InvalidParameterError("infeasible start for the constrained problem")
+    y = x
+    tau = 1.0
     trace = SolveTrace()
     drops = []
     for t in range(max_iters):
-        x_new = proximal_step(prob, x, beta)
+        x_new = proximal_step(prob, y, beta)
+        if accelerated:
+            tau_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tau * tau))
+            y = x_new + ((tau - 1.0) / tau_new) * (x_new - x)
+            tau = tau_new
+        else:
+            y = x_new
         f_new = composite_value(prob, x_new)
         step = float(np.linalg.norm(x_new - x))
         trace.records.append(IterationRecord(
@@ -53,38 +51,21 @@ def pgm(prob, x0, max_iters=1000, epsilon=1e-5, window=50):
     return x, trace
 
 
+def pgm(prob, x0, max_iters=1000, epsilon=1e-5, window=50):
+    """Proximal-gradient method with fixed step 1/L; returns (x, trace).
+
+    On a cardinality term this is iterative hard thresholding.
+    """
+    return _proximal_gradient(prob, x0, max_iters, epsilon, window, accelerated=False)
+
+
 def apgm(prob, x0, max_iters=1000, epsilon=1e-5, window=50):
     """Accelerated proximal gradient (Nesterov extrapolation, no restarts).
 
     The objective sequence need not be monotone; the stopping rule uses the
     signed relative drops as-is.
     """
-    beta = _step_size(prob)
-    x = np.array(x0, dtype=float)
-    y = x.copy()
-    tau = 1.0
-    f = _start_value(prob, x)
-    trace = SolveTrace()
-    drops = []
-    for t in range(max_iters):
-        x_new = proximal_step(prob, y, beta)
-        tau_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tau * tau))
-        y = x_new + ((tau - 1.0) / tau_new) * (x_new - x)
-        f_new = composite_value(prob, x_new)
-        if f_new is INFEASIBLE:  # cannot happen: the prox output is feasible
-            raise AssertionError("proximal step produced an infeasible point")
-        step = float(np.linalg.norm(x_new - x))
-        trace.records.append(IterationRecord(
-            iteration=t, objective=f, step_norm=step, working_set=(), elapsed=0.0))
-        drops.append(relative_drop(f, f_new))
-        x, f, tau = x_new, f_new, tau_new
-        if stopping_rule(drops, window, epsilon):
-            trace.status = "converged"
-            break
-    else:
-        trace.status = "max_iters"
-    trace.final_objective = f
-    return x, trace
+    return _proximal_gradient(prob, x0, max_iters, epsilon, window, accelerated=True)
 
 
 def omp(A, b, s):
@@ -158,9 +139,3 @@ def cvx_l1_sweep(A, b, s, grid=DEFAULT_L1_GRID, max_iters=1000,
             best_x, best_f = x, f
     return best_x
 
-
-def iht(prob, x0, **kwargs):
-    """Iterative hard thresholding is proximal gradient on an l0 term."""
-    if not isinstance(prob.term, Cardinality):
-        raise InvalidParameterError("iterative hard thresholding needs a cardinality term")
-    return pgm(prob, x0, **kwargs)

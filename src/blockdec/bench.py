@@ -18,20 +18,18 @@ A benchmark config is a JSON file::
       ],
       "init_seeds": [0, 1, 2, 3, 4],
       "theta": 1e-3, "epsilon": 1e-5, "window": 50, "max_iters": 1000,
-      "timing": false,
-      "workers": 1
+      "timing": false
     }
 
-Cells (instance x solver x param x init-seed) are independent jobs run
-through a thread pool; all files are written by the main thread in a fixed
-order, so identical configs yield byte-identical outputs.  Timing columns
-are written as 0 unless ``timing`` is set, for the same reason.
+Cells (instance x solver x param x init-seed) run one after another in a
+fixed order, so identical configs yield byte-identical outputs.  Timing
+columns are written as 0 unless ``timing`` is set, for the same reason.
 """
 
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -39,14 +37,12 @@ from .baselines import apgm, cvx_l1_sweep, omp, pgm
 from .data import FLOAT_FMT, corrupt, gen_random, load_instance
 from .dec import DecConfig, init_solution, run_dec
 from .errors import InvalidParameterError
-from .problem import (Cardinality, CompositeProblem, HalfPenalty, L0Penalty,
-                      L1Penalty, QuadraticObjective, composite_value)
+from .problem import (CompositeProblem, HalfPenalty, L1Penalty, QuadraticObjective,
+                      composite_value, make_term)
 
 TRACE_HEADER = "iter,objective,step_norm,working_set,elapsed_s"
 RESULTS_HEADER = "instance,solver,mode,param,seed,final_objective,nnz,iters,wall_s"
 SUMMARY_HEADER = "instance,solver,mode,param,mean_objective,median_objective"
-
-SOLVER_NAMES = ("dec", "pgm", "apgm", "omp", "cvx-l1", "pgm-l1", "pgm-lhalf")
 
 
 def _fmt(v):
@@ -68,49 +64,74 @@ def write_trace(path, trace, timing=False):
         fh.write("\n".join(lines) + "\n")
 
 
-def make_term(mode, param):
-    if mode == "cons":
-        return Cardinality(int(param))
-    if mode == "regu":
-        return L0Penalty(float(param))
-    raise InvalidParameterError(f"mode must be 'cons' or 'regu', got {mode!r}")
+class Solver(NamedTuple):
+    term: Callable  # (mode, param) -> the sparsity term solved and scored
+    run: Callable  # (prob, A, b, seed, stop, dec) -> (x, trace or None)
+    cons_only: bool = False  # support-based: param is a sparsity level
+    lambda_param: bool = False  # param is a penalty weight in either mode
+
+
+# The runners look the solvers and init_solution up in this module's globals
+# when called, not when the table is built, so wrappers installed on those
+# names see every call.
+def _dec(prob, A, b, seed, stop, dec):
+    x0 = init_solution(prob.n, prob.term, seed)
+    return run_dec(prob, x0, DecConfig(seed=seed, **dec, **stop))
+
+
+def _pgm(prob, A, b, seed, stop, dec):
+    return pgm(prob, init_solution(prob.n, prob.term, seed), **stop)
+
+
+def _apgm(prob, A, b, seed, stop, dec):
+    return apgm(prob, init_solution(prob.n, prob.term, seed), **stop)
+
+
+def _omp(prob, A, b, seed, stop, dec):
+    return omp(A, b, prob.term.s), None
+
+
+def _cvx_l1(prob, A, b, seed, stop, dec):
+    return cvx_l1_sweep(A, b, prob.term.s), None
+
+
+SOLVERS = {
+    "dec": Solver(make_term, _dec),
+    "pgm": Solver(make_term, _pgm),
+    "apgm": Solver(make_term, _apgm),
+    "omp": Solver(make_term, _omp, cons_only=True),
+    "cvx-l1": Solver(make_term, _cvx_l1, cons_only=True),
+    "pgm-l1": Solver(lambda mode, lam: L1Penalty(float(lam)), _pgm, lambda_param=True),
+    "pgm-lhalf": Solver(lambda mode, lam: HalfPenalty(float(lam)), _pgm, lambda_param=True),
+}
+
+
+def solver_spec(name, mode):
+    """The table entry for ``name``, checked against ``mode``."""
+    if name not in SOLVERS:
+        raise InvalidParameterError(
+            f"unknown solver {name!r}; valid names: {', '.join(SOLVERS)}")
+    spec = SOLVERS[name]
+    if spec.cons_only and mode != "cons":
+        raise InvalidParameterError(f"{name} requires cons mode (a sparsity level)")
+    return spec
 
 
 def run_solver(name, A, b, mode, param, seed, theta=1e-3, epsilon=1e-5,
                window=50, max_iters=1000, krand=4, kgreedy=2):
-    """Run one named solver on factored data; returns (x, trace_or_None).
+    """Run one named solver on factored data; returns (x, trace_or_None, F(x)).
 
     ``param`` is the sparsity level in cons mode and the penalty weight in
     regu mode; the relaxation solvers pgm-l1 / pgm-lhalf use it as their own
-    weight.  omp and cvx-l1 are support-based and require cons mode.
+    weight.  omp and cvx-l1 are support-based and require cons mode.  F(x)
+    is the composite objective of the term the solver ran on.
     """
-    if name not in SOLVER_NAMES:
-        raise InvalidParameterError(
-            f"unknown solver {name!r}; valid names: {', '.join(SOLVER_NAMES)}")
-    obj = QuadraticObjective(A=A, b=b)
-    n = obj.n
-
-    if name in ("omp", "cvx-l1"):
-        if mode != "cons":
-            raise InvalidParameterError(f"{name} requires cons mode (a sparsity level)")
-        x = omp(A, b, int(param)) if name == "omp" else cvx_l1_sweep(A, b, int(param))
-        return x, None
-
-    if name == "pgm-l1":
-        prob = CompositeProblem(obj, L1Penalty(float(param)))
-    elif name == "pgm-lhalf":
-        prob = CompositeProblem(obj, HalfPenalty(float(param)))
-    else:
-        prob = CompositeProblem(obj, make_term(mode, param))
-
-    x0 = init_solution(n, prob.term, seed)
-    if name == "dec":
-        config = DecConfig(n_random=krand, n_greedy=kgreedy, theta=theta,
-                           epsilon=epsilon, window=window, max_iters=max_iters,
-                           seed=seed)
-        return run_dec(prob, x0, config)
-    runner = pgm if name in ("pgm", "pgm-l1", "pgm-lhalf") else apgm
-    return runner(prob, x0, max_iters=max_iters, epsilon=epsilon, window=window)
+    spec = solver_spec(name, mode)
+    prob = CompositeProblem(QuadraticObjective(A=A, b=b), spec.term(mode, param))
+    stop = dict(max_iters=max_iters, epsilon=epsilon, window=window)
+    dec = dict(n_random=krand, n_greedy=kgreedy, theta=theta)
+    x, trace = spec.run(prob, A, b, seed, stop, dec)
+    return x, trace, composite_value(prob, x)
 
 
 def _instance_data(spec):
@@ -162,70 +183,44 @@ def benchmark(config, out_dir):
     if not solvers:
         raise InvalidParameterError("config needs a nonempty 'solvers' list")
     for spec in solvers:
-        if spec.get("name") not in SOLVER_NAMES:
-            raise InvalidParameterError(
-                f"unknown solver {spec.get('name')!r}; valid names: {', '.join(SOLVER_NAMES)}")
+        solver_spec(spec.get("name"), mode)
     seeds = config.get("init_seeds", [0])
-    theta = float(config.get("theta", 1e-3))
-    epsilon = float(config.get("epsilon", 1e-5))
-    window = int(config.get("window", 50))
-    max_iters = int(config.get("max_iters", 1000))
+    opts = dict(theta=float(config.get("theta", 1e-3)),
+                epsilon=float(config.get("epsilon", 1e-5)),
+                window=int(config.get("window", 50)),
+                max_iters=int(config.get("max_iters", 1000)))
     timing = bool(config.get("timing", False))
-    workers = int(config.get("workers", 1))
 
     instances = [_instance_data(spec) for spec in config.get("instances", [])]
     if not instances:
         raise InvalidParameterError("config needs a nonempty 'instances' list")
 
-    cells = []
-    for iname, A, b in instances:
-        for sspec in solvers:
-            for param in params:
-                for seed in seeds:
-                    cells.append((iname, A, b, sspec, param, seed))
-
-    def run_cell(cell):
-        iname, A, b, sspec, param, seed = cell
-        tic = time.perf_counter()
-        x, trace = run_solver(
-            sspec["name"], A, b, mode, param, seed, theta=theta,
-            epsilon=epsilon, window=window, max_iters=max_iters,
-            krand=int(sspec.get("krand", 4)), kgreedy=int(sspec.get("kgreedy", 2)))
-        wall = time.perf_counter() - tic
-        obj = QuadraticObjective(A=A, b=b)
-        if sspec["name"] in ("pgm-l1", "pgm-lhalf"):
-            term = L1Penalty(float(param)) if sspec["name"] == "pgm-l1" else HalfPenalty(float(param))
-        else:
-            term = make_term(mode, param)
-        final = composite_value(CompositeProblem(obj, term), x)
-        return x, trace, float(final), wall
-
-    os.makedirs(out_dir, exist_ok=True)
     trace_dir = os.path.join(out_dir, "traces")
     os.makedirs(trace_dir, exist_ok=True)
 
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        outcomes = list(pool.map(run_cell, cells))
-
     rows = []
     groups = {}
-    order = []
-    for cell, (x, trace, final, wall) in zip(cells, outcomes):
-        iname, _, _, sspec, param, seed = cell
-        label = _solver_label(sspec)
-        iters = len(trace) if trace is not None else 0
-        rows.append(",".join([
-            iname, label, mode, _fmt(param), str(seed), FLOAT_FMT % final,
-            str(int(np.count_nonzero(x))), str(iters),
-            FLOAT_FMT % (wall if timing else 0.0)]))
-        key = (iname, label, param)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(final)
-        if trace is not None:
-            tname = f"{iname}_{label}_{_fmt(param)}_{seed}.csv"
-            write_trace(os.path.join(trace_dir, tname), trace, timing=timing)
+    for iname, A, b in instances:
+        for sspec in solvers:
+            label = _solver_label(sspec)
+            for param in params:
+                finals = groups.setdefault((iname, label, param), [])
+                for seed in seeds:
+                    tic = time.perf_counter()
+                    x, trace, final = run_solver(
+                        sspec["name"], A, b, mode, param, seed, **opts,
+                        krand=int(sspec.get("krand", 4)),
+                        kgreedy=int(sspec.get("kgreedy", 2)))
+                    wall = time.perf_counter() - tic
+                    iters = len(trace) if trace is not None else 0
+                    rows.append(",".join([
+                        iname, label, mode, _fmt(param), str(seed), FLOAT_FMT % final,
+                        str(int(np.count_nonzero(x))), str(iters),
+                        FLOAT_FMT % (wall if timing else 0.0)]))
+                    finals.append(final)
+                    if trace is not None:
+                        tname = f"{iname}_{label}_{_fmt(param)}_{seed}.csv"
+                        write_trace(os.path.join(trace_dir, tname), trace, timing=timing)
 
     with open(os.path.join(out_dir, "results.csv"), "w") as fh:
         fh.write(RESULTS_HEADER + "\n")
@@ -233,9 +228,8 @@ def benchmark(config, out_dir):
 
     with open(os.path.join(out_dir, "summary.csv"), "w") as fh:
         fh.write(SUMMARY_HEADER + "\n")
-        for key in order:
-            iname, label, param = key
-            vals = np.asarray(groups[key])
+        for (iname, label, param), finals in groups.items():
+            vals = np.asarray(finals)
             fh.write(",".join([
                 iname, label, mode, _fmt(param),
                 FLOAT_FMT % float(np.mean(vals)),

@@ -18,8 +18,8 @@ from . import bench, data
 from .errors import (BudgetExceededError, DataFormatError,
                      DegenerateSystemError, DimensionMismatchError,
                      InvalidParameterError, NumericalError)
-from .problem import (Cardinality, CompositeProblem, HalfPenalty, L0Penalty,
-                      L1Penalty, QuadraticObjective, composite_value)
+from .problem import (Cardinality, CompositeProblem, L0Penalty, QuadraticObjective,
+                      composite_value)
 from .stationarity import (is_basic, is_block_k, is_l_stationary,
                            landscape_table, table1_problem)
 
@@ -55,7 +55,7 @@ def _build_parser():
 
     s = sub.add_parser("solve", help="run a solver on an instance file")
     s.add_argument("--instance", required=True)
-    s.add_argument("--solver", required=True, choices=list(bench.SOLVER_NAMES))
+    s.add_argument("--solver", required=True, choices=list(bench.SOLVERS))
     s.add_argument("--mode", required=True, choices=["cons", "regu"])
     s.add_argument("--s", type=int, help="sparsity level (cons mode)")
     s.add_argument("--lambda", dest="lam", type=float, help="penalty weight (regu mode)")
@@ -106,41 +106,17 @@ def _cmd_generate(args):
     return 0
 
 
-def _require_param(args):
-    if args.mode == "cons":
-        if args.s is None:
-            raise InvalidParameterError("cons mode requires --s")
-        return args.s
-    if args.lam is None:
-        raise InvalidParameterError("regu mode requires --lambda")
-    return args.lam
-
-
 def _cmd_solve(args):
     A, b = data.load_instance(args.instance)
-    if args.solver in ("omp", "cvx-l1") and args.mode != "cons":
-        raise InvalidParameterError(f"{args.solver} requires --mode cons")
-    if args.solver in ("pgm-l1", "pgm-lhalf"):
-        if args.lam is None:
-            raise InvalidParameterError(f"{args.solver} requires --lambda")
-        param = args.lam
-    else:
-        param = _require_param(args)
-    x, trace = bench.run_solver(
+    spec = bench.solver_spec(args.solver, args.mode)
+    flag = "--lambda" if spec.lambda_param or args.mode == "regu" else "--s"
+    param = args.lam if flag == "--lambda" else args.s
+    if param is None:
+        raise InvalidParameterError(f"{args.solver} in {args.mode} mode requires {flag}")
+    x, trace, final = bench.run_solver(
         args.solver, A, b, args.mode, param, args.seed, theta=args.theta,
         epsilon=args.epsilon, window=args.window, max_iters=args.max_iters,
         krand=args.krand, kgreedy=args.kgreedy)
-    obj = QuadraticObjective(A=A, b=b)
-    if args.solver in ("omp", "cvx-l1"):
-        final = obj.value(x)  # support-based solvers report the residual objective
-    else:
-        if args.solver == "pgm-l1":
-            term = L1Penalty(param)
-        elif args.solver == "pgm-lhalf":
-            term = HalfPenalty(param)
-        else:
-            term = bench.make_term(args.mode, param)
-        final = composite_value(CompositeProblem(obj, term), x)
     print(f"solver={args.solver} mode={args.mode} param={bench._fmt(param)} "
           f"seed={args.seed}")
     print(f"final_objective={data.FLOAT_FMT % final} "

@@ -87,6 +87,21 @@ def _tokenize(path):
     return toks
 
 
+def _parse_floats(toks):
+    """Parse (token, line) pairs; a bad or non-finite number raises at its line."""
+    vals = np.empty(len(toks))
+    for j, (tok, ln) in enumerate(toks):
+        try:
+            vals[j] = float(tok)
+        except ValueError:
+            raise DataFormatError(f"{tok!r} is not a number", line=ln) from None
+    finite = np.isfinite(vals)
+    if not finite.all():  # one vectorised check; the line is looked up on failure
+        tok, ln = toks[int(np.argmin(finite))]
+        raise DataFormatError(f"{tok!r} is not a finite number", line=ln)
+    return vals
+
+
 def load_dense_instance(path):
     """Read the header-A-b dense format; returns (A, b)."""
     toks = _tokenize(path)
@@ -108,12 +123,7 @@ def load_dense_instance(path):
             line=toks[-1][1])
     if len(toks) > need:
         raise DataFormatError("trailing data after b", line=toks[need][1])
-    vals = np.empty(m * n + m)
-    for j, (tok, ln) in enumerate(toks[2:]):
-        try:
-            vals[j] = float(tok)
-        except ValueError:
-            raise DataFormatError(f"{tok!r} is not a number", line=ln) from None
+    vals = _parse_floats(toks[2:])
     A = vals[:m * n].reshape(m, n)
     b = vals[m * n:]
     return A, b
@@ -144,7 +154,7 @@ def load_sparse_text(path, rows=None, cols=None, seed=0):
     offending 1-based line number; blank lines are skipped.
     """
     labels = []
-    rows_data = []  # list of (indices, values) per example, 0-based
+    rows_data = []  # list of (line, indices, values) per example, 0-based indices
     n_cols = 0
     with open(path) as fh:
         for ln, line in enumerate(fh, start=1):
@@ -179,13 +189,17 @@ def load_sparse_text(path, rows=None, cols=None, seed=0):
                 prev = idx
             if idxs:
                 n_cols = max(n_cols, idxs[-1] + 1)
-            rows_data.append((idxs, vals))
+            rows_data.append((ln, idxs, vals))
 
     m = len(rows_data)
     A = np.zeros((m, n_cols))
-    for i, (idxs, vals) in enumerate(rows_data):
+    for i, (_, idxs, vals) in enumerate(rows_data):
         A[i, idxs] = vals
     b = np.asarray(labels)
+    finite = np.isfinite(A).all(axis=1) & np.isfinite(b)
+    if not finite.all():
+        raise DataFormatError("non-finite number (nan or inf)",
+                              line=rows_data[int(np.argmin(finite))][0])
 
     if rows is not None or cols is not None:
         rng = np.random.default_rng(seed)
@@ -237,13 +251,7 @@ def save_point(path, x):
 
 
 def load_point(path, n=None):
-    toks = _tokenize(path)
-    vals = np.empty(len(toks))
-    for j, (tok, ln) in enumerate(toks):
-        try:
-            vals[j] = float(tok)
-        except ValueError:
-            raise DataFormatError(f"{tok!r} is not a number", line=ln) from None
+    vals = _parse_floats(_tokenize(path))
     if n is not None and vals.size != n:
         raise DataFormatError(f"point has {vals.size} entries, expected {n}")
     return vals

@@ -13,7 +13,8 @@ the gradient-type baseline solvers.
 import numpy as np
 
 from . import prox
-from .errors import DimensionMismatchError, InvalidParameterError, NumericalError
+from .errors import (DataFormatError, DimensionMismatchError, InvalidParameterError,
+                     NumericalError)
 
 
 class _InfeasibleValue:
@@ -156,6 +157,15 @@ L0_TERMS = (Cardinality, L0Penalty)
 ALL_TERMS = (Cardinality, L0Penalty, L1Penalty, HalfPenalty)
 
 
+def make_term(mode, param):
+    """The l0 term of a mode: a cardinality cap (cons) or a count penalty (regu)."""
+    if mode == "cons":
+        return Cardinality(int(param))
+    if mode == "regu":
+        return L0Penalty(float(param))
+    raise InvalidParameterError(f"mode must be 'cons' or 'regu', got {mode!r}")
+
+
 # ---------------------------------------------------------------------------
 # smooth quadratic objective
 
@@ -182,33 +192,34 @@ class QuadraticObjective:
     def __init__(self, *, Q=None, p=None, A=None, b=None):
         if (Q is None) == (A is None):
             raise InvalidParameterError("provide exactly one of Gram (Q, p) or factored (A, b) data")
+        self.m = self._A = self._b = self._Q = self._p = None
         if Q is not None:
             Q = np.asarray(Q, dtype=float)
             if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
                 raise DimensionMismatchError(f"Q must be square, got shape {Q.shape}")
+            p = _as_vector(p, Q.shape[0], "p")
+            if not (np.isfinite(Q).all() and np.isfinite(p).all()):
+                raise DataFormatError("Q or p has a non-finite entry (nan or inf)")
             scale = np.max(np.abs(Q)) if Q.size else 0.0
             if scale > 0 and np.max(np.abs(Q - Q.T)) > 1e-12 * scale:
                 raise InvalidParameterError("Q must be symmetric (1e-12 relative)")
             if np.any(np.diag(Q) < 0):
                 raise InvalidParameterError("Q has a negative diagonal entry")
-            p = _as_vector(p, Q.shape[0], "p")
             self.n = Q.shape[0]
-            self.m = None
             self._Q = 0.5 * (Q + Q.T)
             self._p = p.copy()
-            self._A = None
-            self._b = None
         else:
             A = np.asarray(A, dtype=float)
             if A.ndim != 2:
                 raise DimensionMismatchError(f"A must be a matrix, got shape {A.shape}")
             b = _as_vector(b, A.shape[0], "b")
-            self.n = A.shape[1]
-            self.m = A.shape[0]
+            if not (np.isfinite(A).all() and np.isfinite(b).all()):
+                raise DataFormatError("A or b has a non-finite entry (nan or inf)")
+            self.m, self.n = A.shape
             self._A = A.copy()
             self._b = b.copy()
-            self._Q = None
-            self._p = None
+        # the one "Gram cached or factored" decision; the cache fills lazily
+        self._gram_cached = Q is not None or self.n <= _GRAM_CACHE_LIMIT
         self._lip = None
 
     @classmethod
@@ -251,7 +262,7 @@ class QuadraticObjective:
 
     def gram_matrix(self):
         """Full Q (cached for factored instances up to the cache limit)."""
-        if self._Q is None and self.n > _GRAM_CACHE_LIMIT:
+        if not self._gram_cached:
             raise InvalidParameterError(
                 f"dense Gram matrix not materialized for n = {self.n} > {_GRAM_CACHE_LIMIT}")
         self._ensure_gram()
@@ -260,7 +271,7 @@ class QuadraticObjective:
     def gram_submatrix(self, idx):
         """Q[idx, idx] as a dense square block."""
         idx = np.asarray(idx, dtype=int)
-        if self._Q is None and self.n > _GRAM_CACHE_LIMIT:
+        if not self._gram_cached:
             cols = self._A[:, idx]
             return cols.T @ cols
         self._ensure_gram()
@@ -268,30 +279,26 @@ class QuadraticObjective:
 
     def linear_term(self, idx=None):
         """p (or p[idx]); for factored data p = -A'b."""
-        if self._p is None:
-            if self.n > _GRAM_CACHE_LIMIT:
-                p_idx = -(self._A[:, idx].T @ self._b) if idx is not None else -(self._A.T @ self._b)
-                return p_idx
-            self._ensure_gram()
+        if not self._gram_cached:
+            A = self._A if idx is None else self._A[:, idx]
+            return -(A.T @ self._b)
+        self._ensure_gram()
         return self._p if idx is None else self._p[idx]
 
     def matvec(self, v):
         """Q @ v without forming Q when operating column-wise."""
         v = _as_vector(v, self.n, "v")
-        if self._Q is not None:
-            return self._Q @ v
-        if self.n <= _GRAM_CACHE_LIMIT:
-            self._ensure_gram()
-            return self._Q @ v
-        return self._A.T @ (self._A @ v)
+        if not self._gram_cached:
+            return self._A.T @ (self._A @ v)
+        self._ensure_gram()
+        return self._Q @ v
 
     # -- curvature ----------------------------------------------------------
 
     def coordinate_lipschitz(self):
         """Per-coordinate gradient Lipschitz constants: the diagonal of Q."""
-        if self.is_factored and self._Q is None:
+        if self._Q is None:  # not filled yet: read A, so the fill stays lazy
             return np.einsum("ij,ij->j", self._A, self._A)
-        self._ensure_gram()
         return np.diag(self._Q).copy()
 
     def lipschitz_global(self):

@@ -22,7 +22,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .errors import BudgetExceededError, InvalidParameterError
 from .problem import (INFEASIBLE, Cardinality, CompositeProblem, L0Penalty,
-                      QuadraticObjective, composite_value)
+                      QuadraticObjective, composite_value, make_term)
 from .subproblem import WorkingSet, solve_block
 from .working_set import random_set
 
@@ -244,8 +244,4 @@ def table1_problem(mode):
     Q = np.outer(c, c) + np.eye(6)
     p = np.ones(6)
     obj = QuadraticObjective(Q=Q, p=p)
-    if mode == "cons":
-        return CompositeProblem(obj, Cardinality(4))
-    if mode == "regu":
-        return CompositeProblem(obj, L0Penalty(0.01))
-    raise InvalidParameterError(f"mode must be 'cons' or 'regu', got {mode!r}")
+    return CompositeProblem(obj, make_term(mode, 4 if mode == "cons" else 0.01))

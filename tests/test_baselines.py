@@ -6,7 +6,7 @@ import pytest
 from blockdec import (Cardinality, CompositeProblem, HalfPenalty,
                       InvalidParameterError, L0Penalty, L1Penalty,
                       QuadraticObjective, apgm, composite_value, cvx_l1_sweep,
-                      gen_random, iht, is_l_stationary, omp, pgm,
+                      gen_random, is_l_stationary, omp, pgm,
                       soft_threshold)
 
 from conftest import random_factored_problem
@@ -47,7 +47,7 @@ class TestPgm:
 
     def test_iht_fixed_point_is_l_stationary(self):
         prob, _ = random_factored_problem(12, 18, 3, Cardinality(5))
-        x, trace = iht(prob, np.zeros(18), max_iters=2000, epsilon=1e-12)
+        x, trace = pgm(prob, np.zeros(18), max_iters=2000, epsilon=1e-12)
         assert is_l_stationary(prob, x, tol=1e-6)
 
     def test_infeasible_start_rejected(self):

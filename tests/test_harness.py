@@ -7,15 +7,18 @@ import sys
 import numpy as np
 import pytest
 
-from blockdec import (DataFormatError, InvalidParameterError, corrupt,
-                      gen_random, load_instance, load_point, save_instance,
-                      save_point)
-from blockdec.bench import (RESULTS_HEADER, TRACE_HEADER, benchmark,
+import blockdec
+from blockdec import (Cardinality, CompositeProblem, DataFormatError,
+                      HalfPenalty, InvalidParameterError, L0Penalty, L1Penalty,
+                      QuadraticObjective, composite_value, corrupt, gen_random,
+                      load_instance, load_point, save_instance, save_point)
+from blockdec.bench import (RESULTS_HEADER, SOLVERS, TRACE_HEADER, benchmark,
                             make_term, run_solver, write_trace)
-from blockdec.data import (load_dense_instance, load_sparse_text,
+from blockdec.data import (FLOAT_FMT, load_dense_instance, load_sparse_text,
                            save_sparse_text)
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+BENCH_DIR = os.path.join(os.path.dirname(HERE), "bench")
 MALFORMED = os.path.join(HERE, "data", "malformed")
 
 # file -> 1-based line where the loader must point its complaint
@@ -26,7 +29,9 @@ MALFORMED_LINES = {
     "double_colon.txt": 1,
     "empty_value.txt": 1,
     "index_zero.txt": 1,
+    "inf_value.txt": 4,
     "missing_colon.txt": 2,
+    "nan_value.txt": 2,
     "negative_index.txt": 3,
     "non_numeric_value.txt": 2,
     "repeated_index.txt": 1,
@@ -135,6 +140,14 @@ class TestDenseFormat:
             load_dense_instance(path)
         assert err.value.line == 3
 
+    @pytest.mark.parametrize("token", ["nan", "-inf", "1e999"])
+    def test_non_finite_token_has_line_number(self, tmp_path, token):
+        path = tmp_path / "nonfinite.txt"
+        path.write_text(f"2 2\n1.0 2.0\n3.0 4.0\n0.5 {token}\n")
+        with pytest.raises(DataFormatError, match="finite") as err:
+            load_dense_instance(path)
+        assert err.value.line == 4
+
 
 class TestSparseFormat:
     def test_round_trip_exact(self, tmp_path):
@@ -230,6 +243,13 @@ class TestPointFiles:
         with pytest.raises(DataFormatError):
             load_point(path, n=5)
 
+    def test_non_finite_entry_has_line_number(self, tmp_path):
+        path = tmp_path / "x.txt"
+        path.write_text("0.0\n1.0\nnan\n")
+        with pytest.raises(DataFormatError) as err:
+            load_point(path)
+        assert err.value.line == 3
+
 
 class TestRunSolver:
     def test_unknown_name_lists_valid(self):
@@ -248,16 +268,94 @@ class TestRunSolver:
 
     def test_dec_trace_objectives_decrease(self):
         A, b, _ = gen_random(10, 16, 4, noise_scale=1.0, seed=2)
-        x, trace = run_solver("dec", A, b, "cons", 4, 0, max_iters=200)
+        x, trace, _ = run_solver("dec", A, b, "cons", 4, 0, max_iters=200)
         objs = trace.objectives()
         assert all(objs[i + 1] <= objs[i] + 1e-12 for i in range(len(objs) - 1))
         assert np.count_nonzero(x) <= 4
 
 
+# every solver name in every mode it allows, with the term that scores it
+# written out independently of the solver table
+SOLVER_MODES = [(name, mode) for name, spec in SOLVERS.items()
+                for mode in (("cons",) if spec.cons_only else ("cons", "regu"))]
+
+
+def _scoring_term(name, mode, param):
+    if name == "pgm-l1":
+        return L1Penalty(param)
+    if name == "pgm-lhalf":
+        return HalfPenalty(param)
+    return Cardinality(param) if mode == "cons" else L0Penalty(param)
+
+
+class TestSolverParity:
+    @pytest.mark.parametrize("name,mode", SOLVER_MODES,
+                             ids=[f"{n}-{m}" for n, m in SOLVER_MODES])
+    def test_cli_benchmark_and_fresh_objective_agree(self, tmp_path, name, mode):
+        A, b, _ = gen_random(12, 20, 3, noise_scale=1.0, seed=4)
+        inst = tmp_path / "inst.txt"
+        save_instance(inst, A, b)
+        by_lambda = SOLVERS[name].lambda_param or mode == "regu"
+        param = 0.5 if by_lambda else 3
+        point = tmp_path / "x.txt"
+        r = cli("solve", "--instance", str(inst), "--solver", name,
+                "--mode", mode, "--lambda" if by_lambda else "--s", str(param),
+                "--max-iters", "80", "--seed", "1", "--out", str(point))
+        assert r.returncode == 0, r.stderr
+        fields = dict(tok.split("=") for tok in r.stdout.split("\n")[1].split())
+
+        benchmark({"mode": mode, "params": [param], "init_seeds": [1],
+                   "max_iters": 80, "solvers": [{"name": name}],
+                   "instances": [{"kind": "file", "path": str(inst)}]},
+                  str(tmp_path / "run"))
+        row = (tmp_path / "run" / "results.csv").read_text().split("\n")[1].split(",")
+
+        A2, b2 = load_instance(str(inst))
+        x = load_point(point)
+        fresh = composite_value(CompositeProblem(QuadraticObjective(A=A2, b=b2),
+                                                 _scoring_term(name, mode, param)), x)
+        assert fields["final_objective"] == row[5] == FLOAT_FMT % fresh
+        assert int(fields["nnz"]) == int(row[6]) == np.count_nonzero(x)
+
+    @pytest.mark.parametrize("name", [n for n, spec in SOLVERS.items() if spec.cons_only])
+    def test_cons_only_names_rejected_in_regu_mode(self, tmp_path, name):
+        inst = tmp_path / "inst.txt"
+        save_instance(inst, *gen_random(6, 8, 2, seed=0)[:2])
+        r = cli("solve", "--instance", str(inst), "--solver", name,
+                "--mode", "regu", "--lambda", "0.5")
+        assert r.returncode == 1
+        assert "requires cons mode" in r.stderr
+        with pytest.raises(InvalidParameterError):
+            benchmark({"mode": "regu", "params": [0.5], "solvers": [{"name": name}],
+                       "instances": [{"kind": "file", "path": str(inst)}]},
+                      str(tmp_path / "run"))
+
+
+class TestBenchHooks:
+    def test_tracer_installs_restores_and_sees_harness_calls(self, tmp_path,
+                                                              monkeypatch):
+        monkeypatch.syspath_prepend(BENCH_DIR)
+        import tracing
+
+        config = {"params": [2], "max_iters": 20,
+                  "solvers": [{"name": n} for n in ("dec", "pgm", "apgm", "omp")],
+                  "instances": [{"kind": "random", "m": 8, "n": 12, "support": 2}]}
+        tracer = tracing.Tracer()
+        with tracing.installed(tracer):
+            blockdec.bench.benchmark(config, str(tmp_path))
+        spans = tracer.summary()
+        for span in ("bench.run_solver", "dec.init_solution", "dec.run_dec",
+                     "baselines.pgm", "baselines.apgm", "baselines.omp",
+                     "problem.composite_value"):
+            assert span in spans, span
+        assert blockdec.bench.pgm is blockdec.baselines.pgm  # restored on exit
+        assert isinstance(blockdec.problem._GRAM_CACHE_LIMIT, int)
+
+
 class TestWriteTrace:
     def test_schema(self, tmp_path):
         A, b, _ = gen_random(6, 10, 3, noise_scale=1.0, seed=1)
-        _, trace = run_solver("dec", A, b, "cons", 3, 0, max_iters=60)
+        _, trace, _ = run_solver("dec", A, b, "cons", 3, 0, max_iters=60)
         path = tmp_path / "trace.csv"
         write_trace(path, trace)
         lines = path.read_text().strip().split("\n")
@@ -300,16 +398,6 @@ class TestBenchmark:
         assert len(traces) == 10
         assert "random-m10-n16-k3-seed0_dec-R3G1_3_0.csv" in traces
 
-    def test_results_deterministic_across_workers(self, tmp_path):
-        cfg = dict(self.CONFIG)
-        benchmark(cfg, str(tmp_path / "a"))
-        cfg2 = dict(self.CONFIG)
-        cfg2["workers"] = 3
-        benchmark(cfg2, str(tmp_path / "b"))
-        for name in ("results.csv", "summary.csv"):
-            assert (tmp_path / "a" / name).read_bytes() == \
-                (tmp_path / "b" / name).read_bytes()
-
     def test_final_objective_matches_recomputation(self, tmp_path):
         out = tmp_path / "chk"
         rows = benchmark(dict(self.CONFIG), str(out))
@@ -318,7 +406,7 @@ class TestBenchmark:
             parts = row.split(",")
             if not parts[1].startswith("dec"):
                 continue
-            x, _ = run_solver("dec", A, b, "cons", 3, int(parts[4]),
+            x, _, _ = run_solver("dec", A, b, "cons", 3, int(parts[4]),
                               max_iters=150, krand=3, kgreedy=1)
             resid = 0.5 * np.linalg.norm(A @ x - b) ** 2
             assert abs(float(parts[5]) - resid) < 1e-9
@@ -377,6 +465,19 @@ class TestCli:
                 "--solver", "pgm", "--mode", "cons", "--s", "2")
         assert r.returncode == 2
         assert "line 2" in r.stderr
+
+    @pytest.mark.parametrize("solver", ["dec", "pgm"])
+    def test_non_finite_instance_is_data_error(self, tmp_path, solver):
+        inst = tmp_path / "nan.txt"
+        save_instance(inst, *gen_random(4, 6, 2, seed=0)[:2])
+        lines = inst.read_text().split("\n")
+        lines[2] = "nan " + lines[2].split(" ", 1)[1]
+        inst.write_text("\n".join(lines))
+        r = cli("solve", "--instance", str(inst), "--solver", solver,
+                "--mode", "cons", "--s", "2")
+        assert r.returncode == 2
+        assert "Traceback" not in r.stderr
+        assert "line 3" in r.stderr
 
     def test_unknown_subcommand_is_usage_error(self):
         assert cli("frobnicate").returncode == 1

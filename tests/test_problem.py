@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blockdec import problem as problem_module
 from blockdec import (INFEASIBLE, Cardinality, CompositeProblem,
-                      DimensionMismatchError, HalfPenalty,
+                      DataFormatError, DimensionMismatchError, HalfPenalty,
                       InvalidParameterError, L0Penalty, L1Penalty,
                       QuadraticObjective, composite_value)
 
@@ -65,6 +66,20 @@ class TestQuadraticObjective:
         with pytest.raises(InvalidParameterError):
             QuadraticObjective.from_gram(Q, np.zeros(2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_data_rejected(self, bad):
+        A, b = np.ones((3, 2)), np.ones(3)
+        Q, p = np.eye(2), np.zeros(2)
+        A[1, 0] = b[2] = Q[0, 0] = p[1] = bad
+        with pytest.raises(DataFormatError, match="non-finite"):
+            QuadraticObjective.from_factored(A, np.ones(3))
+        with pytest.raises(DataFormatError, match="non-finite"):
+            QuadraticObjective.from_factored(np.ones((3, 2)), b)
+        with pytest.raises(DataFormatError, match="non-finite"):
+            QuadraticObjective.from_gram(Q, np.zeros(2))
+        with pytest.raises(DataFormatError, match="non-finite"):
+            QuadraticObjective.from_gram(np.eye(2), p)
+
     def test_shape_mismatches(self):
         Q, p = _rand_gram(3, 5)
         obj = QuadraticObjective.from_gram(Q, p)
@@ -111,6 +126,25 @@ class TestQuadraticObjective:
         np.testing.assert_allclose(obj.gram_submatrix(idx),
                                    (A.T @ A)[np.ix_(idx, idx)], rtol=1e-12)
         np.testing.assert_allclose(obj.linear_term(idx), -(A.T @ b)[idx], rtol=1e-12)
+
+    def test_factored_path_agrees_with_gram_cache(self, monkeypatch):
+        # the cache decision is taken at construction: a zero limit sends a
+        # small instance down the path every n above the limit takes
+        rng = np.random.default_rng(10)
+        A = rng.standard_normal((6, 5))
+        b = rng.standard_normal(6)
+        cached = QuadraticObjective.from_factored(A, b)
+        monkeypatch.setattr(problem_module, "_GRAM_CACHE_LIMIT", 0)
+        factored = QuadraticObjective.from_factored(A, b)
+        idx = np.array([1, 3])
+        v = rng.standard_normal(5)
+        with pytest.raises(InvalidParameterError):
+            factored.gram_matrix()
+        for f in (lambda o: o.gram_submatrix(idx), lambda o: o.linear_term(),
+                  lambda o: o.linear_term(idx), lambda o: o.matvec(v),
+                  lambda o: o.coordinate_lipschitz()):
+            np.testing.assert_allclose(f(factored), f(cached), rtol=1e-12)
+        assert factored._Q is None  # nothing on the factored path fills Q
 
 
 class TestTerms:
