@@ -24,26 +24,24 @@ from .prox import (half_threshold, hard_threshold_topk, prox_l0_penalty,
 from .stationarity import (LandscapeCounts, enumerate_basic_points, is_basic,
                            is_block_k, is_l_stationary, landscape_table,
                            table1_problem)
-from .subproblem import (BlockSolveResult, WorkingSet, restricted_minimize,
-                         solve_block)
-from .working_set import GreedyScores, greedy_scores, random_set, select_working_set
+from .subproblem import BlockSolveResult, solve_block
+from .working_set import greedy_scores, random_set, select_working_set
 
 __version__ = "0.1.0"
 
 __all__ = [
     "INFEASIBLE", "BlockdecError", "BlockSolveResult", "BudgetExceededError",
     "Cardinality", "CompositeProblem", "DataFormatError", "DecConfig",
-    "DegenerateSystemError", "DimensionMismatchError", "GreedyScores",
-    "HalfPenalty", "InvalidParameterError", "IterationRecord", "L0Penalty",
-    "L1Penalty", "LandscapeCounts", "NumericalError", "QuadraticObjective",
-    "SolveTrace", "WorkingSet", "apgm", "benchmark", "composite_value",
-    "corrupt", "cvx_l1_sweep", "enumerate_basic_points", "gen_random",
-    "greedy_scores", "half_threshold", "hard_threshold_topk", "init_solution",
-    "is_basic", "is_block_k", "is_l_stationary", "landscape_table",
-    "load_dense_instance", "load_instance", "load_point", "load_sparse_text",
-    "omp", "pgm", "prox_l0_penalty", "proximal_step", "random_set",
-    "relative_drop", "restricted_minimize", "run_dec", "run_solver",
-    "save_instance", "save_point", "save_sparse_text", "select_working_set",
-    "soft_threshold", "solve_block", "stopping_rule", "table1_problem",
-    "write_trace",
+    "DegenerateSystemError", "DimensionMismatchError", "HalfPenalty",
+    "InvalidParameterError", "IterationRecord", "L0Penalty", "L1Penalty",
+    "LandscapeCounts", "NumericalError", "QuadraticObjective", "SolveTrace",
+    "apgm", "benchmark", "composite_value", "corrupt", "cvx_l1_sweep",
+    "enumerate_basic_points", "gen_random", "greedy_scores", "half_threshold",
+    "hard_threshold_topk", "init_solution", "is_basic", "is_block_k",
+    "is_l_stationary", "landscape_table", "load_dense_instance",
+    "load_instance", "load_point", "load_sparse_text", "omp", "pgm",
+    "prox_l0_penalty", "proximal_step", "random_set", "relative_drop",
+    "run_dec", "run_solver", "save_instance", "save_point", "save_sparse_text",
+    "select_working_set", "soft_threshold", "solve_block", "stopping_rule",
+    "table1_problem", "write_trace",
 ]

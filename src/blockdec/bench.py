@@ -21,6 +21,10 @@ A benchmark config is a JSON file::
       "timing": false
     }
 
+A solver entry takes only ``name``, ``label``, ``krand`` and ``kgreedy``.
+Its label (by default the name, or ``dec-R<krand>G<kgreedy>`` for dec)
+names its trace files and summary rows, so labels must be distinct.
+
 Cells (instance x solver x param x init-seed) run one after another in a
 fixed order, so identical configs yield byte-identical outputs.  Timing
 columns are written as 0 unless ``timing`` is set, for the same reason.
@@ -92,7 +96,7 @@ def _omp(prob, A, b, seed, stop, dec):
 
 
 def _cvx_l1(prob, A, b, seed, stop, dec):
-    return cvx_l1_sweep(A, b, prob.term.s), None
+    return cvx_l1_sweep(A, b, prob.term.s, **stop), None
 
 
 SOLVERS = {
@@ -159,6 +163,9 @@ def _instance_data(spec):
     return name, A, b
 
 
+SOLVER_KEYS = frozenset({"name", "label", "krand", "kgreedy"})
+
+
 def _solver_label(spec):
     name = spec["name"]
     if name == "dec":
@@ -182,8 +189,19 @@ def benchmark(config, out_dir):
     solvers = config.get("solvers")
     if not solvers:
         raise InvalidParameterError("config needs a nonempty 'solvers' list")
+    labels = set()
     for spec in solvers:
+        unknown = set(spec) - SOLVER_KEYS
+        if unknown:
+            raise InvalidParameterError(
+                f"unknown solver key(s) {sorted(unknown)}; valid keys: {sorted(SOLVER_KEYS)}")
         solver_spec(spec.get("name"), mode)
+        label = _solver_label(spec)
+        if label in labels:
+            # traces and summary rows are keyed by label
+            raise InvalidParameterError(
+                f"duplicate solver label {label!r}; give each solver a distinct 'label'")
+        labels.add(label)
     seeds = config.get("init_seeds", [0])
     opts = dict(theta=float(config.get("theta", 1e-3)),
                 epsilon=float(config.get("epsilon", 1e-5)),

@@ -152,7 +152,7 @@ def run_dec(prob, x0, config):
                 settled = True
             x = result.x_next
         trace.records.append(IterationRecord(
-            iteration=t, objective=f, step_norm=step, working_set=tuple(B),
+            iteration=t, objective=f, step_norm=step, working_set=tuple(B.tolist()),
             elapsed=time.perf_counter() - tic))
         drops.append(relative_drop(f, f_next))
         f = f_next

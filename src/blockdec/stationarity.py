@@ -23,7 +23,7 @@ from scipy.linalg import cho_factor, cho_solve
 from .errors import BudgetExceededError, InvalidParameterError
 from .problem import (INFEASIBLE, Cardinality, CompositeProblem, L0Penalty,
                       QuadraticObjective, composite_value, make_term)
-from .subproblem import WorkingSet, solve_block
+from .subproblem import solve_block
 from .working_set import random_set
 
 ZERO_TOL = 1e-12
@@ -124,13 +124,13 @@ def is_block_k(prob, x, k, tol=1e-9, mode="exhaustive", trials=1000, seed=0):
             raise BudgetExceededError(
                 f"landscape too large: C({prob.n},{k}) * 2^{k} = {cost} patterns "
                 f"exceeds the {BLOCK_BUDGET} budget; use sampled mode")
-        blocks = (WorkingSet(B) for B in itertools.combinations(range(prob.n), k))
+        blocks = itertools.combinations(range(prob.n), k)
     else:
         rng = np.random.default_rng(seed)
         blocks = (random_set(prob.n, k, rng) for _ in range(trials))
 
     for B in blocks:
-        result = solve_block(prob, x, B, theta=0.0, f_of_x=f_x)
+        result = solve_block(prob, x, B, theta=0.0)
         if result.composite_delta < -slack:
             return False
     return True

@@ -29,48 +29,16 @@ MAX_BLOCK_SIZE = 30
 TIE_TOL = 1e-12
 
 
-class WorkingSet:
-    """An ascending tuple of distinct coordinate indices."""
-
-    def __init__(self, indices):
-        idx = sorted(int(i) for i in indices)
-        if len(idx) == 0:
-            raise InvalidParameterError("working set must be nonempty")
-        if any(i < 0 for i in idx):
-            raise InvalidParameterError("working set indices must be nonnegative")
-        if any(a == b for a, b in zip(idx, idx[1:])):
-            raise InvalidParameterError(f"working set indices must be distinct: {idx}")
-        self.indices = tuple(idx)
-
-    def __len__(self):
-        return len(self.indices)
-
-    def __iter__(self):
-        return iter(self.indices)
-
-    def __eq__(self, other):
-        return isinstance(other, WorkingSet) and self.indices == other.indices
-
-    def __hash__(self):
-        return hash(self.indices)
-
-    def __repr__(self):
-        return f"WorkingSet({list(self.indices)})"
-
-
 @dataclass
 class BlockSolveResult:
     """Outcome of one block solve.
 
-    ``objective`` is the optimal value of F(z) + (theta/2)||z - x||^2;
     ``composite_delta`` is the exact change F(x_next) - F(x) computed in
     block-local arithmetic (non-positive by construction), which lets the
     caller maintain an exactly monotone objective sequence.
     """
 
     x_next: np.ndarray
-    pattern: int
-    objective: float
     patterns_evaluated: int
     composite_delta: float = 0.0
 
@@ -103,48 +71,30 @@ def _solve_spd(M, rhs, allow_ridge):
     return z
 
 
-def restricted_minimize(prob, S, x_fixed, anchor, theta):
-    """Minimize f(z) + (theta/2)||z - anchor||^2 over the coordinates in S.
-
-    Coordinates outside S are held at ``x_fixed`` (entries of ``x_fixed``
-    inside S are ignored; coordinates meant to be pinned at zero must be
-    zero there).  Returns the optimal values for the S coordinates, i.e. the
-    solution of (Q_SS + theta I) z_S = theta*anchor_S - p_S - Q_{S,R} x_R.
-    """
-    S = [int(i) for i in S]
-    if len(S) == 0:
-        raise InvalidParameterError("restricted solve needs a nonempty index set")
-    obj = prob.objective
-    x_fixed = np.asarray(x_fixed, dtype=float)
-    anchor = np.asarray(anchor, dtype=float)
-    if x_fixed.shape != (obj.n,) or anchor.shape != (obj.n,):
-        raise DimensionMismatchError("x_fixed and anchor must have the problem dimension")
-    if theta < 0:
-        raise InvalidParameterError(f"theta must be nonnegative, got {theta}")
-    masked = x_fixed.copy()
-    masked[S] = 0.0
-    cross = obj.matvec(masked)[S]
-    rhs = theta * anchor[S] - obj.linear_term(S) - cross
-    M = obj.gram_submatrix(S) + theta * np.eye(len(S))
-    return _solve_spd(M, rhs, allow_ridge=(theta == 0.0))
-
-
-def solve_block(prob, x, B, theta, f_of_x=None):
+def solve_block(prob, x, B, theta):
     """Globally solve the block subproblem on working set B.
 
-    Enumerates every support pattern inside B (pruned to the remaining
-    cardinality budget under a Cardinality term), solves the restricted
-    quadratic for each, and returns the best candidate.  Ties within
-    ``TIE_TOL`` go to the candidate with fewer nonzeros, then to the
+    B is any sequence of distinct nonnegative coordinate indices; it is
+    sorted once here.  Enumerates every support pattern inside B (pruned to
+    the remaining cardinality budget under a Cardinality term), solves the
+    restricted quadratic for each, and returns the best candidate.  Ties
+    within ``TIE_TOL`` go to the candidate with fewer nonzeros, then to the
     lexicographically smaller pattern mask (bit j of the mask corresponds to
-    B's j-th index).
+    B's j-th smallest index).
     """
     if not isinstance(prob.term, (Cardinality, L0Penalty)):
         raise InvalidParameterError(
             f"block decomposition requires an l0 term, got {prob.term!r}")
-    if not isinstance(B, WorkingSet):
-        B = WorkingSet(B)
-    k = len(B)
+    given = np.asarray(B, dtype=int)
+    idx = np.unique(given)
+    k = idx.size
+    if k == 0:
+        raise InvalidParameterError("working set must be nonempty")
+    if idx[0] < 0:
+        raise InvalidParameterError("working set indices must be nonnegative")
+    if k < given.size:
+        raise InvalidParameterError(
+            f"working set indices must be distinct: {given.tolist()}")
     if k > MAX_BLOCK_SIZE:
         raise InvalidParameterError(
             f"block too large for exhaustive enumeration (k = {k} > {MAX_BLOCK_SIZE})")
@@ -152,13 +102,13 @@ def solve_block(prob, x, B, theta, f_of_x=None):
     x = np.asarray(x, dtype=float)
     if x.shape != (obj.n,):
         raise DimensionMismatchError(f"x has shape {x.shape}, expected ({obj.n},)")
-    if B.indices[-1] >= obj.n:
-        raise DimensionMismatchError(f"working set {B!r} out of range for n = {obj.n}")
+    if idx[-1] >= obj.n:
+        raise DimensionMismatchError(
+            f"working set {idx.tolist()} out of range for n = {obj.n}")
     if theta < 0:
         raise InvalidParameterError(f"theta must be nonnegative, got {theta}")
 
     cardinality = isinstance(prob.term, Cardinality)
-    idx = np.asarray(B.indices, dtype=int)
     x_B = x[idx]
     nnz_out = int(np.count_nonzero(x)) - int(np.count_nonzero(x_B))
     if cardinality:
@@ -208,23 +158,13 @@ def solve_block(prob, x, B, theta, f_of_x=None):
                 best_delta = min(best_delta, delta)
                 best_nnz, best_mask, best_zB = znnz, mask, z_B
 
-    if f_of_x is None:
-        f_of_x = obj.value(x)
-    h_of_x = 0.0 if cardinality else lam * (nnz_x_B + nnz_out)
-    F_of_x = f_of_x + h_of_x
-
     if best_mask is None:
         # no pattern beat staying put; return x unchanged
-        current_mask = sum(1 << j for j in range(k) if x_B[j] != 0.0)
-        return BlockSolveResult(
-            x_next=x.copy(), pattern=current_mask, objective=F_of_x,
-            patterns_evaluated=evaluated, composite_delta=0.0)
+        return BlockSolveResult(x_next=x.copy(), patterns_evaluated=evaluated)
 
     x_next = x.copy()
     x_next[idx] = best_zB
     d = best_zB - x_B
     prox_term = 0.5 * theta * float(d @ d)
-    composite_delta = best_delta - prox_term
-    return BlockSolveResult(
-        x_next=x_next, pattern=best_mask, objective=F_of_x + best_delta,
-        patterns_evaluated=evaluated, composite_delta=composite_delta)
+    return BlockSolveResult(x_next=x_next, patterns_evaluated=evaluated,
+                            composite_delta=best_delta - prox_term)

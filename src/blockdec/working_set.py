@@ -5,45 +5,32 @@ coordinates with the best one-coordinate improvement scores and fills the
 rest of the block with i coordinates drawn uniformly from the remainder.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvalidParameterError
 from .problem import Cardinality, L0Penalty
-from .subproblem import WorkingSet
-
-
-@dataclass
-class GreedyScores:
-    """One-coordinate move scores.
-
-    ``c`` maps each zero coordinate to the best objective change achievable
-    by activating it alone (always <= 0, since staying put is admissible);
-    ``d`` maps each nonzero coordinate to the exact objective change from
-    zeroing it.  Lower scores are more attractive moves.
-    """
-
-    c: dict
-    d: dict
 
 
 def random_set(n, k, rng):
-    """Draw k distinct coordinates uniformly over all C(n, k) combinations."""
+    """Draw k distinct coordinates uniformly over all C(n, k) combinations.
+
+    Returns them as a sorted int array.
+    """
     if not 1 <= k <= n:
         raise InvalidParameterError(f"working-set size {k} outside [1, {n}]")
-    idx = rng.choice(n, size=k, replace=False)
-    return WorkingSet(idx)
+    return np.sort(rng.choice(n, size=k, replace=False))
 
 
 def greedy_scores(prob, x):
     """Score every coordinate by its best single-coordinate move.
 
+    Returns one length-n array; lower scores are more attractive moves.
     For a zero coordinate i with gradient g_i and curvature q_i = Q_ii, the
     best activation changes f by -g_i^2/(2 q_i); under the count penalty the
     move also pays lam, and a move is never worse than staying put, so the
-    score is clipped at 0.  For a nonzero coordinate j, the score is the
-    exact change in F from setting x_j to 0.
+    score is clipped at 0.  A flat zero coordinate with a slope scores -inf
+    (unbounded descent).  For a nonzero coordinate j, the score is the exact
+    change in F from setting x_j to 0.
     """
     term = prob.term
     if not isinstance(term, (Cardinality, L0Penalty)):
@@ -51,34 +38,24 @@ def greedy_scores(prob, x):
     x = np.asarray(x, dtype=float)
     g = prob.objective.gradient(x)
     q = prob.objective.coordinate_lipschitz()
-    penalty = isinstance(term, L0Penalty)
-    c, d = {}, {}
-    for i in range(prob.n):
-        if x[i] == 0.0:
-            if q[i] > 0.0:
-                drop = -g[i] * g[i] / (2.0 * q[i])
-            elif g[i] != 0.0:
-                drop = -np.inf  # flat coordinate with slope: unbounded descent
-            else:
-                drop = 0.0
-            if penalty:
-                c[i] = min(0.0, term.lam + drop) if np.isfinite(drop) else -np.inf
-            else:
-                c[i] = drop
-        else:
-            change = -x[i] * g[i] + 0.5 * x[i] * x[i] * q[i]
-            d[i] = change - term.lam if penalty else change
-    return GreedyScores(c=c, d=d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        drop = np.where(q > 0.0, -g * g / (2.0 * q), np.where(g != 0.0, -np.inf, 0.0))
+    change = -x * g + 0.5 * x * x * q
+    if isinstance(term, L0Penalty):
+        activate = term.lam + drop
+        drop = np.where(activate < 0.0, activate, 0.0)
+        change = change - term.lam
+    return np.where(x == 0.0, drop, change)
 
 
 def select_working_set(prob, x, n_random, n_greedy, rng):
-    """Pick n_greedy coordinates by merged score ranking, n_random uniformly.
+    """Pick n_greedy coordinates by greedy score, n_random uniformly.
 
-    The c and d scores are merged into a single ranking over all n
-    coordinates; the n_greedy smallest win (ties by lower index), and the
-    random part is drawn without replacement from the remaining coordinates.
-    A full-size request short-circuits to the complete index set without
-    consuming randomness.
+    The scores of ``greedy_scores`` rank all n coordinates; the n_greedy
+    smallest win (ties by lower index), and the random part is drawn without
+    replacement from the remaining coordinates in ascending order.  Returns
+    a sorted int array.  A full-size request short-circuits to the complete
+    index set without consuming randomness.
     """
     n = prob.n
     if n_random < 0 or n_greedy < 0:
@@ -87,21 +64,14 @@ def select_working_set(prob, x, n_random, n_greedy, rng):
     if not 1 <= k <= n:
         raise InvalidParameterError(f"total working-set size {k} outside [1, {n}]")
     if k == n:
-        return WorkingSet(range(n))
+        return np.arange(n)
 
-    chosen = []
+    taken = np.zeros(n, dtype=bool)
     if n_greedy > 0:
         scores = greedy_scores(prob, x)
-        merged = np.empty(n)
-        for i, v in scores.c.items():
-            merged[i] = v
-        for j, v in scores.d.items():
-            merged[j] = v
         # lexsort: primary key score, secondary key index (ascending)
-        order = np.lexsort((np.arange(n), merged))
-        chosen = list(order[:n_greedy])
+        taken[np.lexsort((np.arange(n), scores))[:n_greedy]] = True
     if n_random > 0:
-        pool = np.setdiff1d(np.arange(n), np.asarray(chosen, dtype=int))
-        draw = rng.choice(pool.size, size=n_random, replace=False)
-        chosen.extend(pool[draw])
-    return WorkingSet(chosen)
+        pool = np.flatnonzero(~taken)
+        taken[pool[rng.choice(pool.size, size=n_random, replace=False)]] = True
+    return np.flatnonzero(taken)

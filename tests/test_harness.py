@@ -273,6 +273,14 @@ class TestRunSolver:
         assert all(objs[i + 1] <= objs[i] + 1e-12 for i in range(len(objs) - 1))
         assert np.count_nonzero(x) <= 4
 
+    def test_cvx_l1_takes_stopping_flags(self):
+        A, b, _ = gen_random(20, 40, 4, noise_scale=1.0, seed=3)
+        x, trace, _ = run_solver("cvx-l1", A, b, "cons", 4, 0, max_iters=5)
+        assert trace is None
+        np.testing.assert_array_equal(x, blockdec.cvx_l1_sweep(A, b, 4, max_iters=5))
+        # five iterations stop short of the default run on this instance
+        assert not np.array_equal(x, run_solver("cvx-l1", A, b, "cons", 4, 0)[0])
+
 
 # every solver name in every mode it allows, with the term that scores it
 # written out independently of the solver table
@@ -351,6 +359,23 @@ class TestBenchHooks:
         assert blockdec.bench.pgm is blockdec.baselines.pgm  # restored on exit
         assert isinstance(blockdec.problem._GRAM_CACHE_LIMIT, int)
 
+    def test_dec_cell_fires_selection_and_block_spans(self, tmp_path, monkeypatch):
+        # the benchmark's per-layer working_set and subproblem metrics read
+        # these span and counter names
+        monkeypatch.syspath_prepend(BENCH_DIR)
+        import tracing
+
+        config = {"params": [2], "max_iters": 20, "solvers": [{"name": "dec"}],
+                  "instances": [{"kind": "random", "m": 8, "n": 12, "support": 2}]}
+        tracer = tracing.Tracer()
+        with tracing.installed(tracer):
+            blockdec.bench.benchmark(config, str(tmp_path))
+        spans = tracer.summary()
+        for span in ("working_set.select", "working_set.greedy_scores",
+                     "subproblem.solve_block"):
+            assert span in spans, span
+        assert tracer.counts["subproblem.patterns_evaluated"] > 0
+
 
 class TestWriteTrace:
     def test_schema(self, tmp_path):
@@ -418,6 +443,31 @@ class TestBenchmark:
         with pytest.raises(InvalidParameterError):
             benchmark({"params": [], "solvers": [{"name": "dec"}]},
                       str(tmp_path / "y"))
+
+    # two specs sharing a label would overwrite each other's traces and be
+    # pooled into one summary row
+    LABEL_CLASH = [{"name": "dec", "krand": 4, "kgreedy": 2}, {"name": "dec"},
+                   {"name": "pgm", "label": "dec-R4G2"}]
+
+    @pytest.mark.parametrize("solvers", [
+        LABEL_CLASH,
+        LABEL_CLASH[:2],
+        LABEL_CLASH[1:],
+        [{"name": "pgm"}, {"name": "apgm", "label": "pgm"}],
+        [{"name": "dec", "theta": 0.1}],
+    ])
+    def test_label_clash_and_unknown_solver_key_rejected(self, tmp_path, solvers):
+        cfg = dict(self.CONFIG, solvers=solvers)
+        with pytest.raises(InvalidParameterError):
+            benchmark(cfg, str(tmp_path / "out"))
+        assert not (tmp_path / "out").exists()
+
+    def test_distinct_labels_and_top_level_workers_accepted(self, tmp_path):
+        cfg = dict(self.CONFIG, init_seeds=[0], workers=1, solvers=[
+            {"name": "dec"}, {"name": "dec", "krand": 3, "kgreedy": 1},
+            {"name": "pgm", "label": "pgm-from-zero"}])
+        rows = benchmark(cfg, str(tmp_path))
+        assert [r.split(",")[1] for r in rows] == ["dec-R4G2", "dec-R3G1", "pgm-from-zero"]
 
 
 class TestCli:
@@ -500,3 +550,12 @@ class TestCli:
         assert r.returncode == 0, r.stderr
         assert (out / "results.csv").exists()
         assert (out / "summary.csv").exists()
+
+    def test_benchmark_label_clash_is_usage_error(self, tmp_path):
+        import json
+        cfg = dict(TestBenchmark.CONFIG, solvers=TestBenchmark.LABEL_CLASH)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        r = cli("benchmark", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out"))
+        assert r.returncode == 1
+        assert "dec-R4G2" in r.stderr and "Traceback" not in r.stderr

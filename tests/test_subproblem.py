@@ -7,8 +7,7 @@ import pytest
 
 from blockdec import (Cardinality, CompositeProblem, DimensionMismatchError,
                       InvalidParameterError, L0Penalty, L1Penalty,
-                      QuadraticObjective, WorkingSet, composite_value,
-                      restricted_minimize, solve_block)
+                      QuadraticObjective, composite_value, solve_block)
 
 from conftest import random_gram_problem
 
@@ -42,65 +41,6 @@ def oracle_block_min(prob, x, B, theta):
     return best_F, best_z
 
 
-class TestWorkingSet:
-    def test_sorted_and_distinct(self):
-        ws = WorkingSet([4, 1, 2])
-        assert ws.indices == (1, 2, 4)
-        assert len(ws) == 3 and list(ws) == [1, 2, 4]
-
-    def test_validation(self):
-        with pytest.raises(InvalidParameterError):
-            WorkingSet([])
-        with pytest.raises(InvalidParameterError):
-            WorkingSet([1, 1])
-        with pytest.raises(InvalidParameterError):
-            WorkingSet([-1, 2])
-
-    def test_hash_and_eq(self):
-        assert WorkingSet([2, 0]) == WorkingSet([0, 2])
-        assert len({WorkingSet([0, 1]), WorkingSet([1, 0])}) == 1
-
-
-class TestRestrictedMinimize:
-    def test_normal_equations_oracle(self):
-        rng = np.random.default_rng(0)
-        prob = random_gram_problem(6, 0, Cardinality(6))
-        Q = prob.objective.gram_matrix()
-        p = prob.objective.linear_term()
-        x_fixed = rng.standard_normal(6)
-        anchor = rng.standard_normal(6)
-        S = [1, 3, 4]
-        theta = 0.7
-        z = restricted_minimize(prob, S, x_fixed, anchor, theta)
-        R = [0, 2, 5]
-        M = Q[np.ix_(S, S)] + theta * np.eye(3)
-        rhs = theta * anchor[S] - p[S] - Q[np.ix_(S, R)] @ x_fixed[R]
-        np.testing.assert_allclose(z, np.linalg.solve(M, rhs), rtol=1e-10)
-
-    def test_residual_certified(self):
-        prob = random_gram_problem(5, 1, Cardinality(5))
-        Q = prob.objective.gram_matrix()
-        p = prob.objective.linear_term()
-        z = restricted_minimize(prob, [0, 2], np.zeros(5), np.zeros(5), 0.0)
-        resid = Q[np.ix_([0, 2], [0, 2])] @ z + p[[0, 2]]
-        assert np.linalg.norm(resid) <= 1e-10 * (1 + np.linalg.norm(p[[0, 2]]))
-
-    def test_singular_at_zero_theta_gets_ridge(self):
-        # rank-1 Q restricted to 2 coordinates is singular; the ridge path
-        # must still produce a near-stationary solution
-        c = np.array([1.0, 2.0, 3.0])
-        Q = np.outer(c, c)
-        prob = CompositeProblem(QuadraticObjective(Q=Q, p=-c), Cardinality(3))
-        z = restricted_minimize(prob, [0, 1], np.zeros(3), np.zeros(3), 0.0)
-        resid = Q[:2, :2] @ z - c[:2]
-        assert np.linalg.norm(resid) <= 1e-6
-
-    def test_empty_set_rejected(self):
-        prob = random_gram_problem(4, 2, Cardinality(4))
-        with pytest.raises(InvalidParameterError):
-            restricted_minimize(prob, [], np.zeros(4), np.zeros(4), 1.0)
-
-
 class TestSolveBlockCardinality:
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_oracle(self, seed):
@@ -109,7 +49,7 @@ class TestSolveBlockCardinality:
         x = np.zeros(7)
         on = rng.choice(7, size=3, replace=False)
         x[on] = rng.standard_normal(3)
-        B = WorkingSet(rng.choice(7, size=4, replace=False))
+        B = rng.choice(7, size=4, replace=False)
         theta = 1e-3
         result = solve_block(prob, x, B, theta)
         F_x = composite_value(prob, x)
@@ -125,7 +65,7 @@ class TestSolveBlockCardinality:
         prob = random_gram_problem(6, 3, Cardinality(2))
         x = np.zeros(6)
         x[[4, 5]] = 1.0  # budget outside B is exhausted
-        result = solve_block(prob, x, WorkingSet([0, 1, 2]), 1e-3)
+        result = solve_block(prob, x, [0, 1, 2], 1e-3)
         # only the empty pattern survives the budget
         assert result.patterns_evaluated == 1
         np.testing.assert_array_equal(result.x_next, x)
@@ -135,14 +75,42 @@ class TestSolveBlockCardinality:
         prob = random_gram_problem(6, 4, Cardinality(2))
         x = np.zeros(6)
         x[5] = 1.0
-        result = solve_block(prob, x, WorkingSet([0, 1, 2]), 1e-3)
+        result = solve_block(prob, x, [0, 1, 2], 1e-3)
         # budget 1 inside the block: patterns with <= 1 active: 1 + 3
         assert result.patterns_evaluated == 4
+
+    def test_full_budget_matches_normal_equations(self):
+        # with room for every coordinate, the full pattern is the block
+        # optimum: (Q_BB + theta I) z_B = theta x_B - p_B - Q_{B,R} x_R
+        rng = np.random.default_rng(0)
+        prob = random_gram_problem(6, 0, Cardinality(6))
+        Q = prob.objective.gram_matrix()
+        p = prob.objective.linear_term()
+        x = rng.standard_normal(6)
+        B, R = [1, 3, 4], [0, 2, 5]
+        theta = 0.7
+        result = solve_block(prob, x, B, theta)
+        M = Q[np.ix_(B, B)] + theta * np.eye(3)
+        rhs = theta * x[B] - p[B] - Q[np.ix_(B, R)] @ x[R]
+        np.testing.assert_allclose(result.x_next[B], np.linalg.solve(M, rhs), rtol=1e-10)
+        np.testing.assert_array_equal(result.x_next[R], x[R])
+
+    def test_singular_block_at_zero_theta_uses_ridge(self):
+        # rank-1 Q makes the two-coordinate pattern singular at theta = 0;
+        # the ridge path must solve it, and the sparser tie wins
+        c = np.array([1.0, 2.0, 3.0])
+        Q = np.outer(c, c)
+        prob = CompositeProblem(QuadraticObjective(Q=Q, p=-c), Cardinality(3))
+        x = np.zeros(3)
+        result = solve_block(prob, x, [0, 1], 0.0)
+        oracle_F, _ = oracle_block_min(prob, x, [0, 1], 0.0)
+        assert composite_value(prob, result.x_next) == pytest.approx(oracle_F, abs=1e-9)
+        np.testing.assert_allclose(result.x_next, [1.0, 0.0, 0.0])
 
     def test_infeasible_x_rejected(self):
         prob = random_gram_problem(5, 5, Cardinality(2))
         with pytest.raises(InvalidParameterError):
-            solve_block(prob, np.ones(5), WorkingSet([0, 1]), 1e-3)
+            solve_block(prob, np.ones(5), [0, 1], 1e-3)
 
 
 class TestSolveBlockPenalty:
@@ -151,7 +119,7 @@ class TestSolveBlockPenalty:
         rng = np.random.default_rng(100 + seed)
         prob = random_gram_problem(6, 50 + seed, L0Penalty(0.2))
         x = rng.standard_normal(6) * rng.integers(0, 2, size=6)
-        B = WorkingSet(rng.choice(6, size=3, replace=False))
+        B = rng.choice(6, size=3, replace=False)
         theta = 1e-3
         result = solve_block(prob, x, B, theta)
         oracle_F, _ = oracle_block_min(prob, x, B, theta)
@@ -165,7 +133,7 @@ class TestSolveBlockPenalty:
         Q = np.eye(2)
         p = np.array([0.0, -1.0])  # coordinate 0 wants to sit exactly at 0
         prob = CompositeProblem(QuadraticObjective(Q=Q, p=p), L0Penalty(0.1))
-        result = solve_block(prob, np.zeros(2), WorkingSet([0, 1]), 0.0)
+        result = solve_block(prob, np.zeros(2), [0, 1], 0.0)
         np.testing.assert_allclose(result.x_next, [0.0, 1.0])
         assert composite_value(prob, result.x_next) == pytest.approx(-0.5 + 0.1)
 
@@ -177,14 +145,14 @@ class TestTieBreaking:
         Q = np.eye(2)
         p = np.array([-1.0, -1.0])
         prob = CompositeProblem(QuadraticObjective(Q=Q, p=p), Cardinality(1))
-        result = solve_block(prob, np.zeros(2), WorkingSet([0, 1]), 0.0)
+        result = solve_block(prob, np.zeros(2), [0, 1], 0.0)
         assert np.count_nonzero(result.x_next) == 1
         # mask tie at equal sparsity: lower mask = coordinate 0
         np.testing.assert_allclose(result.x_next, [1.0, 0.0])
 
     def test_stay_put_at_optimum(self, demo_cons):
         x = np.array([-13.0, -9.0, -5.0, 0.0, 0.0, 7.0]) / 17.0
-        result = solve_block(demo_cons, x, WorkingSet([0, 1, 2, 3]), 1e-3)
+        result = solve_block(demo_cons, x, [0, 1, 2, 3], 1e-3)
         np.testing.assert_allclose(result.x_next, x, atol=1e-12)
         assert result.composite_delta == 0.0
 
@@ -193,17 +161,38 @@ class TestValidation:
     def test_block_size_cap(self):
         prob = random_gram_problem(4, 6, Cardinality(2))
         with pytest.raises(InvalidParameterError):
-            solve_block(prob, np.zeros(4), WorkingSet(range(31)), 1e-3)
+            solve_block(prob, np.zeros(4), range(31), 1e-3)
+
+    def test_index_validation(self):
+        prob = random_gram_problem(4, 7, Cardinality(2))
+        for bad in ([], [1, 1], [-1, 2]):
+            with pytest.raises(InvalidParameterError):
+                solve_block(prob, np.zeros(4), bad, 1e-3)
+
+    def test_unsorted_indices_match_sorted(self):
+        # bit j of the pattern mask is the j-th smallest index whatever the
+        # input order, so tie-breaking and the result do not depend on it
+        Q = np.eye(3)
+        p = np.array([-1.0, -1.0, -1.0])
+        prob = CompositeProblem(QuadraticObjective(Q=Q, p=p), Cardinality(1))
+        x = np.zeros(3)
+        want = solve_block(prob, x, [0, 1, 2], 0.0)
+        np.testing.assert_allclose(want.x_next, [1.0, 0.0, 0.0])
+        for B in ([2, 0, 1], (1, 2, 0), np.array([2, 1, 0])):
+            got = solve_block(prob, x, B, 0.0)
+            np.testing.assert_array_equal(got.x_next, want.x_next)
+            assert got.patterns_evaluated == want.patterns_evaluated
+            assert got.composite_delta == want.composite_delta
 
     def test_out_of_range_indices(self):
         prob = random_gram_problem(4, 7, Cardinality(2))
         with pytest.raises(DimensionMismatchError):
-            solve_block(prob, np.zeros(4), WorkingSet([2, 7]), 1e-3)
+            solve_block(prob, np.zeros(4), [2, 7], 1e-3)
 
     def test_negative_theta(self):
         prob = random_gram_problem(4, 8, Cardinality(2))
         with pytest.raises(InvalidParameterError):
-            solve_block(prob, np.zeros(4), WorkingSet([0, 1]), -0.1)
+            solve_block(prob, np.zeros(4), [0, 1], -0.1)
 
     def test_relaxation_terms_rejected(self):
         rng = np.random.default_rng(9)
@@ -211,4 +200,4 @@ class TestValidation:
         prob = CompositeProblem(QuadraticObjective(Q=Q, p=rng.standard_normal(3)),
                                 L1Penalty(0.1))
         with pytest.raises(InvalidParameterError):
-            solve_block(prob, np.zeros(3), WorkingSet([0]), 1e-3)
+            solve_block(prob, np.zeros(3), [0], 1e-3)

@@ -17,7 +17,7 @@ class TestRandomSet:
     def test_all_combinations_reachable(self):
         # with enough draws every C(5,2) = 10 pair appears
         rng = np.random.default_rng(0)
-        seen = {random_set(5, 2, rng).indices for _ in range(500)}
+        seen = {tuple(random_set(5, 2, rng)) for _ in range(500)}
         assert len(seen) == comb(5, 2)
 
     def test_roughly_uniform(self):
@@ -25,11 +25,18 @@ class TestRandomSet:
         counts = {}
         trials = 6000
         for _ in range(trials):
-            key = random_set(4, 2, rng).indices
+            key = tuple(random_set(4, 2, rng))
             counts[key] = counts.get(key, 0) + 1
         expect = trials / comb(4, 2)
         for key, c in counts.items():
             assert abs(c - expect) < 5 * np.sqrt(expect), (key, c)
+
+    def test_sorted_distinct_ints(self):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            ws = random_set(9, 4, rng)
+            assert ws.dtype.kind == "i"
+            assert list(ws) == sorted(set(ws.tolist())) and len(ws) == 4
 
     def test_size_validation(self):
         rng = np.random.default_rng(2)
@@ -56,28 +63,28 @@ class TestGreedyScores:
         prob = random_gram_problem(5, 3, Cardinality(5))
         x = np.zeros(5)
         scores = greedy_scores(prob, x)
-        assert set(scores.c) == set(range(5)) and not scores.d
+        assert scores.shape == (5,)
         g = prob.objective.gradient(x)
         q = prob.objective.coordinate_lipschitz()
         Q = prob.objective.gram_matrix()
         p = prob.objective.linear_term()
         for i in range(5):
             # closed form -g^2/(2q) equals the dense one-coordinate scan
-            assert scores.c[i] == pytest.approx(-g[i] ** 2 / (2 * q[i]), rel=1e-12)
+            assert scores[i] == pytest.approx(-g[i] ** 2 / (2 * q[i]), rel=1e-12)
             oracle = self._one_coordinate_oracle(Q, p, x, i)
-            assert scores.c[i] == pytest.approx(oracle, abs=1e-7)
+            assert scores[i] == pytest.approx(oracle, abs=1e-7)
 
     def test_nonzero_coordinate_scores_match_zeroing(self):
         rng = np.random.default_rng(4)
         prob = random_gram_problem(5, 5, L0Penalty(0.3))
         x = rng.standard_normal(5)
         scores = greedy_scores(prob, x)
-        assert set(scores.d) == set(range(5)) and not scores.c
+        assert scores.shape == (5,)
         base = composite_value(prob, x)
         for j in range(5):
             z = x.copy()
             z[j] = 0.0
-            assert scores.d[j] == pytest.approx(composite_value(prob, z) - base,
+            assert scores[j] == pytest.approx(composite_value(prob, z) - base,
                                                 rel=1e-9, abs=1e-9)
 
     def test_penalty_zero_scores_clipped_at_zero(self):
@@ -86,22 +93,22 @@ class TestGreedyScores:
         p = np.array([-0.1, -3.0])
         prob = CompositeProblem(QuadraticObjective(Q=Q, p=p), L0Penalty(0.5))
         scores = greedy_scores(prob, np.zeros(2))
-        assert scores.c[0] == 0.0  # 0.5 - 0.005 > 0, clipped
-        assert scores.c[1] == pytest.approx(0.5 - 4.5)
+        assert scores[0] == 0.0  # 0.5 - 0.005 > 0, clipped
+        assert scores[1] == pytest.approx(0.5 - 4.5)
 
     def test_all_c_nonpositive_property(self):
         for seed in range(5):
             for term in (Cardinality(3), L0Penalty(0.2)):
                 prob = random_gram_problem(6, 20 + seed, term)
                 scores = greedy_scores(prob, np.zeros(6))
-                assert all(v <= 0.0 for v in scores.c.values())
+                assert np.all(scores <= 0.0)
 
     def test_flat_coordinate_with_slope_is_minus_infinity(self):
         Q = np.diag([1.0, 0.0])
         p = np.array([0.0, 1.0])
         prob = CompositeProblem(QuadraticObjective(Q=Q, p=p), Cardinality(2))
         scores = greedy_scores(prob, np.zeros(2))
-        assert scores.c[1] == -np.inf
+        assert scores[1] == -np.inf
 
     def test_relaxation_rejected(self):
         Q = np.eye(2)
@@ -118,7 +125,7 @@ class TestSelectWorkingSet:
         prob = CompositeProblem(QuadraticObjective(Q=Q, p=p), Cardinality(4))
         rng = np.random.default_rng(0)
         ws = select_working_set(prob, np.zeros(4), 0, 2, rng)
-        assert ws.indices == (0, 2)  # scores -8, -0.5, -4.5, -2
+        assert ws.tolist() == [0, 2]  # scores -8, -0.5, -4.5, -2
 
     def test_greedy_ties_break_to_lower_index(self):
         Q = np.eye(3)
@@ -126,17 +133,17 @@ class TestSelectWorkingSet:
         prob = CompositeProblem(QuadraticObjective(Q=Q, p=p), Cardinality(3))
         rng = np.random.default_rng(0)
         ws = select_working_set(prob, np.zeros(3), 0, 2, rng)
-        assert ws.indices == (0, 1)
+        assert ws.tolist() == [0, 1]
 
     def test_mixed_contains_greedy_part(self):
         prob = random_gram_problem(8, 30, Cardinality(8))
         rng = np.random.default_rng(5)
         scores = greedy_scores(prob, np.zeros(8))
-        best = min(scores.c, key=lambda i: (scores.c[i], i))
+        best = min(range(8), key=lambda i: (scores[i], i))
         for _ in range(10):
             ws = select_working_set(prob, np.zeros(8), 3, 1, rng)
             assert len(ws) == 4
-            assert best in ws.indices
+            assert best in ws
 
     def test_full_request_shortcircuits(self):
         prob = random_gram_problem(5, 31, Cardinality(5))
@@ -146,14 +153,26 @@ class TestSelectWorkingSet:
                 raise AssertionError("rng must not be consumed for a full block")
 
         ws = select_working_set(prob, np.zeros(5), 5, 0, Boom())
-        assert ws.indices == (0, 1, 2, 3, 4)
+        assert ws.tolist() == [0, 1, 2, 3, 4]
 
     def test_random_part_avoids_greedy_picks(self):
         prob = random_gram_problem(6, 32, Cardinality(6))
+        greedy = select_working_set(prob, np.zeros(6), 0, 2, None).tolist()
         rng = np.random.default_rng(7)
         for _ in range(50):
-            ws = select_working_set(prob, np.zeros(6), 2, 2, rng)
-            assert len(ws) == 4  # distinct by construction
+            ws = select_working_set(prob, np.zeros(6), 2, 2, rng).tolist()
+            assert ws == sorted(set(ws)) and len(ws) == 4
+            assert set(greedy) <= set(ws)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_pure_random_draws_like_random_set(self, seed):
+        # the random part consumes the rng exactly as random_set does, so
+        # traces for a seed do not depend on how the pool is represented
+        prob = random_gram_problem(9, 35, L0Penalty(0.1))
+        for k in (1, 4, 8):
+            got = select_working_set(prob, np.zeros(9), k, 0, np.random.default_rng(seed))
+            want = random_set(9, k, np.random.default_rng(seed))
+            np.testing.assert_array_equal(got, want)
 
     def test_size_validation(self):
         prob = random_gram_problem(4, 33, Cardinality(4))
@@ -168,9 +187,9 @@ class TestSelectWorkingSet:
     def test_deterministic_given_seed(self):
         prob = random_gram_problem(7, 34, L0Penalty(0.1))
         seq1 = [select_working_set(prob, np.zeros(7), 2, 1,
-                                   np.random.default_rng(42)).indices
+                                   np.random.default_rng(42)).tolist()
                 for _ in range(1)]
         seq2 = [select_working_set(prob, np.zeros(7), 2, 1,
-                                   np.random.default_rng(42)).indices
+                                   np.random.default_rng(42)).tolist()
                 for _ in range(1)]
         assert seq1 == seq2
