@@ -169,6 +169,13 @@ class TestValidation:
             with pytest.raises(InvalidParameterError):
                 solve_block(prob, np.zeros(4), bad, 1e-3)
 
+    def test_empty_indices_rejected(self):
+        # every empty index sequence is rejected, whatever its container
+        prob = random_gram_problem(4, 2, Cardinality(4))
+        for empty in ([], (), range(0), np.array([], dtype=int), np.array([])):
+            with pytest.raises(InvalidParameterError):
+                solve_block(prob, np.zeros(4), empty, 1.0)
+
     def test_unsorted_indices_match_sorted(self):
         # bit j of the pattern mask is the j-th smallest index whatever the
         # input order, so tie-breaking and the result do not depend on it
