@@ -8,7 +8,8 @@ descent property
     F(x_{t+1}) + (theta/2) ||x_{t+1} - x_t||^2  <=  F(x_t)
 
 holds exactly for the recorded trace, because objectives are accumulated
-from the subproblem's own improvement deltas rather than recomputed.
+from the subproblem's own improvement deltas rather than recomputed.  One
+gradient per point feeds both working-set selection and the block solve.
 """
 
 import time
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParameterError
-from .problem import INFEASIBLE, Cardinality, L0Penalty, composite_value
+from .problem import INFEASIBLE, Cardinality, composite_value, require_l0_term
 from .prox import hard_threshold_topk
 from .subproblem import solve_block
 from .working_set import select_working_set
@@ -122,9 +123,7 @@ def run_dec(prob, x0, config):
     and only advance the trace until the stopping rule fires.
     """
     term = prob.term
-    if not isinstance(term, (Cardinality, L0Penalty)):
-        raise InvalidParameterError(
-            f"decomposition requires an l0 term, got {term!r}")
+    require_l0_term(term, "decomposition")
     x = np.array(x0, dtype=float)
     if x.shape != (prob.n,):
         raise InvalidParameterError(
@@ -134,22 +133,25 @@ def run_dec(prob, x0, config):
         raise InvalidParameterError(
             f"infeasible start: {np.count_nonzero(x)} nonzeros exceed budget {term.s}")
 
+    g = prob.objective.gradient(x)  # the gradient at x, renewed only when x moves
     rng = np.random.default_rng(config.seed)
     trace = SolveTrace()
     drops = []
     settled = False  # full block solved exactly; nothing left to improve
     for t in range(config.max_iters):
         tic = time.perf_counter()
-        B = select_working_set(prob, x, config.n_random, config.n_greedy, rng)
+        B = select_working_set(prob, x, g, config.n_random, config.n_greedy, rng)
         if settled:
             step = 0.0
             f_next = f
         else:
-            result = solve_block(prob, x, B, config.theta)
+            result = solve_block(prob, x, g, B, config.theta)
             step = float(np.linalg.norm(result.x_next - x))
             f_next = f + result.composite_delta
             if step == 0.0 and len(B) == prob.n:
                 settled = True
+            if not np.array_equal(result.x_next, x):
+                g = prob.objective.gradient(result.x_next)
             x = result.x_next
         trace.records.append(IterationRecord(
             iteration=t, objective=f, step_norm=step, working_set=tuple(B.tolist()),

@@ -157,6 +157,12 @@ L0_TERMS = (Cardinality, L0Penalty)
 ALL_TERMS = (Cardinality, L0Penalty, L1Penalty, HalfPenalty)
 
 
+def require_l0_term(term, what):
+    """Reject a term outside L0_TERMS: "<what> requires an l0 term"."""
+    if not isinstance(term, L0_TERMS):
+        raise InvalidParameterError(f"{what} requires an l0 term, got {term!r}")
+
+
 def make_term(mode, param):
     """The l0 term of a mode: a cardinality cap (cons) or a count penalty (regu)."""
     if mode == "cons":
@@ -185,8 +191,8 @@ class QuadraticObjective:
 
     Use the ``from_gram`` / ``from_factored`` constructors.  Instances are
     immutable after construction and safe to share across threads; the only
-    mutation is a one-time fill of the lazily computed Gram cache and
-    spectral-norm estimate.
+    mutation is a one-time fill of the lazily computed Gram cache, curvature
+    diagonal and spectral-norm estimate.
     """
 
     def __init__(self, *, Q=None, p=None, A=None, b=None):
@@ -220,7 +226,7 @@ class QuadraticObjective:
             self._b = b.copy()
         # the one "Gram cached or factored" decision; the cache fills lazily
         self._gram_cached = Q is not None or self.n <= _GRAM_CACHE_LIMIT
-        self._lip = None
+        self._lip = self._diag = None
 
     @classmethod
     def from_gram(cls, Q, p):
@@ -296,10 +302,13 @@ class QuadraticObjective:
     # -- curvature ----------------------------------------------------------
 
     def coordinate_lipschitz(self):
-        """Per-coordinate gradient Lipschitz constants: the diagonal of Q."""
-        if self._Q is None:  # not filled yet: read A, so the fill stays lazy
-            return np.einsum("ij,ij->j", self._A, self._A)
-        return np.diag(self._Q).copy()
+        """Per-coordinate gradient Lipschitz constants diag(Q): cached, read-only."""
+        if self._diag is None:  # factored data read A: no Gram fill, one rounding
+            diag = (np.einsum("ij,ij->j", self._A, self._A) if self.is_factored
+                    else np.diag(self._Q).copy())
+            diag.flags.writeable = False
+            self._diag = diag  # published only once read-only
+        return self._diag
 
     def lipschitz_global(self):
         """The spectral norm of Q (largest eigenvalue), cached."""

@@ -21,8 +21,8 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import BudgetExceededError, InvalidParameterError
-from .problem import (INFEASIBLE, Cardinality, CompositeProblem, L0Penalty,
-                      QuadraticObjective, composite_value, make_term)
+from .problem import (INFEASIBLE, Cardinality, CompositeProblem, QuadraticObjective,
+                      composite_value, make_term, require_l0_term)
 from .subproblem import solve_block
 from .working_set import random_set
 
@@ -57,8 +57,7 @@ def is_l_stationary(prob, x, l_const=None, tol=1e-8):
     re-running the projection, which keeps ties well defined.
     """
     term = prob.term
-    if not isinstance(term, (Cardinality, L0Penalty)):
-        raise InvalidParameterError(f"L-stationarity requires an l0 term, got {term!r}")
+    require_l0_term(term, "L-stationarity")
     x = np.asarray(x, dtype=float)
     L = prob.objective.lipschitz_global() if l_const is None else float(l_const)
     if not L > 0:
@@ -79,17 +78,11 @@ def is_l_stationary(prob, x, l_const=None, tol=1e-8):
             return off_max <= tol
         return off_max <= np.min(u[on]) + tol
 
-    # count penalty
+    # count penalty: on the support g_i = 0 and x_i^2 >= thresh; off it (g_i/L)^2 <= thresh
     thresh = 2.0 * term.lam / L
-    for i in range(prob.n):
-        if on[i]:
-            if abs(g[i]) > tol or x[i] * x[i] < thresh - tol:
-                return False
-        else:
-            gi = g[i] / L
-            if gi * gi > thresh + tol:
-                return False
-    return True
+    x_on, g_on, g_off = x[on], g[on], g[~on] / L
+    return not (np.any(np.abs(g_on) > tol) or np.any(x_on * x_on < thresh - tol)
+                or np.any(g_off * g_off > thresh + tol))
 
 
 def is_block_k(prob, x, k, tol=1e-9, mode="exhaustive", trials=1000, seed=0):
@@ -102,8 +95,7 @@ def is_block_k(prob, x, k, tol=1e-9, mode="exhaustive", trials=1000, seed=0):
     updates cannot alter a full support, so the notion starts at pairs.
     """
     term = prob.term
-    if not isinstance(term, (Cardinality, L0Penalty)):
-        raise InvalidParameterError(f"block stationarity requires an l0 term, got {term!r}")
+    require_l0_term(term, "block stationarity")
     if isinstance(term, Cardinality) and k < 2:
         raise InvalidParameterError(
             "block size 1 is degenerate under a cardinality constraint; use k >= 2")
@@ -129,8 +121,9 @@ def is_block_k(prob, x, k, tol=1e-9, mode="exhaustive", trials=1000, seed=0):
         rng = np.random.default_rng(seed)
         blocks = (random_set(prob.n, k, rng) for _ in range(trials))
 
+    g = prob.objective.gradient(x)
     for B in blocks:
-        result = solve_block(prob, x, B, theta=0.0)
+        result = solve_block(prob, x, g, B, theta=0.0)
         if result.composite_delta < -slack:
             return False
     return True
@@ -154,8 +147,7 @@ def enumerate_basic_points(prob):
     deduplicate, e.g. as landscape_table does.
     """
     term = prob.term
-    if not isinstance(term, (Cardinality, L0Penalty)):
-        raise InvalidParameterError(f"enumeration requires an l0 term, got {term!r}")
+    require_l0_term(term, "enumeration")
     n = prob.n
     if isinstance(term, Cardinality):
         total = sum(math.comb(n, r) for r in range(term.s + 1))

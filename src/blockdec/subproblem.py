@@ -20,7 +20,7 @@ from .errors import (
     InvalidParameterError,
     NumericalError,
 )
-from .problem import Cardinality, L0Penalty
+from .problem import Cardinality, _as_vector, require_l0_term
 
 # exhaustive enumeration cap: 2^k patterns per call
 MAX_BLOCK_SIZE = 30
@@ -71,8 +71,8 @@ def _solve_spd(M, rhs, allow_ridge):
     return z
 
 
-def solve_block(prob, x, B, theta):
-    """Globally solve the block subproblem on working set B.
+def solve_block(prob, x, g, B, theta):
+    """Globally solve the block subproblem on working set B; g is grad f(x).
 
     B is any sequence of distinct nonnegative coordinate indices; it is
     sorted once here.  Enumerates every support pattern inside B (pruned to
@@ -82,9 +82,7 @@ def solve_block(prob, x, B, theta):
     lexicographically smaller pattern mask (bit j of the mask corresponds to
     B's j-th smallest index).
     """
-    if not isinstance(prob.term, (Cardinality, L0Penalty)):
-        raise InvalidParameterError(
-            f"block decomposition requires an l0 term, got {prob.term!r}")
+    require_l0_term(prob.term, "block decomposition")
     given = np.asarray(B, dtype=int)
     idx = np.unique(given)
     k = idx.size
@@ -98,13 +96,10 @@ def solve_block(prob, x, B, theta):
     if k > MAX_BLOCK_SIZE:
         raise InvalidParameterError(
             f"block too large for exhaustive enumeration (k = {k} > {MAX_BLOCK_SIZE})")
-    obj = prob.objective
-    x = np.asarray(x, dtype=float)
-    if x.shape != (obj.n,):
-        raise DimensionMismatchError(f"x has shape {x.shape}, expected ({obj.n},)")
-    if idx[-1] >= obj.n:
+    x, g = _as_vector(x, prob.n), _as_vector(g, prob.n, "g")
+    if idx[-1] >= prob.n:
         raise DimensionMismatchError(
-            f"working set {idx.tolist()} out of range for n = {obj.n}")
+            f"working set {idx.tolist()} out of range for n = {prob.n}")
     if theta < 0:
         raise InvalidParameterError(f"theta must be nonnegative, got {theta}")
 
@@ -119,12 +114,11 @@ def solve_block(prob, x, B, theta):
         budget = k
         lam = prob.term.lam
 
-    # block-local data: gradient at x, the B-block of Q, and the coupling of
-    # the outside coordinates folded into a rhs offset
-    g_B = obj.matvec(x)[idx] + obj.linear_term(idx)
-    Q_BB = obj.gram_submatrix(idx)
-    p_B = obj.linear_term(idx)
-    w = g_B - p_B - Q_BB @ x_B  # = Q[B, outside] @ x_outside
+    # block-local data: g and Q on B.  Pattern T's right-hand side
+    # theta x_T - p_T - Q[T, outside B] x_outside is theta x_T + c_T
+    g_B = g[idx]
+    Q_BB = prob.objective.gram_submatrix(idx)
+    c = Q_BB @ x_B - g_B
 
     nnz_x_B = int(np.count_nonzero(x_B))
     best_delta = 0.0  # the stay-put candidate z = x is always admissible
@@ -143,7 +137,7 @@ def solve_block(prob, x, B, theta):
         else:
             T = [j for j in range(k) if (mask >> j) & 1]
             M = Q_BB[np.ix_(T, T)] + theta * np.eye(r)
-            rhs = theta * x_B[T] - p_B[T] - w[T]
+            rhs = theta * x_B[T] + c[T]
             z_B = np.zeros(k)
             z_B[T] = _solve_spd(M, rhs, allow_ridge=(theta == 0.0))
         d = z_B - x_B

@@ -8,7 +8,7 @@ rest of the block with i coordinates drawn uniformly from the remainder.
 import numpy as np
 
 from .errors import InvalidParameterError
-from .problem import Cardinality, L0Penalty
+from .problem import L0Penalty, _as_vector, require_l0_term
 
 
 def random_set(n, k, rng):
@@ -21,8 +21,8 @@ def random_set(n, k, rng):
     return np.sort(rng.choice(n, size=k, replace=False))
 
 
-def greedy_scores(prob, x):
-    """Score every coordinate by its best single-coordinate move.
+def greedy_scores(prob, x, g):
+    """Score every coordinate by its best single-coordinate move; g is grad f(x).
 
     Returns one length-n array; lower scores are more attractive moves.
     For a zero coordinate i with gradient g_i and curvature q_i = Q_ii, the
@@ -33,10 +33,8 @@ def greedy_scores(prob, x):
     change in F from setting x_j to 0.
     """
     term = prob.term
-    if not isinstance(term, (Cardinality, L0Penalty)):
-        raise InvalidParameterError(f"greedy scoring requires an l0 term, got {term!r}")
-    x = np.asarray(x, dtype=float)
-    g = prob.objective.gradient(x)
+    require_l0_term(term, "greedy scoring")
+    x, g = _as_vector(x, prob.n), _as_vector(g, prob.n, "g")
     q = prob.objective.coordinate_lipschitz()
     with np.errstate(divide="ignore", invalid="ignore"):
         drop = np.where(q > 0.0, -g * g / (2.0 * q), np.where(g != 0.0, -np.inf, 0.0))
@@ -48,8 +46,8 @@ def greedy_scores(prob, x):
     return np.where(x == 0.0, drop, change)
 
 
-def select_working_set(prob, x, n_random, n_greedy, rng):
-    """Pick n_greedy coordinates by greedy score, n_random uniformly.
+def select_working_set(prob, x, g, n_random, n_greedy, rng):
+    """Pick n_greedy coordinates by greedy score, n_random uniformly; g is grad f(x).
 
     The scores of ``greedy_scores`` rank all n coordinates; the n_greedy
     smallest win (ties by lower index), and the random part is drawn without
@@ -68,7 +66,7 @@ def select_working_set(prob, x, n_random, n_greedy, rng):
 
     taken = np.zeros(n, dtype=bool)
     if n_greedy > 0:
-        scores = greedy_scores(prob, x)
+        scores = greedy_scores(prob, x, g)
         # lexsort: primary key score, secondary key index (ascending)
         taken[np.lexsort((np.arange(n), scores))[:n_greedy]] = True
     if n_random > 0:

@@ -6,6 +6,9 @@ an independent computation.
 """
 
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -21,6 +24,34 @@ CONS_GLOBAL_F = -10.0 / 17.0
 CONS_GLOBAL_X = np.array([-13.0, -9.0, -5.0, 0.0, 0.0, 7.0]) / 17.0
 REGU_GLOBAL_F = -417.0 / 760.0
 DEMO_L = 92.0  # 1 + ||c||^2, the largest eigenvalue of cc' + I
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def run_cli(*args, **kw):
+    """``python -m blockdec.cli ARGS`` on this checkout's sources, output captured.
+
+    The child's PYTHONPATH starts with the checkout's ``src``, so the CLI
+    runs without an install and never picks up another copy of the package.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "blockdec.cli", *args],
+                          capture_output=True, text=True, env=env, **kw)
+
+
+def count_calls(obj, name):
+    """Record every call of ``obj.name`` from now on; returns the record list."""
+    calls = []
+    method = getattr(obj, name)
+
+    def counted(*args, **kw):
+        calls.append(args)
+        return method(*args, **kw)
+
+    setattr(obj, name, counted)
+    return calls
 
 
 @pytest.fixture

@@ -10,8 +10,6 @@ output, and direct recomputation of objectives from stored traces.
 import itertools
 import json
 import os
-import subprocess
-import sys
 import time
 
 import numpy as np
@@ -25,7 +23,7 @@ from blockdec import (Cardinality, CompositeProblem, DecConfig, L0Penalty,
                       run_dec, soft_threshold, table1_problem)
 from blockdec.data import load_sparse_text, save_sparse_text
 
-from conftest import brute_force_cons
+from conftest import brute_force_cons, run_cli
 from test_harness import MALFORMED, MALFORMED_LINES
 
 
@@ -39,9 +37,7 @@ def report(capsys, num, ok, detail):
 
 
 def _census_via_cli(mode):
-    out = subprocess.run(
-        [sys.executable, "-m", "blockdec.cli", "table1", "--mode", mode],
-        capture_output=True, text=True, check=True)
+    out = run_cli("table1", "--mode", mode, check=True)
     return tuple(int(v) for v in out.stdout.strip().split("\n")[1].split(","))
 
 
@@ -325,20 +321,15 @@ def test_criterion_8_parser(capsys, tmp_path):
 # 9. CLI determinism
 
 
-def _run_cli(args):
-    return subprocess.run([sys.executable, "-m", "blockdec.cli", *args],
-                          capture_output=True, text=True)
-
-
 def test_criterion_9_cli_determinism(capsys, tmp_path):
     inst = tmp_path / "inst.txt"
     checked = []
 
     def twice(label, args, files=()):
-        first = _run_cli(args)
+        first = run_cli(*args)
         assert first.returncode == 0, (label, first.stderr)
         snap = [(f, open(f, "rb").read()) for f in files]
-        second = _run_cli(args)
+        second = run_cli(*args)
         same = first.stdout == second.stdout
         for f, blob in snap:
             same = same and open(f, "rb").read() == blob
@@ -369,8 +360,7 @@ def test_criterion_9_cli_determinism(capsys, tmp_path):
     cfg_path.write_text(json.dumps(cfg))
     out_dir = tmp_path / "bench"
     bench_files = [str(out_dir / "results.csv"), str(out_dir / "summary.csv")]
-    first = _run_cli(["benchmark", "--config", str(cfg_path),
-                      "--out-dir", str(out_dir)])
+    first = run_cli("benchmark", "--config", str(cfg_path), "--out-dir", str(out_dir))
     assert first.returncode == 0, first.stderr
     bench_files += [os.path.join(out_dir, "traces", f)
                     for f in sorted(os.listdir(out_dir / "traces"))]

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockdec import (Cardinality, DecConfig, InvalidParameterError,
-                      L0Penalty, composite_value, init_solution,
-                      relative_drop, run_dec, stopping_rule)
+from blockdec import (Cardinality, CompositeProblem, DecConfig,
+                      InvalidParameterError, L0Penalty, QuadraticObjective,
+                      composite_value, init_solution, relative_drop, run_dec,
+                      solve_block, stopping_rule)
+from blockdec import dec as dec_module
 
-from conftest import (CONS_GLOBAL_F, CONS_GLOBAL_X, REGU_GLOBAL_F,
+from conftest import (CONS_GLOBAL_F, CONS_GLOBAL_X, REGU_GLOBAL_F, count_calls,
                       random_factored_problem, random_gram_problem)
 
 
@@ -114,6 +116,39 @@ class TestRunDec:
         config = DecConfig(n_random=4, n_greedy=1, seed=7, max_iters=120)
         x, trace = run_dec(prob, x0, config)
         assert np.count_nonzero(x) <= 3
+
+    @pytest.mark.parametrize("term", [Cardinality(3), L0Penalty(0.5)], ids=["cons", "regu"])
+    def test_one_gradient_per_point(self, term, monkeypatch):
+        # g is computed at the start and after each move, never on a zero
+        # step, and every block solve receives the gradient at its own x
+        prob, _ = random_factored_problem(10, 16, 4, term)
+        fresh = []
+
+        def checked_solve(prob, x, g, B, theta):
+            fresh.append(np.array_equal(g, QuadraticObjective.gradient(prob.objective, x)))
+            return solve_block(prob, x, g, B, theta)
+
+        monkeypatch.setattr(dec_module, "solve_block", checked_solve)
+        calls = count_calls(prob.objective, "gradient")
+        x0 = init_solution(16, term, 4)
+        x, trace = run_dec(prob, x0, DecConfig(n_random=3, n_greedy=2, seed=4,
+                                               max_iters=80))
+        moves = sum(r.step_norm > 0.0 for r in trace.records)
+        assert 0 < moves < len(trace)
+        assert len(calls) == 1 + moves
+        assert fresh and all(fresh)
+
+    def test_gradient_renewed_after_an_underflowing_step(self):
+        # clearing entries of 1e-170 is a move whose step_norm squares to
+        # 0.0; the gradient must still follow x
+        prob = CompositeProblem(QuadraticObjective(Q=np.eye(4), p=np.zeros(4)),
+                                L0Penalty(1.0))
+        calls = count_calls(prob.objective, "gradient")
+        x, trace = run_dec(prob, np.full(4, 1e-170),
+                           DecConfig(n_random=4, n_greedy=0, max_iters=3))
+        assert trace.records[0].step_norm == 0.0
+        np.testing.assert_array_equal(x, np.zeros(4))
+        assert len(calls) == 2
 
     def test_infeasible_start_rejected(self, demo_cons):
         with pytest.raises(InvalidParameterError):

@@ -1,8 +1,6 @@
 """Instance generation, file formats, the benchmark runner, and the CLI."""
 
 import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -16,6 +14,8 @@ from blockdec.bench import (RESULTS_HEADER, SOLVERS, TRACE_HEADER, benchmark,
                             make_term, run_solver, write_trace)
 from blockdec.data import (FLOAT_FMT, load_dense_instance, load_sparse_text,
                            save_sparse_text)
+
+from conftest import run_cli as cli
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 BENCH_DIR = os.path.join(os.path.dirname(HERE), "bench")
@@ -36,11 +36,6 @@ MALFORMED_LINES = {
     "non_numeric_value.txt": 2,
     "repeated_index.txt": 1,
 }
-
-
-def cli(*args, **kw):
-    return subprocess.run([sys.executable, "-m", "blockdec.cli", *args],
-                          capture_output=True, text=True, **kw)
 
 
 class TestGenRandom:
@@ -375,6 +370,11 @@ class TestBenchHooks:
                      "subproblem.solve_block"):
             assert span in spans, span
         assert tracer.counts["subproblem.patterns_evaluated"] > 0
+        # the loop computes the gradient once per point it visits, and no
+        # consumer rebuilds it from products
+        assert "problem.matvec" not in spans and "problem.linear_term" not in spans
+        assert tracer.counts["dec.moves"] > 0
+        assert spans["problem.gradient"][0] == 1 + tracer.counts["dec.moves"]
 
 
 class TestWriteTrace:

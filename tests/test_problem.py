@@ -96,6 +96,24 @@ class TestQuadraticObjective:
         np.testing.assert_allclose(obj.coordinate_lipschitz(),
                                    np.diag(A.T @ A), rtol=1e-12)
 
+    def test_coordinate_lipschitz_cached_read_only_and_fill_free(self):
+        # one value per objective: the Gram fill neither triggers nor changes it
+        rng = np.random.default_rng(11)
+        A, b = rng.standard_normal((7, 5)), rng.standard_normal(7)
+        obj = QuadraticObjective.from_factored(A, b)
+        q = obj.coordinate_lipschitz()
+        assert obj._Q is None
+        obj._ensure_gram()
+        assert obj.coordinate_lipschitz() is q
+        filled = QuadraticObjective.from_factored(A, b)
+        filled._ensure_gram()
+        assert filled.coordinate_lipschitz().tobytes() == q.tobytes()
+        with pytest.raises(ValueError):
+            q[0] = 1.0
+        gram = QuadraticObjective.from_gram(*_rand_gram(4, 12))
+        assert gram.coordinate_lipschitz() is gram.coordinate_lipschitz()
+        assert not gram.coordinate_lipschitz().flags.writeable
+
     def test_demo_coordinate_lipschitz(self, demo_cons):
         np.testing.assert_allclose(demo_cons.objective.coordinate_lipschitz(),
                                    [2.0, 5.0, 10.0, 17.0, 26.0, 37.0], rtol=1e-12)

@@ -16,8 +16,9 @@ from blockdec import (BudgetExceededError, Cardinality, CompositeProblem,
                       QuadraticObjective, enumerate_basic_points, is_basic,
                       is_block_k, is_l_stationary, landscape_table,
                       table1_problem)
+from blockdec.stationarity import ZERO_TOL
 
-from conftest import CONS_GLOBAL_X, REGU_GLOBAL_F, random_gram_problem
+from conftest import CONS_GLOBAL_X, REGU_GLOBAL_F, count_calls, random_gram_problem
 
 # Frozen reference sets for the demo problem (independently derived from the
 # closed form x_i = -1 + c_i * sigma_S / (1 + q_S) on each support S):
@@ -31,6 +32,19 @@ REGU_BLOCK1_SUPPORTS = {
     (0, 1, 3, 4, 5), (0, 1, 2, 3, 4, 5),
 }
 REGU_BLOCK2_SUPPORTS = {(0, 1, 2, 5), (0, 1, 2, 4, 5)}
+
+
+def l_stationary_penalty_loop(prob, x, L, tol):
+    """Per-coordinate reference for the count-penalty L-stationarity test."""
+    g = prob.objective.gradient(x)
+    thresh = 2.0 * prob.term.lam / L
+    for i in range(prob.n):
+        if abs(x[i]) > ZERO_TOL:
+            if abs(g[i]) > tol or x[i] * x[i] < thresh - tol:
+                return False
+        elif (g[i] / L) ** 2 > thresh + tol:
+            return False
+    return True
 
 
 def demo_basic_point(S):
@@ -118,6 +132,45 @@ class TestIsLStationaryRegu:
     def test_global_is_l_stationary(self, demo_regu):
         assert is_l_stationary(demo_regu, demo_basic_point((0, 1, 2, 4, 5)))
 
+    def test_matches_per_coordinate_loop_on_boundaries(self):
+        # L = 1, lam = 13/16, tol = 5/8: thresh - tol = 1 and thresh + tol
+        # = 9/4, so x_i = +-1, g_i = +-5/8 on the support and g_i = +-3/2 off
+        # it sit exactly on a boundary, and their floating-point neighbours
+        # just inside or just outside; the gradient is set directly
+        L, tol = 1.0, 0.625
+        prob = CompositeProblem(QuadraticObjective(Q=np.eye(6), p=np.zeros(6)),
+                                L0Penalty(0.8125))
+
+        def near(v):
+            return [v, np.nextafter(v, 0.0), np.nextafter(v, 4.0), -v]
+
+        on_x = near(1.0) + [2.0, 0.3]
+        on_g = near(0.625) + [0.0, 0.1]
+        off_x = [0.0, 1e-13, -1e-13]
+        off_g = near(1.5) + [0.0, 0.2]
+        rng = np.random.default_rng(0)
+        verdicts = set()
+        for _ in range(3000):
+            on = rng.random(6) < 0.5
+            x = np.where(on, rng.choice(on_x, 6), rng.choice(off_x, 6))
+            g = np.where(on, rng.choice(on_g, 6), rng.choice(off_g, 6))
+            prob.objective.gradient = lambda _, g=g: g
+            want = l_stationary_penalty_loop(prob, x, L, tol)
+            assert is_l_stationary(prob, x, l_const=L, tol=tol) == want, (x, g)
+            verdicts.add(want)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_per_coordinate_loop_on_random_points(self, seed):
+        rng = np.random.default_rng(seed)
+        prob = random_gram_problem(7, 60 + seed, L0Penalty(0.05 + rng.random()))
+        L = prob.objective.lipschitz_global()
+        points = [x for _, x in enumerate_basic_points(prob)]
+        points += [rng.standard_normal(7) * (rng.random(7) < 0.5) for _ in range(200)]
+        got = [is_l_stationary(prob, x) for x in points]
+        assert got == [l_stationary_penalty_loop(prob, x, L, 1e-8) for x in points]
+        assert any(got)
+
 
 class TestIsBlockK:
     def test_cons_global_is_block_k_for_all_k(self, demo_cons):
@@ -157,6 +210,14 @@ class TestIsBlockK:
         # a clearly non-stationary point: plenty of improving single blocks
         x = demo_basic_point((3,))
         assert not is_block_k(demo_regu, x, 1, mode="sampled", trials=60, seed=0)
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+    def test_one_gradient_per_call(self, demo_regu, mode):
+        # all 15 (or 60 sampled) blocks read the one gradient at x
+        calls = count_calls(demo_regu.objective, "gradient")
+        x = demo_basic_point((0, 1, 2, 4, 5))
+        assert is_block_k(demo_regu, x, 2, mode=mode, trials=60)
+        assert len(calls) == 1
 
     def test_infeasible_point_is_not_stationary(self, demo_cons):
         assert not is_block_k(demo_cons, np.ones(6), 2)

@@ -13,6 +13,12 @@ from blockdec import (Cardinality, CompositeProblem, InvalidParameterError,
 from conftest import random_gram_problem
 
 
+def at_zero(prob):
+    """The point x = 0 and the gradient there."""
+    x = np.zeros(prob.n)
+    return x, prob.objective.gradient(x)
+
+
 class TestRandomSet:
     def test_all_combinations_reachable(self):
         # with enough draws every C(5,2) = 10 pair appears
@@ -62,9 +68,9 @@ class TestGreedyScores:
     def test_zero_coordinate_scores_cardinality(self):
         prob = random_gram_problem(5, 3, Cardinality(5))
         x = np.zeros(5)
-        scores = greedy_scores(prob, x)
-        assert scores.shape == (5,)
         g = prob.objective.gradient(x)
+        scores = greedy_scores(prob, x, g)
+        assert scores.shape == (5,)
         q = prob.objective.coordinate_lipschitz()
         Q = prob.objective.gram_matrix()
         p = prob.objective.linear_term()
@@ -78,7 +84,7 @@ class TestGreedyScores:
         rng = np.random.default_rng(4)
         prob = random_gram_problem(5, 5, L0Penalty(0.3))
         x = rng.standard_normal(5)
-        scores = greedy_scores(prob, x)
+        scores = greedy_scores(prob, x, prob.objective.gradient(x))
         assert scores.shape == (5,)
         base = composite_value(prob, x)
         for j in range(5):
@@ -92,7 +98,7 @@ class TestGreedyScores:
         Q = np.eye(2)
         p = np.array([-0.1, -3.0])
         prob = CompositeProblem(QuadraticObjective(Q=Q, p=p), L0Penalty(0.5))
-        scores = greedy_scores(prob, np.zeros(2))
+        scores = greedy_scores(prob, *at_zero(prob))
         assert scores[0] == 0.0  # 0.5 - 0.005 > 0, clipped
         assert scores[1] == pytest.approx(0.5 - 4.5)
 
@@ -100,21 +106,21 @@ class TestGreedyScores:
         for seed in range(5):
             for term in (Cardinality(3), L0Penalty(0.2)):
                 prob = random_gram_problem(6, 20 + seed, term)
-                scores = greedy_scores(prob, np.zeros(6))
+                scores = greedy_scores(prob, *at_zero(prob))
                 assert np.all(scores <= 0.0)
 
     def test_flat_coordinate_with_slope_is_minus_infinity(self):
         Q = np.diag([1.0, 0.0])
         p = np.array([0.0, 1.0])
         prob = CompositeProblem(QuadraticObjective(Q=Q, p=p), Cardinality(2))
-        scores = greedy_scores(prob, np.zeros(2))
+        scores = greedy_scores(prob, *at_zero(prob))
         assert scores[1] == -np.inf
 
     def test_relaxation_rejected(self):
         Q = np.eye(2)
         prob = CompositeProblem(QuadraticObjective(Q=Q, p=np.zeros(2)), L1Penalty(0.1))
         with pytest.raises(InvalidParameterError):
-            greedy_scores(prob, np.zeros(2))
+            greedy_scores(prob, *at_zero(prob))
 
 
 class TestSelectWorkingSet:
@@ -124,7 +130,7 @@ class TestSelectWorkingSet:
         p = np.array([-4.0, -1.0, -3.0, -2.0])
         prob = CompositeProblem(QuadraticObjective(Q=Q, p=p), Cardinality(4))
         rng = np.random.default_rng(0)
-        ws = select_working_set(prob, np.zeros(4), 0, 2, rng)
+        ws = select_working_set(prob, *at_zero(prob), 0, 2, rng)
         assert ws.tolist() == [0, 2]  # scores -8, -0.5, -4.5, -2
 
     def test_greedy_ties_break_to_lower_index(self):
@@ -132,16 +138,16 @@ class TestSelectWorkingSet:
         p = np.array([-2.0, -2.0, -2.0])
         prob = CompositeProblem(QuadraticObjective(Q=Q, p=p), Cardinality(3))
         rng = np.random.default_rng(0)
-        ws = select_working_set(prob, np.zeros(3), 0, 2, rng)
+        ws = select_working_set(prob, *at_zero(prob), 0, 2, rng)
         assert ws.tolist() == [0, 1]
 
     def test_mixed_contains_greedy_part(self):
         prob = random_gram_problem(8, 30, Cardinality(8))
         rng = np.random.default_rng(5)
-        scores = greedy_scores(prob, np.zeros(8))
+        scores = greedy_scores(prob, *at_zero(prob))
         best = min(range(8), key=lambda i: (scores[i], i))
         for _ in range(10):
-            ws = select_working_set(prob, np.zeros(8), 3, 1, rng)
+            ws = select_working_set(prob, *at_zero(prob), 3, 1, rng)
             assert len(ws) == 4
             assert best in ws
 
@@ -152,15 +158,15 @@ class TestSelectWorkingSet:
             def choice(self, *a, **k):  # pragma: no cover
                 raise AssertionError("rng must not be consumed for a full block")
 
-        ws = select_working_set(prob, np.zeros(5), 5, 0, Boom())
+        ws = select_working_set(prob, *at_zero(prob), 5, 0, Boom())
         assert ws.tolist() == [0, 1, 2, 3, 4]
 
     def test_random_part_avoids_greedy_picks(self):
         prob = random_gram_problem(6, 32, Cardinality(6))
-        greedy = select_working_set(prob, np.zeros(6), 0, 2, None).tolist()
+        greedy = select_working_set(prob, *at_zero(prob), 0, 2, None).tolist()
         rng = np.random.default_rng(7)
         for _ in range(50):
-            ws = select_working_set(prob, np.zeros(6), 2, 2, rng).tolist()
+            ws = select_working_set(prob, *at_zero(prob), 2, 2, rng).tolist()
             assert ws == sorted(set(ws)) and len(ws) == 4
             assert set(greedy) <= set(ws)
 
@@ -170,7 +176,7 @@ class TestSelectWorkingSet:
         # traces for a seed do not depend on how the pool is represented
         prob = random_gram_problem(9, 35, L0Penalty(0.1))
         for k in (1, 4, 8):
-            got = select_working_set(prob, np.zeros(9), k, 0, np.random.default_rng(seed))
+            got = select_working_set(prob, *at_zero(prob), k, 0, np.random.default_rng(seed))
             want = random_set(9, k, np.random.default_rng(seed))
             np.testing.assert_array_equal(got, want)
 
@@ -178,18 +184,18 @@ class TestSelectWorkingSet:
         prob = random_gram_problem(4, 33, Cardinality(4))
         rng = np.random.default_rng(8)
         with pytest.raises(InvalidParameterError):
-            select_working_set(prob, np.zeros(4), 0, 0, rng)
+            select_working_set(prob, *at_zero(prob), 0, 0, rng)
         with pytest.raises(InvalidParameterError):
-            select_working_set(prob, np.zeros(4), 3, 2, rng)
+            select_working_set(prob, *at_zero(prob), 3, 2, rng)
         with pytest.raises(InvalidParameterError):
-            select_working_set(prob, np.zeros(4), -1, 2, rng)
+            select_working_set(prob, *at_zero(prob), -1, 2, rng)
 
     def test_deterministic_given_seed(self):
         prob = random_gram_problem(7, 34, L0Penalty(0.1))
-        seq1 = [select_working_set(prob, np.zeros(7), 2, 1,
+        seq1 = [select_working_set(prob, *at_zero(prob), 2, 1,
                                    np.random.default_rng(42)).tolist()
                 for _ in range(1)]
-        seq2 = [select_working_set(prob, np.zeros(7), 2, 1,
+        seq2 = [select_working_set(prob, *at_zero(prob), 2, 1,
                                    np.random.default_rng(42)).tolist()
                 for _ in range(1)]
         assert seq1 == seq2
