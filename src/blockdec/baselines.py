@@ -6,6 +6,8 @@ quadratic's matrix) and the same windowed stopping rule as the decomposition
 solver, so traces are directly comparable.
 """
 
+import time
+
 import numpy as np
 
 from .dec import IterationRecord, SolveTrace, relative_drop, stopping_rule
@@ -29,6 +31,7 @@ def _proximal_gradient(prob, x0, max_iters, epsilon, window, accelerated):
     trace = SolveTrace()
     drops = []
     for t in range(max_iters):
+        tic = time.perf_counter()
         x_new = proximal_step(prob, y, beta)
         if accelerated:
             tau_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tau * tau))
@@ -39,7 +42,8 @@ def _proximal_gradient(prob, x0, max_iters, epsilon, window, accelerated):
         f_new = composite_value(prob, x_new)
         step = float(np.linalg.norm(x_new - x))
         trace.records.append(IterationRecord(
-            iteration=t, objective=f, step_norm=step, working_set=(), elapsed=0.0))
+            iteration=t, objective=f, step_norm=step, working_set=(),
+            elapsed=time.perf_counter() - tic))
         drops.append(relative_drop(f, f_new))
         x, f = x_new, f_new
         if stopping_rule(drops, window, epsilon):

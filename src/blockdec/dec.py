@@ -118,7 +118,7 @@ def run_dec(prob, x0, config):
     """Run the decomposition solver; returns (x, trace).
 
     A cardinality-infeasible start is rejected.  Once a full-size working
-    set produces a zero step the point is a global minimizer of the anchored
+    set leaves x unchanged the point is a global minimizer of the anchored
     problem over every block, so later iterations skip the subproblem solve
     and only advance the trace until the stopping rule fires.
     """
@@ -148,10 +148,11 @@ def run_dec(prob, x0, config):
             result = solve_block(prob, x, g, B, config.theta)
             step = float(np.linalg.norm(result.x_next - x))
             f_next = f + result.composite_delta
-            if step == 0.0 and len(B) == prob.n:
-                settled = True
+            # a move of entries below ~1e-162 has step 0.0 but is still a move
             if not np.array_equal(result.x_next, x):
                 g = prob.objective.gradient(result.x_next)
+            elif len(B) == prob.n:
+                settled = True
             x = result.x_next
         trace.records.append(IterationRecord(
             iteration=t, objective=f, step_norm=step, working_set=tuple(B.tolist()),

@@ -56,13 +56,17 @@ def is_l_stationary(prob, x, l_const=None, tol=1e-8):
     tested through the order statistics of |x - g/L| rather than by
     re-running the projection, which keeps ties well defined.
     """
-    term = prob.term
-    require_l0_term(term, "L-stationarity")
+    require_l0_term(prob.term, "L-stationarity")
     x = np.asarray(x, dtype=float)
     L = prob.objective.lipschitz_global() if l_const is None else float(l_const)
+    return _l_stationary_at(prob, x, prob.objective.gradient(x), L, tol)
+
+
+def _l_stationary_at(prob, x, g, L, tol):
+    """is_l_stationary at x, given g = grad f(x)."""
     if not L > 0:
         raise InvalidParameterError(f"L must be positive, got {L}")
-    g = prob.objective.gradient(x)
+    term = prob.term
     supp = _support(x)
     on = np.zeros(prob.n, dtype=bool)
     on[supp] = True
@@ -108,20 +112,27 @@ def is_block_k(prob, x, k, tol=1e-9, mode="exhaustive", trials=1000, seed=0):
     f_x = composite_value(prob, x)
     if f_x is INFEASIBLE:
         return False
-    slack = tol * (1.0 + abs(f_x))
-
     if mode == "exhaustive":
-        cost = math.comb(prob.n, k) * (2 ** k)
-        if cost > BLOCK_BUDGET:
-            raise BudgetExceededError(
-                f"landscape too large: C({prob.n},{k}) * 2^{k} = {cost} patterns "
-                f"exceeds the {BLOCK_BUDGET} budget; use sampled mode")
-        blocks = itertools.combinations(range(prob.n), k)
+        blocks = _all_blocks(prob.n, k)
     else:
         rng = np.random.default_rng(seed)
         blocks = (random_set(prob.n, k, rng) for _ in range(trials))
+    return _no_improving_block(prob, x, prob.objective.gradient(x), f_x, blocks, tol)
 
-    g = prob.objective.gradient(x)
+
+def _all_blocks(n, k):
+    """Every size-k working set, after the exhaustive-mode budget check."""
+    cost = math.comb(n, k) * (2 ** k)
+    if cost > BLOCK_BUDGET:
+        raise BudgetExceededError(
+            f"landscape too large: C({n},{k}) * 2^{k} = {cost} patterns "
+            f"exceeds the {BLOCK_BUDGET} budget; use sampled mode")
+    return itertools.combinations(range(n), k)
+
+
+def _no_improving_block(prob, x, g, f_x, blocks, tol):
+    """is_block_k's verdict over ``blocks``, given g = grad f(x) and f_x = F(x)."""
+    slack = tol * (1.0 + abs(f_x))
     for B in blocks:
         result = solve_block(prob, x, g, B, theta=0.0)
         if result.composite_delta < -slack:
@@ -212,13 +223,19 @@ def landscape_table(prob, k_max=None, tol_grad=1e-8, tol_block=1e-9):
 
     L = prob.objective.lipschitz_global()
     k_min = 2 if isinstance(prob.term, Cardinality) else 1
+    if k_max > n:
+        raise InvalidParameterError(f"block size {k_max} outside [1, {n}]")
     l_count = 0
     block_counts = {k: 0 for k in range(k_min, k_max + 1)}
     for x in reps:
-        if is_l_stationary(prob, x, l_const=L, tol=tol_grad):
+        # one gradient and one F per point, shared by every check on it
+        g = prob.objective.gradient(x)
+        if _l_stationary_at(prob, x, g, L, tol_grad):
             l_count += 1
+        f_x = composite_value(prob, x)
         for k in range(k_min, k_max + 1):
-            if is_block_k(prob, x, k, tol=tol_block):
+            if f_x is not INFEASIBLE and _no_improving_block(
+                    prob, x, g, f_x, _all_blocks(n, k), tol_block):
                 block_counts[k] += 1
             else:
                 break

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from blockdec import (Cardinality, CompositeProblem, HalfPenalty,
-                      InvalidParameterError, L0Penalty, L1Penalty,
-                      QuadraticObjective, apgm, composite_value, cvx_l1_sweep,
-                      gen_random, is_l_stationary, omp, pgm,
-                      soft_threshold)
+                      InvalidParameterError, IterationRecord, L0Penalty,
+                      L1Penalty, QuadraticObjective, SolveTrace, apgm,
+                      composite_value, cvx_l1_sweep, gen_random,
+                      is_l_stationary, omp, pgm, soft_threshold)
+from blockdec.bench import write_trace
 
 from conftest import random_factored_problem
 
@@ -66,6 +67,24 @@ class TestPgm:
         x, trace = pgm(prob, np.zeros(12), max_iters=400)
         objs = trace.objectives()
         assert trace.final_objective <= objs[0] + 1e-10
+
+
+class TestProximalGradientTrace:
+    @pytest.mark.parametrize("solver", [pgm, apgm], ids=["pgm", "apgm"])
+    def test_elapsed_is_recorded_and_untimed_csv_ignores_it(self, solver, tmp_path):
+        prob, _ = random_factored_problem(20, 30, 2, Cardinality(4))
+        _, trace = solver(prob, np.zeros(30), max_iters=40)
+        assert all(r.elapsed > 0.0 for r in trace.records)
+        # the untimed CSV is the one a trace with zero times gives
+        zeroed = SolveTrace(records=[IterationRecord(
+            r.iteration, r.objective, r.step_norm, r.working_set, 0.0)
+            for r in trace.records])
+        write_trace(tmp_path / "timed.csv", trace)
+        write_trace(tmp_path / "zeroed.csv", zeroed)
+        assert (tmp_path / "timed.csv").read_bytes() == (tmp_path / "zeroed.csv").read_bytes()
+        write_trace(tmp_path / "timing.csv", trace, timing=True)
+        rows = (tmp_path / "timing.csv").read_text().strip().split("\n")[1:]
+        assert [float(row.split(",")[4]) for row in rows] == [r.elapsed for r in trace.records]
 
 
 class TestApgm:

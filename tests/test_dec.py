@@ -150,6 +150,24 @@ class TestRunDec:
         np.testing.assert_array_equal(x, np.zeros(4))
         assert len(calls) == 2
 
+    def test_underflowing_full_block_move_does_not_settle(self, monkeypatch):
+        # the first full-block solve clears 1e-170 entries (step_norm 0.0);
+        # only the second, which leaves x alone, may settle the run
+        prob = CompositeProblem(QuadraticObjective(Q=np.eye(4), p=np.zeros(4)),
+                                L0Penalty(1.0))
+        solves = []
+
+        def counted_solve(*args):
+            solves.append(args)
+            return solve_block(*args)
+
+        monkeypatch.setattr(dec_module, "solve_block", counted_solve)
+        x, trace = run_dec(prob, np.full(4, 1e-170),
+                           DecConfig(n_random=4, n_greedy=0, max_iters=3))
+        assert [r.step_norm for r in trace.records] == [0.0, 0.0, 0.0]
+        assert len(solves) == 2
+        np.testing.assert_array_equal(solves[1][1], np.zeros(4))
+
     def test_infeasible_start_rejected(self, demo_cons):
         with pytest.raises(InvalidParameterError):
             run_dec(demo_cons, np.ones(6), DecConfig(n_random=2, n_greedy=0))

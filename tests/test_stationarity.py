@@ -287,6 +287,41 @@ class TestLandscapeTable:
         counts = landscape_table(demo_cons, k_max=3)
         assert sorted(counts.block) == [2, 3]
 
+    def test_k_max_above_n_rejected(self, demo_cons):
+        with pytest.raises(InvalidParameterError):
+            landscape_table(demo_cons, k_max=7)
+
+    @pytest.mark.parametrize("mode, points", [("cons", 55), ("regu", 62)])
+    def test_one_gradient_and_value_per_point(self, mode, points):
+        # the L-stationarity check and every block-k check on a point share
+        # one gradient and one F
+        prob = table1_problem(mode)
+        distinct = {tuple(np.round(x, 8)) for _, x in enumerate_basic_points(prob)}
+        assert len(distinct) == points
+        gradients = count_calls(prob.objective, "gradient")
+        values = count_calls(prob.objective, "value")
+        landscape_table(prob)
+        assert len(gradients) == points
+        assert len(values) == points
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("mode", ["cons", "regu"])
+    def test_rows_match_the_public_checks(self, mode, seed):
+        # the census counts what is_l_stationary and is_block_k decide
+        prob = random_gram_problem(6, seed, Cardinality(3) if mode == "cons"
+                                   else L0Penalty(0.05))
+        counts = landscape_table(prob)
+        reps = {}  # first point of each rounded class, as the census keeps
+        for _, x in enumerate_basic_points(prob):
+            reps.setdefault(tuple(np.round(x, 8)), x)
+        L = prob.objective.lipschitz_global()
+        assert counts.l_stationary == sum(is_l_stationary(prob, x, l_const=L)
+                                          for x in reps.values())
+        for k in counts.block:
+            assert counts.block[k] == sum(
+                all(is_block_k(prob, x, j) for j in range(min(counts.block), k + 1))
+                for x in reps.values())
+
 
 class TestHierarchy:
     """Containment chain on the demo problem and random instances."""
