@@ -283,6 +283,15 @@ class QuadraticObjective:
         self._ensure_gram()
         return self._Q[np.ix_(idx, idx)]
 
+    def gram_blocks(self, idx):
+        """Q[I, I] for every row I of an (N, k) index array, as an (N, k, k) stack."""
+        idx = np.asarray(idx, dtype=int)
+        if not self._gram_cached:
+            cols = self._A[:, idx].transpose(1, 0, 2)  # (N, m, k)
+            return cols.swapaxes(1, 2) @ cols
+        self._ensure_gram()
+        return self._Q[idx[:, :, None], idx[:, None, :]]
+
     def linear_term(self, idx=None):
         """p (or p[idx]); for factored data p = -A'b."""
         if not self._gram_cached:

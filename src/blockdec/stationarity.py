@@ -8,8 +8,23 @@ Three nested notions are covered, from weakest to strongest:
 * block-k optimal point: no working set of size k admits any improving
   update, verified against the exact subproblem solver.
 
+Block-k certificates are batched over points, blocks and patterns.  At
+theta = 0 the system of pattern T in block B is Q[T, T] whatever the point,
+so ``_certify`` factors each (block, pattern) system once, in one batched
+call per popcount group, and solves every point's right-hand side against
+it.  The objective change of every (point, block, pattern) comes out as one
+array, pruned by the cardinality budget of each (point, block); a point
+fails at its first block, in visiting order, whose change is below -slack.
+The batches hold a bounded number of systems (``CERT_CHUNK``).  A block the
+batch cannot decide as surely as a block-by-block ``solve_block`` loop would
+-- a change within rounding and ``TIE_TOL`` of -slack, a system that does
+not factor (which ``solve_block`` ridges) or factors with a tiny pivot, a
+residual near the solver's bound -- is handed to ``solve_block``, so the
+verdicts and the errors are that loop's.
+
 For problems small enough to enumerate, ``landscape_table`` counts the
-points in each class.  Support classification treats entries below
+points in each class, certifying block size k for all the points that
+passed k - 1 at once.  Support classification treats entries below
 ``ZERO_TOL`` as zeros so that solver round-off cannot flip a verdict.
 """
 
@@ -20,15 +35,33 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .errors import BudgetExceededError, InvalidParameterError
+from .errors import BlockdecError, BudgetExceededError, InvalidParameterError
 from .problem import (INFEASIBLE, Cardinality, CompositeProblem, QuadraticObjective,
                       composite_value, make_term, require_l0_term)
-from .subproblem import solve_block
+from .subproblem import PATTERN_CHUNK, TIE_TOL, _pattern_chunks, solve_block
 from .working_set import random_set
 
 ZERO_TOL = 1e-12
 ENUM_BUDGET = 10 ** 6
 BLOCK_BUDGET = 10 ** 8
+
+# systems solved per batch of the block-k certificate (fewer for blocks
+# wider than the number of points), so that its working arrays are
+# O(CERT_CHUNK * k) whatever the number of points, blocks and patterns;
+# basic points are enumerated CERT_CHUNK // r supports of size r at a time
+CERT_CHUNK = 1 << 15
+
+# A batched objective change may differ from solve_block's by rounding,
+# bounded by ROUND_REL times the magnitude of its terms.  A residual above
+# RESIDUAL_MARGIN times solve_block's bound, or a system that does not
+# factor or has a Cholesky pivot at most PIVOT_FLOOR times its diagonal
+# entry, leaves the block to solve_block.
+ROUND_REL = 2.0 ** -40
+RESIDUAL_MARGIN = 2.0 ** -10
+PIVOT_FLOOR = 2.0 ** -26
+
+# outcome of one (point, block) in a batch
+PASS, GAIN, UNSURE = 0, 1, 2
 
 
 def _support(x):
@@ -117,7 +150,11 @@ def is_block_k(prob, x, k, tol=1e-9, mode="exhaustive", trials=1000, seed=0):
     else:
         rng = np.random.default_rng(seed)
         blocks = (random_set(prob.n, k, rng) for _ in range(trials))
-    return _no_improving_block(prob, x, prob.objective.gradient(x), f_x, blocks, tol)
+    g = prob.objective.gradient(x)
+    verdict, = _certify(prob, x[None], g[None], np.array([f_x]), k, blocks, tol)
+    if isinstance(verdict, Exception):
+        raise verdict
+    return verdict
 
 
 def _all_blocks(n, k):
@@ -130,23 +167,165 @@ def _all_blocks(n, k):
     return itertools.combinations(range(n), k)
 
 
-def _no_improving_block(prob, x, g, f_x, blocks, tol):
-    """is_block_k's verdict over ``blocks``, given g = grad f(x) and f_x = F(x)."""
-    slack = tol * (1.0 + abs(f_x))
-    for B in blocks:
-        result = solve_block(prob, x, g, B, theta=0.0)
-        if result.composite_delta < -slack:
+def _certify(prob, X, G, F, k, blocks, tol):
+    """Block-k verdicts of the points X[i], given G[i] = grad f(X[i]) and F[i] = F(X[i]).
+
+    ``blocks`` yields the size-k working sets to check, in visiting order.
+    Entry i of the result is True when no block improves X[i] by more than
+    tol * (1 + |F[i]|), False when one does, or the exception solve_block
+    raises at X[i]'s first block that is not passed, as a loop calling it
+    block by block would.
+    """
+    slack = tol * (1.0 + np.abs(F))
+    verdicts = [True] * len(X)
+    active = np.arange(len(X))
+    per_block = min(1 << k, PATTERN_CHUNK)  # patterns of one block in one batch
+    # the first batch holds at most 64 blocks and each next one twice as
+    # many, so a point that fails at an early block costs about what the
+    # block-by-block loop did
+    grow = 64
+    while active.size:
+        want = max(1, min(grow, CERT_CHUNK // (per_block * max(active.size, k))))
+        grow *= 2
+        chunk = np.fromiter(itertools.chain.from_iterable(itertools.islice(blocks, want)),
+                            dtype=np.intp).reshape(-1, k)
+        if not chunk.size:
+            break
+        step = max(1, CERT_CHUNK // (per_block * len(chunk)))  # points per batch
+        for lo in range(0, active.size, step):
+            rows = active[lo:lo + step]
+            outcomes = _block_outcomes(prob, X[rows], G[rows], slack[rows], chunk)
+            for i, outcome in zip(rows, outcomes):
+                verdicts[i] = _first_decision(prob, X[i], G[i], slack[i], chunk, outcome)
+        active = active[[verdicts[i] is True for i in active]]
+    return verdicts
+
+
+def _first_decision(prob, x, g, slack, blocks, outcome):
+    """x's verdict over ``blocks``, given their batched outcomes at x.
+
+    False at the first GAIN block; an UNSURE block is decided by solve_block,
+    whose error is returned.  True when every block passes.
+    """
+    for j in np.flatnonzero(outcome != PASS):
+        if outcome[j] == GAIN:
+            return False
+        try:
+            delta = solve_block(prob, x, g, blocks[j], theta=0.0).composite_delta
+        except BlockdecError as exc:
+            return exc
+        if delta < -slack:
             return False
     return True
 
 
-def _admissible_supports(n, term):
-    if isinstance(term, Cardinality):
-        sizes = range(term.s + 1)
+def _block_outcomes(prob, X, G, slack, blocks):
+    """PASS, GAIN or UNSURE for every point of X (R, n) and block of blocks (N, k).
+
+    GAIN: a block-by-block solve_block loop would find the block improving;
+    PASS: it would not; UNSURE: leave the block to solve_block.  Pattern T's
+    system Q[T, T] z_T = c_T, with solve_block's right-hand side
+    c = Q_BB x_B - g_B, is factored once for all points, with the other
+    systems of its popcount group, and the objective change is formed as
+    solve_block forms it.
+    """
+    k = blocks.shape[1]
+    Q_B = prob.objective.gram_blocks(blocks)              # (N, k, k)
+    x_B = X[:, blocks].transpose(1, 2, 0)                 # (N, k, R)
+    g_B = G[:, blocks].transpose(1, 2, 0)
+    c = Q_B @ x_B - g_B
+    nnz_B = np.count_nonzero(x_B, axis=1)                 # (N, R)
+    if isinstance(prob.term, Cardinality):
+        lam = 0.0
+        budget = prob.term.s - np.count_nonzero(X, axis=1) + nnz_B
     else:
-        sizes = range(n + 1)
-    for r in sizes:
-        yield from itertools.combinations(range(n), r)
+        lam = prob.term.lam
+        budget = np.full(nnz_B.shape, k)
+    # |D g_B| + |D'Q_BB D|/2 <= |D| |g_B| + |D|^2 |Q_BB|_F / 2 bounds the terms
+    g_norm = _col_norms(g_B)[:, None]                     # (N, 1, R)
+    q_norm = np.sqrt(np.einsum("nij,nij->n", Q_B, Q_B))[:, None, None]
+
+    unsure = np.zeros(budget.shape, dtype=bool)
+    gain = np.zeros(budget.shape, dtype=bool)
+    clear = np.ones(budget.shape, dtype=bool)
+    for masks, groups in _pattern_chunks(k, int(budget.max())):
+        Z = np.zeros((len(blocks), masks.size, k, X.shape[0]))
+        size = np.zeros(masks.size, dtype=int)
+        for rows, T in groups:
+            size[rows] = T.shape[1]
+            M = Q_B[:, T[:, :, None], T[:, None, :]]      # (N, P, r, r)
+            L, weak = _cholesky(M)
+            rhs = c[:, T]                                 # (N, P, r, R)
+            z = _substitute(L, rhs)
+            loose = ~(_col_norms(rhs - M @ z)
+                      <= RESIDUAL_MARGIN * 1e-10 * (1.0 + _col_norms(rhs)))
+            unsure |= (weak[..., None] | loose).any(axis=1)
+            Z[:, rows[:, None], T] = z
+        D = Z - x_B[:, None]
+        delta = (np.einsum("npir,nir->npr", D, g_B)
+                 + 0.5 * np.einsum("npir,npir->npr", Q_B[:, None] @ D, D))
+        d2 = np.einsum("npir,npir->npr", D, D)
+        scale = np.sqrt(d2) * g_norm + 0.5 * d2 * q_norm
+        if lam:
+            change = np.count_nonzero(Z, axis=2) - nnz_B[:, None]
+            delta = delta + lam * change
+            scale = scale + lam * np.abs(change)
+        err = ROUND_REL * scale
+        # solve_block's tie rules keep its change at most TIE_TOL above the
+        # least; a NaN change fails both tests and leaves the block unsure
+        ok = size[:, None] <= budget[:, None]             # (N, P, R)
+        gain |= (ok & (delta + (err + TIE_TOL) < -slack)).any(axis=1)
+        clear &= (~ok | (delta - err >= -slack)).all(axis=1)
+    outcome = np.where(unsure | ~(gain | clear), UNSURE, np.where(gain, GAIN, PASS))
+    return outcome.T
+
+
+def _substitute(L, B):
+    """Solve L L' Z = B for stacked lower-triangular L (..., k, k) and B (..., k, R).
+
+    Forward then back substitution, one step per row over the whole stack:
+    for small systems, 2k numpy steps cost less than one LAPACK call per
+    system.
+    """
+    k = L.shape[-1]
+    Y = np.empty_like(B)
+    for i in range(k):
+        Y[..., i, :] = (B[..., i, :] - np.einsum("...j,...jr->...r", L[..., i, :i],
+                                                 Y[..., :i, :])) / L[..., i, i, None]
+    Z = np.empty_like(B)
+    for i in reversed(range(k)):
+        Z[..., i, :] = (Y[..., i, :] - np.einsum("...j,...jr->...r", L[..., i + 1:, i],
+                                                 Z[..., i + 1:, :])) / L[..., i, i, None]
+    return Z
+
+
+def _col_norms(v):
+    """Euclidean norms of v (..., k, R) over its k axis."""
+    return np.sqrt(np.einsum("...ir,...ir->...r", v, v))
+
+
+def _cholesky(M):
+    """Cholesky factors of the stacked systems M (N, ..., k, k), and which are weak.
+
+    A system is weak when it does not factor, or when a pivot L_jj^2 is at
+    most PIVOT_FLOOR * M_jj: coordinate j is then nearly a combination of
+    the ones before it, and a factorization that succeeded here might fail
+    elsewhere.  One failing system fails np.linalg.cholesky for the whole
+    stack, so a failing stack is halved along its first axis until each
+    failing entry stands alone; all of that entry's systems are then weak,
+    with identity factors.
+    """
+    try:
+        L = np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        if len(M) == 1:
+            return (np.broadcast_to(np.eye(M.shape[-1]), M.shape).copy(),
+                    np.ones(M.shape[:-2], dtype=bool))
+        half = len(M) // 2
+        (L1, weak1), (L2, weak2) = _cholesky(M[:half]), _cholesky(M[half:])
+        return np.concatenate((L1, L2)), np.concatenate((weak1, weak2))
+    pivots = np.diagonal(L, axis1=-2, axis2=-1) ** 2
+    return L, (pivots <= PIVOT_FLOOR * np.diagonal(M, axis1=-2, axis2=-1)).any(axis=-1)
 
 
 def enumerate_basic_points(prob):
@@ -160,28 +339,43 @@ def enumerate_basic_points(prob):
     term = prob.term
     require_l0_term(term, "enumeration")
     n = prob.n
-    if isinstance(term, Cardinality):
-        total = sum(math.comb(n, r) for r in range(term.s + 1))
-    else:
-        total = 2 ** n
+    sizes = range(term.s + 1) if isinstance(term, Cardinality) else range(n + 1)
+    total = sum(math.comb(n, r) for r in sizes)
     if total > ENUM_BUDGET:
         raise BudgetExceededError(
             f"landscape too large: {total} supports exceeds the {ENUM_BUDGET} budget")
 
+    p = prob.objective.linear_term()
     points = []
-    for S in _admissible_supports(n, term):
-        x = np.zeros(n)
-        if S:
-            idx = np.asarray(S, dtype=int)
-            Q_SS = prob.objective.gram_submatrix(idx)
-            rhs = -prob.objective.linear_term(idx)
-            try:
-                z = cho_solve(cho_factor(Q_SS), rhs)
-            except np.linalg.LinAlgError:
-                z = np.linalg.lstsq(Q_SS, rhs, rcond=None)[0]
-            x[idx] = z
-        points.append((tuple(S), x))
+    for r in sizes:
+        supports = itertools.combinations(range(n), r)
+        per_batch = max(1, CERT_CHUNK // max(r, 1))
+        while batch := list(itertools.islice(supports, per_batch)):
+            S = np.array(batch, dtype=int).reshape(len(batch), r)
+            X = np.zeros((len(S), n))
+            if r:
+                X[np.arange(len(S))[:, None], S] = _restricted_minimizers(
+                    prob.objective.gram_blocks(S), -p[S])
+            points.extend(zip(batch, X))
     return points
+
+
+def _restricted_minimizers(M, rhs):
+    """Solve the stacked systems M[i] z[i] = rhs[i] of one support size.
+
+    One batched Cholesky factorization serves the whole stack.  A weak
+    system (see ``_cholesky``) is solved on its own, as the per-support
+    loop solved it: by Cholesky, or by minimum-norm least squares where it
+    is singular.
+    """
+    L, weak = _cholesky(M)
+    Z = _substitute(L, rhs[..., None])[..., 0]
+    for i in np.flatnonzero(weak):
+        try:
+            Z[i] = cho_solve(cho_factor(M[i]), rhs[i])
+        except np.linalg.LinAlgError:
+            Z[i] = np.linalg.lstsq(M[i], rhs[i], rcond=None)[0]
+    return Z
 
 
 @dataclass
@@ -225,20 +419,31 @@ def landscape_table(prob, k_max=None, tol_grad=1e-8, tol_block=1e-9):
     k_min = 2 if isinstance(prob.term, Cardinality) else 1
     if k_max > n:
         raise InvalidParameterError(f"block size {k_max} outside [1, {n}]")
-    l_count = 0
+    # one gradient and one F per point, shared by every check on it
+    X = np.array(reps)
+    G = np.array([prob.objective.gradient(x) for x in X])
+    l_count = sum(bool(_l_stationary_at(prob, x, g, L, tol_grad)) for x, g in zip(X, G))
+    F = [composite_value(prob, x) for x in X]
+
     block_counts = {k: 0 for k in range(k_min, k_max + 1)}
-    for x in reps:
-        # one gradient and one F per point, shared by every check on it
-        g = prob.objective.gradient(x)
-        if _l_stationary_at(prob, x, g, L, tol_grad):
-            l_count += 1
-        f_x = composite_value(prob, x)
-        for k in range(k_min, k_max + 1):
-            if f_x is not INFEASIBLE and _no_improving_block(
-                    prob, x, g, f_x, _all_blocks(n, k), tol_block):
-                block_counts[k] += 1
-            else:
-                break
+    alive = [i for i, f in enumerate(F) if f is not INFEASIBLE]
+    failures = {}  # point -> the error a point-by-point loop meets there
+    for k in block_counts:
+        if not alive:
+            break
+        try:
+            blocks = _all_blocks(n, k)
+        except BudgetExceededError as exc:
+            failures[alive[0]] = exc
+            break
+        verdicts = _certify(prob, X[alive], G[alive], np.array([F[i] for i in alive]),
+                            k, blocks, tol_block)
+        failures.update((i, v) for i, v in zip(alive, verdicts) if isinstance(v, Exception))
+        alive = [i for i, v in zip(alive, verdicts) if v is True]
+        block_counts[k] = len(alive)
+    if failures:
+        # the loop over points in order stops at the first one that fails
+        raise failures[min(failures)]
     return LandscapeCounts(basic=len(entries), l_stationary=l_count,
                            block=block_counts)
 

@@ -87,6 +87,17 @@ def _whole_block_tables(k, budget):
     return masks, groups
 
 
+def _pattern_chunks(k, budget):
+    """_pattern_tables of every chunk that holds an admissible mask, in mask order."""
+    for lo in range(0, 1 << k, PATTERN_CHUNK):
+        if lo.bit_count() > budget:
+            continue  # every mask in the chunk has at least lo's set bits
+        if 1 << k <= PATTERN_CHUNK:
+            yield _whole_block_tables(k, min(budget, k))
+        else:
+            yield _pattern_tables(k, budget, lo)
+
+
 def _norms(v):
     """Euclidean norm of each row."""
     return np.sqrt(np.einsum("ij,ij->i", v, v))
@@ -226,13 +237,7 @@ def solve_block(prob, x, g, B, theta):
     best_zB = x_B
     evaluated = 0
 
-    for lo in range(0, 1 << k, PATTERN_CHUNK):
-        if lo.bit_count() > budget:
-            continue  # every mask in the chunk has at least lo's set bits
-        if 1 << k <= PATTERN_CHUNK:
-            masks, groups = _whole_block_tables(k, min(budget, k))
-        else:
-            masks, groups = _pattern_tables(k, budget, lo)
+    for masks, groups in _pattern_chunks(k, budget):
         evaluated += masks.size
         Z = _solve_patterns(Q_theta, rhs_B, theta, masks, groups)
 

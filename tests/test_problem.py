@@ -144,6 +144,9 @@ class TestQuadraticObjective:
         np.testing.assert_allclose(obj.gram_submatrix(idx),
                                    (A.T @ A)[np.ix_(idx, idx)], rtol=1e-12)
         np.testing.assert_allclose(obj.linear_term(idx), -(A.T @ b)[idx], rtol=1e-12)
+        blocks = np.array([[0, 2, 4], [1, 2, 3], [4, 0, 1]])
+        np.testing.assert_array_equal(obj.gram_blocks(blocks),
+                                      [obj.gram_submatrix(B) for B in blocks])
 
     def test_factored_path_agrees_with_gram_cache(self, monkeypatch):
         # the cache decision is taken at construction: a zero limit sends a
@@ -158,7 +161,8 @@ class TestQuadraticObjective:
         v = rng.standard_normal(5)
         with pytest.raises(InvalidParameterError):
             factored.gram_matrix()
-        for f in (lambda o: o.gram_submatrix(idx), lambda o: o.linear_term(),
+        for f in (lambda o: o.gram_submatrix(idx), lambda o: o.gram_blocks([idx, idx[::-1]]),
+                  lambda o: o.linear_term(),
                   lambda o: o.linear_term(idx), lambda o: o.matvec(v),
                   lambda o: o.coordinate_lipschitz()):
             np.testing.assert_allclose(f(factored), f(cached), rtol=1e-12)

@@ -7,16 +7,24 @@ from that closed form.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
+from blockdec import problem as problem_module
+from blockdec import stationarity as stationarity_module
 from blockdec import (BudgetExceededError, Cardinality, CompositeProblem,
-                      InvalidParameterError, L0Penalty, L1Penalty,
-                      QuadraticObjective, enumerate_basic_points, is_basic,
-                      is_block_k, is_l_stationary, landscape_table,
+                      DegenerateSystemError, InvalidParameterError, L0Penalty,
+                      L1Penalty, NumericalError, QuadraticObjective,
+                      composite_value, enumerate_basic_points, is_basic,
+                      is_block_k, is_l_stationary, landscape_table, solve_block,
                       table1_problem)
+from blockdec.problem import INFEASIBLE
 from blockdec.stationarity import ZERO_TOL
+from blockdec.subproblem import TIE_TOL
+from blockdec.working_set import random_set
 
 from conftest import CONS_GLOBAL_X, REGU_GLOBAL_F, count_calls, random_gram_problem
 
@@ -45,6 +53,74 @@ def l_stationary_penalty_loop(prob, x, L, tol):
         elif (g[i] / L) ** 2 > thresh + tol:
             return False
     return True
+
+
+def reference_no_improving_block(prob, x, g, f_x, blocks, tol):
+    """The per-block loop the batched certificate replaced: one solve_block per block."""
+    slack = tol * (1.0 + abs(f_x))
+    for B in blocks:
+        result = solve_block(prob, x, g, B, theta=0.0)
+        if result.composite_delta < -slack:
+            return False
+    return True
+
+
+def reference_is_block_k(prob, x, k, tol=1e-9, mode="exhaustive", trials=1000, seed=0):
+    """is_block_k on valid arguments, through reference_no_improving_block."""
+    f_x = composite_value(prob, x)
+    if f_x is INFEASIBLE:
+        return False
+    if mode == "exhaustive":
+        blocks = itertools.combinations(range(prob.n), k)
+    else:
+        rng = np.random.default_rng(seed)
+        blocks = (random_set(prob.n, k, rng) for _ in range(trials))
+    return reference_no_improving_block(prob, x, prob.objective.gradient(x), f_x, blocks, tol)
+
+
+def reference_basic_points(prob):
+    """The per-support loop: one Cholesky solve (least squares if singular) per support."""
+    n = prob.n
+    sizes = range(prob.term.s + 1) if isinstance(prob.term, Cardinality) else range(n + 1)
+    points = []
+    for S in itertools.chain.from_iterable(itertools.combinations(range(n), r) for r in sizes):
+        x = np.zeros(n)
+        if S:
+            idx = np.asarray(S, dtype=int)
+            Q_SS = prob.objective.gram_submatrix(idx)
+            rhs = -prob.objective.linear_term(idx)
+            try:
+                x[idx] = cho_solve(cho_factor(Q_SS), rhs)
+            except np.linalg.LinAlgError:
+                x[idx] = np.linalg.lstsq(Q_SS, rhs, rcond=None)[0]
+        points.append((S, x))
+    return points
+
+
+def outcome(check, *args, **kw):
+    """A check's verdict, or the type of the numerical or budget error it raised."""
+    try:
+        return check(*args, **kw)
+    except (BudgetExceededError, DegenerateSystemError, NumericalError) as exc:
+        return type(exc)
+
+
+def singular_design(kind, seed):
+    """An 8x7 design with a zero column or a duplicated column pair.
+
+    ``duplicate`` copies column 1 to column 4 (negated on even seeds);
+    ``near`` copies it up to a 1e-9 perturbation.
+    """
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((8, 7))
+    b = 2.0 * rng.standard_normal(8)
+    if kind == "duplicate":
+        A[:, 4] = A[:, 1] if seed % 2 else -A[:, 1]
+    elif kind == "near":
+        A[:, 4] = A[:, 1] + 1e-9 * rng.standard_normal(8)
+    else:
+        A[:, 5] = 0.0
+    return A, b
 
 
 def demo_basic_point(S):
@@ -366,3 +442,317 @@ class TestTable1Problem:
     def test_mode_validation(self):
         with pytest.raises(InvalidParameterError):
             table1_problem("both")
+
+
+def random_points(prob, rng, count):
+    """Basic points plus random points with a random support."""
+    n = prob.n
+    points = [x for _, x in enumerate_basic_points(prob)]
+    points += [rng.standard_normal(n) * (rng.random(n) < 0.5) for _ in range(count)]
+    return points
+
+
+class TestBatchedCertificateMatchesLoop:
+    """is_block_k and landscape_table against reference_no_improving_block.
+
+    The verdict, or the type of the error raised, must be the loop's on
+    every point, block size and mode.
+    """
+
+    @staticmethod
+    def _compare(prob, points, ks, **kw):
+        seen = set()
+        for i, x in enumerate(points):
+            for k in ks:
+                want = outcome(reference_is_block_k, prob, x, k, **kw)
+                got = outcome(is_block_k, prob, x, k, **kw)
+                assert got is want, (i, k, want, got)
+                seen.add(want)
+        return seen
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("mode", ["cons", "regu"])
+    def test_random_problems(self, mode, seed):
+        term = Cardinality(3) if mode == "cons" else L0Penalty(0.05 + 0.1 * seed)
+        prob = random_gram_problem(6, 300 + seed, term)
+        points = random_points(prob, np.random.default_rng(seed), 30)
+        k_min = 2 if mode == "cons" else 1
+        assert self._compare(prob, points, range(k_min, 7)) == {True, False}
+
+    @pytest.mark.parametrize("mode", ["cons", "regu"])
+    def test_every_basic_point_of_table1(self, mode):
+        prob = table1_problem(mode)
+        points = [x for _, x in enumerate_basic_points(prob)]
+        k_min = 2 if mode == "cons" else 1
+        assert self._compare(prob, points, range(k_min, 7)) == {True, False}
+
+    def test_factored_objective(self, monkeypatch):
+        # above the Gram cache limit the block systems come from A's columns
+        monkeypatch.setattr(problem_module, "_GRAM_CACHE_LIMIT", 0)
+        rng = np.random.default_rng(6)
+        A, b = rng.standard_normal((9, 7)), rng.standard_normal(9)
+        prob = CompositeProblem(QuadraticObjective(A=A, b=b), L0Penalty(0.1))
+        assert prob.objective._Q is None
+        points = random_points(prob, rng, 10)
+        assert self._compare(prob, points, [1, 2, 3]) == {True, False}
+        assert self._compare(prob, points, [2], mode="sampled", trials=15) == {True, False}
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("mode", ["cons", "regu"])
+    def test_sampled_mode(self, mode, seed):
+        term = Cardinality(4) if mode == "cons" else L0Penalty(0.3)
+        prob = random_gram_problem(12, 400 + seed, term)
+        # the lowest basic points pass often, the others seldom
+        basic = sorted((x for _, x in enumerate_basic_points(prob)),
+                       key=lambda x: composite_value(prob, x))
+        rng = np.random.default_rng(seed)
+        points = basic[:4] + basic[4::80] + [rng.standard_normal(12) * (rng.random(12) < 0.3)
+                                             for _ in range(5)]
+        seen = self._compare(prob, points, [2, 3, 5], mode="sampled", trials=25, seed=seed)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("kind", ["duplicate", "near", "zero"])
+    @pytest.mark.parametrize("mode", ["cons", "regu"])
+    def test_singular_designs(self, kind, mode):
+        # at theta = 0 a duplicated column pair makes systems singular, which
+        # solve_block ridges, and a nearly duplicated one makes them
+        # ill-conditioned; a zero column makes them degenerate, which
+        # solve_block refuses
+        seen = set()
+        for seed in range(3):
+            A, b = singular_design(kind, seed)
+            term = Cardinality(3) if mode == "cons" else L0Penalty(0.2)
+            prob = CompositeProblem(QuadraticObjective(A=A, b=b), term)
+            points = random_points(prob, np.random.default_rng(seed), 20)[::2]
+            seen |= self._compare(prob, points, [2, 3])
+        if kind == "zero":
+            assert {False, DegenerateSystemError} <= seen
+        else:
+            assert {True, False} <= seen
+
+    def test_the_failing_block_is_the_loops(self, monkeypatch):
+        # the error comes from the first failing block before the first
+        # improving one, in combinations order
+        A, b = singular_design("zero", 0)
+        prob = CompositeProblem(QuadraticObjective(A=A, b=b), L0Penalty(0.2))
+        raised = []
+
+        def recording(prob, x, g, B, theta):
+            try:
+                return solve_block(prob, x, g, B, theta)
+            except DegenerateSystemError:
+                raised.append(tuple(int(i) for i in B))
+                raise
+
+        monkeypatch.setattr(stationarity_module, "solve_block", recording)
+        blocks = set()
+        for x in random_points(prob, np.random.default_rng(1), 30):
+            g, f_x = prob.objective.gradient(x), composite_value(prob, x)
+            for k in (1, 2, 3):
+                del raised[:]
+                want = outcome(reference_no_improving_block, prob, x, g, f_x,
+                               itertools.combinations(range(7), k), 1e-9)
+                # the reference calls blockdec.solve_block, not the recorder
+                assert not raised
+                if want is not DegenerateSystemError:
+                    assert outcome(is_block_k, prob, x, k) is want
+                    continue
+                first = next(B for B in itertools.combinations(range(7), k) if 5 in B
+                             and outcome(solve_block, prob, x, g, B, 0.0)
+                             is DegenerateSystemError)
+                with pytest.raises(DegenerateSystemError):
+                    is_block_k(prob, x, k)
+                assert raised == [first]
+                blocks.add(first)
+        assert len(blocks) > 1
+
+    @pytest.mark.parametrize("kind", ["duplicate", "near"])
+    def test_singular_systems_stay_with_their_block(self, kind, monkeypatch):
+        # a duplicated pair, which solve_block ridges, or a nearly duplicated
+        # one, whose systems factor with a tiny pivot, leaves only the blocks
+        # holding both columns to solve_block: no other block is ridged
+        A, b = singular_design(kind, 1)
+        prob = CompositeProblem(QuadraticObjective(A=A, b=b), L0Penalty(0.2))
+        blocks = []
+        monkeypatch.setattr(stationarity_module, "solve_block",
+                            lambda *args, **kw: blocks.append(set(args[3].tolist()))
+                            or solve_block(*args, **kw))
+        got = outcome(lambda: landscape_table(prob, k_max=3).row())
+        assert blocks and all({1, 4} <= B for B in blocks)
+        assert got == outcome(self._reference_census, prob, 3)
+
+    def test_solutions_off_their_systems_are_left_to_solve_block(self, monkeypatch):
+        # batched solutions 1e-6 relative off fail the residual check, so
+        # every block goes to solve_block and the verdicts stay the loop's
+        prob = random_gram_problem(5, 7, L0Penalty(0.1))
+        points = [x for _, x in enumerate_basic_points(prob)]
+        X = np.array(points)
+        G = np.array([prob.objective.gradient(x) for x in points])
+        blocks = np.array(list(itertools.combinations(range(5), 2)))
+        solve = stationarity_module._substitute
+        monkeypatch.setattr(stationarity_module, "_substitute",
+                            lambda L, B: solve(L, B) * (1.0 + 1e-6))
+        outcomes = stationarity_module._block_outcomes(prob, X, G, np.full(len(X), 1e-9), blocks)
+        assert (outcomes == stationarity_module.UNSURE).all()
+        assert [is_block_k(prob, x, 2) for x in points] == [
+            reference_is_block_k(prob, x, 2) for x in points]
+
+    @pytest.mark.parametrize("kind", ["duplicate", "near", "zero"])
+    def test_landscape_table_raises_where_the_loop_raises(self, kind, monkeypatch):
+        # with a block budget of 100 patterns, block size 3 (280 patterns)
+        # is refused at the first point that reaches it, which may come
+        # before or after points that fail at block size 2
+        seen = set()
+        for budget in (stationarity_module.BLOCK_BUDGET, 100):
+            monkeypatch.setattr(stationarity_module, "BLOCK_BUDGET", budget)
+            for seed in range(5):
+                A, b = singular_design(kind, seed)
+                for term in (Cardinality(3), L0Penalty(0.2)):
+                    prob = CompositeProblem(QuadraticObjective(A=A, b=b), term)
+                    want = outcome(self._reference_census, prob, 3)
+                    got = outcome(lambda: landscape_table(prob, k_max=3).row())
+                    assert got == want, (kind, seed, term, budget)
+                    seen.add(want if isinstance(want, type) else list)
+        assert {"zero": DegenerateSystemError, "near": NumericalError}.get(
+            kind, BudgetExceededError) in seen
+
+    @staticmethod
+    def _reference_census(prob, k_max):
+        """landscape_table's row through the loop, point by point."""
+        reps = {}
+        for _, x in enumerate_basic_points(prob):
+            reps.setdefault(tuple(np.round(x, 8)), x)
+        L = prob.objective.lipschitz_global()
+        k_min = 2 if isinstance(prob.term, Cardinality) else 1
+        block = {k: 0 for k in range(k_min, k_max + 1)}
+        for x in reps.values():
+            g, f_x = prob.objective.gradient(x), composite_value(prob, x)
+            for k in block:
+                blocks = stationarity_module._all_blocks(prob.n, k)  # may refuse k
+                if not reference_no_improving_block(prob, x, g, f_x, blocks, 1e-9):
+                    break
+                block[k] += 1
+        l_count = sum(is_l_stationary(prob, x, l_const=L) for x in reps.values())
+        return [len(enumerate_basic_points(prob)), l_count] + list(block.values())
+
+    def test_tie_rule_keeps_the_first_of_two_equal_size_patterns(self):
+        # the two single-coordinate moves change F by -5e-4 and -5e-4 - 2.5e-13;
+        # the loop keeps the first, within TIE_TOL, so its best change is
+        # -5e-4 although the least is lower.  A slack between the two passes.
+        prob = CompositeProblem(
+            QuadraticObjective(Q=np.eye(2), p=-np.sqrt([1e-3, 1e-3 + 5e-13])), Cardinality(1))
+        x = np.zeros(2)  # F(x) = 0, so the slack is tol
+        g = prob.objective.gradient(x)
+        assert solve_block(prob, x, g, [0, 1], 0.0).composite_delta == pytest.approx(
+            -5e-4, rel=1e-14, abs=0.0)
+        assert is_block_k(prob, x, 2, tol=5e-4 + 1.25e-13)
+        assert reference_is_block_k(prob, x, 2, tol=5e-4 + 1.25e-13)
+        assert not is_block_k(prob, x, 2, tol=5e-4 - 1e-13)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e6])
+    @pytest.mark.parametrize("mode", ["cons", "regu"])
+    def test_slack_at_the_best_change(self, mode, scale):
+        # -slack placed on the loop's best change, a few ULPs either side of
+        # it, and within TIE_TOL of it
+        term = Cardinality(3) if mode == "cons" else L0Penalty(0.05 * scale)
+        base = random_gram_problem(6, 11, term)
+        prob = CompositeProblem(QuadraticObjective(Q=scale * base.objective.gram_matrix(),
+                                                   p=scale * base.objective.linear_term()),
+                                term)
+        blocks = list(itertools.combinations(range(6), 2))
+        verdicts = set()
+        for x in random_points(prob, np.random.default_rng(3), 10)[::5]:
+            f_x = composite_value(prob, x)
+            if f_x is INFEASIBLE:
+                continue
+            g = prob.objective.gradient(x)
+            best = min(solve_block(prob, x, g, B, 0.0).composite_delta for B in blocks)
+            if best == 0.0:
+                continue
+            targets = [best + j * np.spacing(best) for j in range(-3, 4)]
+            targets += [best + f * TIE_TOL for f in (-1.5, -1.0, -0.5, 0.5, 1.0, 1.5)]
+            for target in targets:
+                tol = -target / (1.0 + abs(f_x))
+                want = reference_is_block_k(prob, x, 2, tol=tol)
+                assert is_block_k(prob, x, 2, tol=tol) == want, (x, target)
+                verdicts.add(want)
+        assert verdicts == {True, False}
+
+
+class TestCertificateChunks:
+    def test_small_chunks_match_the_default(self, monkeypatch):
+        # batches of a few systems split the points and the blocks
+        probs = [random_gram_problem(6, 20, Cardinality(3)),
+                 random_gram_problem(6, 21, L0Penalty(0.1))]
+        want = [landscape_table(prob).row() for prob in probs]
+        x = [x for _, x in enumerate_basic_points(probs[1])][-1]
+        single = [is_block_k(probs[1], x, k) for k in range(1, 7)]
+        monkeypatch.setattr(stationarity_module, "CERT_CHUNK", 8)
+        assert [landscape_table(prob).row() for prob in probs] == want
+        assert [is_block_k(probs[1], x, k) for k in range(1, 7)] == single
+
+    def test_an_early_failure_reads_few_blocks(self, monkeypatch):
+        # x = 0 improves on its first pair, so the first batch of 64 blocks
+        # decides it, out of 4950
+        rng = np.random.default_rng(1)
+        prob = CompositeProblem(QuadraticObjective(A=rng.standard_normal((30, 100)),
+                                                   b=rng.standard_normal(30)), Cardinality(5))
+        read = count_calls(prob.objective, "gram_blocks")
+        assert not is_block_k(prob, np.zeros(100), 2)
+        assert [len(args[0]) for args in read] == [64]
+
+    def test_memory_does_not_grow_with_the_number_of_systems(self):
+        """An exhaustive k = 2 check at n = 300 peaks below 6 MB.
+
+        It solves 179,400 (block, pattern) systems, over five times
+        CERT_CHUNK.  Measured under tracemalloc with numpy 2.4: 2.4 MB with
+        the default CERT_CHUNK, and 9.3 MB with no cap, when the doubling
+        batches grow to 16,384 blocks; the bound exists to catch the latter.
+        """
+        rng = np.random.default_rng(0)
+        A, b = rng.standard_normal((60, 300)), rng.standard_normal(60)
+        # no pair of coordinates can pay the penalty, so every block is solved
+        prob = CompositeProblem(QuadraticObjective(A=A, b=b), L0Penalty(float(b @ b)))
+        prob.objective.gram_matrix()  # the 720 kB Gram cache is not the check's
+        tracemalloc.start()
+        try:
+            assert is_block_k(prob, np.zeros(300), 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6, f"peak {peak / 1e6:.1f} MB"
+
+
+class TestCholesky:
+    def test_failing_and_weak_systems_are_flagged_alone(self):
+        # five blocks of four SPD systems; block 1 holds an indefinite
+        # system, which fails the whole stack, and block 3 one whose third
+        # column nearly copies its first
+        rng = np.random.default_rng(2)
+        G = rng.standard_normal((5, 4, 6, 3))
+        G[3, 0, :, 2] = G[3, 0, :, 0] + 1e-5 * rng.standard_normal(6)
+        M = G.swapaxes(-1, -2) @ G
+        M[1, 2] = -np.eye(3)
+        L, weak = stationarity_module._cholesky(M)
+        want = np.zeros((5, 4), dtype=bool)
+        want[1] = True  # every system of the block with the failing one
+        want[3, 0] = True
+        np.testing.assert_array_equal(weak, want)
+        for i, j in zip(*np.nonzero(~want)):
+            np.testing.assert_array_equal(L[i, j], np.linalg.cholesky(M[i, j]))
+
+
+class TestBatchedBasicPoints:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("mode", ["cons", "regu"])
+    def test_match_the_per_support_loop(self, mode, seed):
+        term = Cardinality(4) if mode == "cons" else L0Penalty(0.1)
+        problems = [random_gram_problem(7, 500 + seed, term),
+                    CompositeProblem(QuadraticObjective(A=singular_design("duplicate", seed)[0],
+                                                        b=np.ones(8)), term)]
+        for prob in problems:
+            got = enumerate_basic_points(prob)
+            want = reference_basic_points(prob)
+            assert [S for S, _ in got] == [S for S, _ in want]
+            for (S, x), (_, x_ref) in zip(got, want):
+                assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref), S
