@@ -12,19 +12,22 @@ Block-k certificates are batched over points, blocks and patterns.  At
 theta = 0 the system of pattern T in block B is Q[T, T] whatever the point,
 so ``_certify`` factors each (block, pattern) system once, in one batched
 call per popcount group, and solves every point's right-hand side against
-it.  The objective change of every (point, block, pattern) comes out as one
-array, pruned by the cardinality budget of each (point, block); a point
-fails at its first block, in visiting order, whose change is below -slack.
-The batches hold a bounded number of systems (``CERT_CHUNK``).  A block the
-batch cannot decide as surely as a block-by-block ``solve_block`` loop would
--- a change within rounding and ``TIE_TOL`` of -slack, a system that does
-not factor (which ``solve_block`` ridges) or factors with a tiny pivot, a
-residual near the solver's bound -- is handed to ``solve_block``, so the
-verdicts and the errors are that loop's.
+it, with the stacked Cholesky kernel of ``subproblem`` that ``solve_block``
+and the basic-point enumeration also use.  The objective change of every
+(point, block, pattern) comes out as one array, pruned by the cardinality
+budget of each (point, block); a point fails at its first block, in
+visiting order, whose change is below -slack.  The batches hold a bounded
+number of systems (``CERT_CHUNK``).  A block the batch cannot decide as
+surely as a block-by-block ``solve_block`` loop would -- a change within
+rounding and ``TIE_TOL`` of -slack, a system that does not factor (which
+``solve_block`` ridges) or factors with a tiny pivot, a residual near the
+solver's bound -- is handed to ``solve_block``, so the verdicts and the
+errors are that loop's.
 
 For problems small enough to enumerate, ``landscape_table`` counts the
-points in each class, certifying block size k for all the points that
-passed k - 1 at once.  Support classification treats entries below
+points in each class, deciding L-stationarity for every point in one
+stacked check and certifying block size k for all the points that passed
+k - 1 at once.  Support classification treats entries below
 ``ZERO_TOL`` as zeros so that solver round-off cannot flip a verdict.
 """
 
@@ -38,7 +41,8 @@ from scipy.linalg import cho_factor, cho_solve
 from .errors import BlockdecError, BudgetExceededError, InvalidParameterError
 from .problem import (INFEASIBLE, Cardinality, CompositeProblem, QuadraticObjective,
                       composite_value, make_term, require_l0_term)
-from .subproblem import PATTERN_CHUNK, TIE_TOL, _pattern_chunks, solve_block
+from .subproblem import (PATTERN_CHUNK, TIE_TOL, _cho_solve, _cholesky, _col_norms,
+                         _pattern_chunks, solve_block)
 from .working_set import random_set
 
 ZERO_TOL = 1e-12
@@ -92,34 +96,32 @@ def is_l_stationary(prob, x, l_const=None, tol=1e-8):
     require_l0_term(prob.term, "L-stationarity")
     x = np.asarray(x, dtype=float)
     L = prob.objective.lipschitz_global() if l_const is None else float(l_const)
-    return _l_stationary_at(prob, x, prob.objective.gradient(x), L, tol)
+    verdict, = _l_stationary_at(prob, x[None], prob.objective.gradient(x)[None], L, tol)
+    return bool(verdict)
 
 
-def _l_stationary_at(prob, x, g, L, tol):
-    """is_l_stationary at x, given g = grad f(x)."""
+def _l_stationary_at(prob, X, G, L, tol):
+    """is_l_stationary at every row of X (R, n), given G[i] = grad f(X[i])."""
     if not L > 0:
         raise InvalidParameterError(f"L must be positive, got {L}")
     term = prob.term
-    supp = _support(x)
-    on = np.zeros(prob.n, dtype=bool)
-    on[supp] = True
+    on = np.abs(X) > ZERO_TOL
+    nnz = np.count_nonzero(on, axis=1)
 
     if isinstance(term, Cardinality):
-        if supp.size > term.s:
-            return False
-        u = np.abs(x - g / L)
-        if supp.size and np.max(np.abs(g[supp])) / L > tol:
-            return False
-        off_max = np.max(u[~on]) if (~on).any() else 0.0
-        if supp.size < term.s:
-            return off_max <= tol
-        return off_max <= np.min(u[on]) + tol
+        # g_i = 0 on the support, and |x_i - g_i/L| is no larger off it than
+        # its least on it (than tol while the support has room)
+        U = np.abs(X - G / L)
+        off_max = np.where(on, 0.0, U).max(axis=1)
+        least = np.where(nnz < term.s, 0.0, np.where(on, U, np.inf).min(axis=1))
+        return ((nnz <= term.s) & (np.where(on, np.abs(G), 0.0).max(axis=1) / L <= tol)
+                & (off_max <= least + tol))
 
     # count penalty: on the support g_i = 0 and x_i^2 >= thresh; off it (g_i/L)^2 <= thresh
     thresh = 2.0 * term.lam / L
-    x_on, g_on, g_off = x[on], g[on], g[~on] / L
-    return not (np.any(np.abs(g_on) > tol) or np.any(x_on * x_on < thresh - tol)
-                or np.any(g_off * g_off > thresh + tol))
+    G_L = G / L
+    return ~(np.any(on & ((np.abs(G) > tol) | (X * X < thresh - tol)), axis=1)
+             | np.any(~on & (G_L * G_L > thresh + tol), axis=1))
 
 
 def is_block_k(prob, x, k, tol=1e-9, mode="exhaustive", trials=1000, seed=0):
@@ -254,9 +256,9 @@ def _block_outcomes(prob, X, G, slack, blocks):
         for rows, T in groups:
             size[rows] = T.shape[1]
             M = Q_B[:, T[:, :, None], T[:, None, :]]      # (N, P, r, r)
-            L, weak = _cholesky(M)
+            L, weak = _weak_cholesky(M)
             rhs = c[:, T]                                 # (N, P, r, R)
-            z = _substitute(L, rhs)
+            z = _cho_solve(L, rhs)
             loose = ~(_col_norms(rhs - M @ z)
                       <= RESIDUAL_MARGIN * 1e-10 * (1.0 + _col_norms(rhs)))
             unsure |= (weak[..., None] | loose).any(axis=1)
@@ -280,52 +282,19 @@ def _block_outcomes(prob, X, G, slack, blocks):
     return outcome.T
 
 
-def _substitute(L, B):
-    """Solve L L' Z = B for stacked lower-triangular L (..., k, k) and B (..., k, R).
-
-    Forward then back substitution, one step per row over the whole stack:
-    for small systems, 2k numpy steps cost less than one LAPACK call per
-    system.
-    """
-    k = L.shape[-1]
-    Y = np.empty_like(B)
-    for i in range(k):
-        Y[..., i, :] = (B[..., i, :] - np.einsum("...j,...jr->...r", L[..., i, :i],
-                                                 Y[..., :i, :])) / L[..., i, i, None]
-    Z = np.empty_like(B)
-    for i in reversed(range(k)):
-        Z[..., i, :] = (Y[..., i, :] - np.einsum("...j,...jr->...r", L[..., i + 1:, i],
-                                                 Z[..., i + 1:, :])) / L[..., i, i, None]
-    return Z
-
-
-def _col_norms(v):
-    """Euclidean norms of v (..., k, R) over its k axis."""
-    return np.sqrt(np.einsum("...ir,...ir->...r", v, v))
-
-
-def _cholesky(M):
+def _weak_cholesky(M):
     """Cholesky factors of the stacked systems M (N, ..., k, k), and which are weak.
 
-    A system is weak when it does not factor, or when a pivot L_jj^2 is at
-    most PIVOT_FLOOR * M_jj: coordinate j is then nearly a combination of
-    the ones before it, and a factorization that succeeded here might fail
-    elsewhere.  One failing system fails np.linalg.cholesky for the whole
-    stack, so a failing stack is halved along its first axis until each
-    failing entry stands alone; all of that entry's systems are then weak,
-    with identity factors.
+    A system is weak when it does not factor (then all of its first-axis
+    entry's systems are, with identity factors; see ``_cholesky``), or when
+    a pivot L_jj^2 is at most PIVOT_FLOOR * M_jj: coordinate j is then
+    nearly a combination of the ones before it, and a factorization that
+    succeeded here might fail elsewhere.
     """
-    try:
-        L = np.linalg.cholesky(M)
-    except np.linalg.LinAlgError:
-        if len(M) == 1:
-            return (np.broadcast_to(np.eye(M.shape[-1]), M.shape).copy(),
-                    np.ones(M.shape[:-2], dtype=bool))
-        half = len(M) // 2
-        (L1, weak1), (L2, weak2) = _cholesky(M[:half]), _cholesky(M[half:])
-        return np.concatenate((L1, L2)), np.concatenate((weak1, weak2))
+    L, failed = _cholesky(M)
     pivots = np.diagonal(L, axis1=-2, axis2=-1) ** 2
-    return L, (pivots <= PIVOT_FLOOR * np.diagonal(M, axis1=-2, axis2=-1)).any(axis=-1)
+    tiny = (pivots <= PIVOT_FLOOR * np.diagonal(M, axis1=-2, axis2=-1)).any(axis=-1)
+    return L, tiny | failed.reshape(failed.shape + (1,) * (tiny.ndim - 1))
 
 
 def enumerate_basic_points(prob):
@@ -364,12 +333,12 @@ def _restricted_minimizers(M, rhs):
     """Solve the stacked systems M[i] z[i] = rhs[i] of one support size.
 
     One batched Cholesky factorization serves the whole stack.  A weak
-    system (see ``_cholesky``) is solved on its own, as the per-support
+    system (see ``_weak_cholesky``) is solved on its own, as the per-support
     loop solved it: by Cholesky, or by minimum-norm least squares where it
     is singular.
     """
-    L, weak = _cholesky(M)
-    Z = _substitute(L, rhs[..., None])[..., 0]
+    L, weak = _weak_cholesky(M)
+    Z = _cho_solve(L, rhs[..., None])[..., 0]
     for i in np.flatnonzero(weak):
         try:
             Z[i] = cho_solve(cho_factor(M[i]), rhs[i])
@@ -422,7 +391,7 @@ def landscape_table(prob, k_max=None, tol_grad=1e-8, tol_block=1e-9):
     # one gradient and one F per point, shared by every check on it
     X = np.array(reps)
     G = np.array([prob.objective.gradient(x) for x in X])
-    l_count = sum(bool(_l_stationary_at(prob, x, g, L, tol_grad)) for x, g in zip(X, G))
+    l_count = int(np.count_nonzero(_l_stationary_at(prob, X, G, L, tol_grad)))
     F = [composite_value(prob, x) for x in X]
 
     block_counts = {k: 0 for k in range(k_min, k_max + 1)}

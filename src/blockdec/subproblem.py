@@ -15,8 +15,12 @@ systems are built with one fancy index and go through one batched Cholesky
 factorization and one batched pair of triangular solves; the chunk's
 objective changes then come out as one vector.  The tie rules run over that
 vector in mask order, so the result is the one a mask-by-mask loop would
-pick.  At theta = 0 a group whose factorization fails (a singular restricted
-system) is ridged as a whole.
+pick.  At theta = 0 a system that does not factor (a singular restricted
+system) is ridged on its own; the others in its group are not.
+
+This module is also the one home of the stacked SPD kernel -- ``_cholesky``,
+``_cho_solve`` and ``_col_norms`` -- which the block-k certificate and the
+basic-point enumeration in ``stationarity`` share.
 """
 
 from dataclasses import dataclass
@@ -98,62 +102,67 @@ def _pattern_chunks(k, budget):
             yield _pattern_tables(k, budget, lo)
 
 
-def _norms(v):
-    """Euclidean norm of each row."""
-    return np.sqrt(np.einsum("ij,ij->i", v, v))
+def _col_norms(v):
+    """Euclidean norms of v (..., r, R) over its r axis."""
+    return np.sqrt(np.einsum("...ir,...ir->...r", v, v))
 
 
-def _cho_solve(L, rhs):
-    """Solve L L' z = rhs for stacked lower-triangular factors L."""
-    y = np.linalg.solve(L, rhs[..., None])
-    return np.linalg.solve(L.swapaxes(-1, -2), y)[..., 0]
+def _cho_solve(L, B):
+    """Solve L L' Z = B for stacked lower-triangular L (..., r, r) and B (..., r, R)."""
+    return np.linalg.solve(L.swapaxes(-1, -2), np.linalg.solve(L, B))
 
 
-def _factor(M, theta):
-    """Batched Cholesky factors of one popcount group's systems M.
+def _cholesky(M):
+    """Cholesky factors of the stacked systems M (N, ..., r, r), and which entries fail.
 
-    At theta = 0 a group whose factorization fails is ridged, every system
-    by 1e-12 * trace / r.  Returns ``(L, None)``, or ``(None, i)`` when the
-    group is degenerate, with i the system charged with it: one with a zero
-    trace if there is one, else the group's first.
+    One failing system fails np.linalg.cholesky for the whole stack, so a
+    failing stack is halved along its first axis until each failing entry
+    stands alone.  Returns ``(L, failed)``: ``failed[i]`` is True when some
+    system of M[i] does not factor, and then L[i] holds identity factors.
     """
     try:
-        return np.linalg.cholesky(M), None
+        return np.linalg.cholesky(M), np.zeros(len(M), dtype=bool)
     except np.linalg.LinAlgError:
-        if theta != 0.0:
-            return None, 0
-    r = M.shape[-1]
-    ridge = 1e-12 * np.trace(M, axis1=1, axis2=2) / r
-    if np.any(ridge <= 0):
-        return None, int(np.argmax(ridge <= 0))
-    try:
-        return np.linalg.cholesky(M + ridge[:, None, None] * np.eye(r)), None
-    except np.linalg.LinAlgError:
-        return None, 0
+        if len(M) == 1:
+            return np.broadcast_to(np.eye(M.shape[-1]), M.shape).copy(), np.ones(1, dtype=bool)
+    half = len(M) // 2
+    (L1, failed1), (L2, failed2) = _cholesky(M[:half]), _cholesky(M[half:])
+    return np.concatenate((L1, L2)), np.concatenate((failed1, failed2))
 
 
 def _solve_group(M, rhs, theta):
     """Solve one popcount group's stacked systems M[i] z[i] = rhs[i].
 
-    Returns ``(z, None)``, or ``(None, (i, error))`` with i the first
-    system charged with the error.
+    At theta = 0 a system that does not factor is ridged by 1e-12 * trace / r
+    and is not refined, as a mask-by-mask loop treats it; the other systems
+    are solved unridged.  Returns ``(z, None)``, or ``(None, (i, error))``
+    with i the lowest system that fails.
     """
-    L, failed = _factor(M, theta)
-    if L is None:
-        return None, (failed, DegenerateSystemError("degenerate restricted system"))
+    L, failed = _cholesky(M)
+    degenerate = failed
+    if theta == 0.0 and failed.any():
+        r = M.shape[-1]
+        ridge = 1e-12 * np.trace(M[failed], axis1=1, axis2=2) / r
+        # a zero trace gives a zero ridge, and the system fails again
+        degenerate = failed.copy()
+        L[failed], degenerate[failed] = _cholesky(M[failed] + ridge[:, None, None] * np.eye(r))
+    rhs = rhs[..., None]
     z = _cho_solve(L, rhs)
-    bound = 1e-10 * (1.0 + _norms(rhs))
-    res = rhs - (M @ z[..., None])[..., 0]
-    bad = np.flatnonzero(_norms(res) > bound)
+    bound = 1e-10 * (1.0 + _col_norms(rhs))
+    res = rhs - M @ z
+    bad = np.flatnonzero(_col_norms(res) > bound)
     if bad.size:
-        # one pass of iterative refinement for the failing systems
-        z[bad] += _cho_solve(L[bad], res[bad])
-        res = rhs[bad] - (M[bad] @ z[bad][..., None])[..., 0]
-        still = bad[_norms(res) > bound[bad]]
-        if still.size:
-            return None, (still[0], NumericalError(
-                "restricted system solve exceeded residual tolerance"))
-    return z, None
+        # one pass of iterative refinement for the systems factored unridged
+        fix = bad[~failed[bad]]
+        z[fix] += _cho_solve(L[fix], res[fix])
+        bad = bad[(_col_norms(rhs[bad] - M[bad] @ z[bad]) > bound[bad])[:, 0]]
+    stuck = np.flatnonzero(degenerate)
+    if stuck.size and not (bad.size and bad[0] < stuck[0]):
+        return None, (stuck[0], DegenerateSystemError("degenerate restricted system"))
+    if bad.size:
+        return None, (bad[0], NumericalError(
+            "restricted system solve exceeded residual tolerance"))
+    return z[..., 0], None
 
 
 def _solve_patterns(Q_theta, rhs_B, theta, masks, groups):

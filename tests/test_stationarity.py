@@ -15,6 +15,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from blockdec import problem as problem_module
 from blockdec import stationarity as stationarity_module
+from blockdec import subproblem as subproblem_module
 from blockdec import (BudgetExceededError, Cardinality, CompositeProblem,
                       DegenerateSystemError, InvalidParameterError, L0Penalty,
                       L1Penalty, NumericalError, QuadraticObjective,
@@ -51,6 +52,27 @@ def l_stationary_penalty_loop(prob, x, L, tol):
             if abs(g[i]) > tol or x[i] * x[i] < thresh - tol:
                 return False
         elif (g[i] / L) ** 2 > thresh + tol:
+            return False
+    return True
+
+
+def l_stationary_cardinality_loop(prob, x, L, tol):
+    """Per-coordinate reference for the cardinality L-stationarity test."""
+    g = prob.objective.gradient(x)
+    on = [i for i in range(prob.n) if abs(x[i]) > ZERO_TOL]
+    if len(on) > prob.term.s:
+        return False
+    # off the support, |x_i - g_i/L| may not pass the least of it on the
+    # support, or tol while the support has room
+    if len(on) < prob.term.s:
+        bar = tol
+    else:
+        bar = min(abs(x[i] - g[i] / L) for i in on) + tol
+    for i in range(prob.n):
+        if i in on:
+            if abs(g[i]) / L > tol:
+                return False
+        elif abs(x[i] - g[i] / L) > bar:
             return False
     return True
 
@@ -246,6 +268,40 @@ class TestIsLStationaryRegu:
         got = [is_l_stationary(prob, x) for x in points]
         assert got == [l_stationary_penalty_loop(prob, x, L, 1e-8) for x in points]
         assert any(got)
+
+
+class TestStackedLStationarity:
+    """_l_stationary_at over a stack of points against the per-coordinate loops."""
+
+    @staticmethod
+    def _check(prob, points):
+        L = prob.objective.lipschitz_global()
+        loop = (l_stationary_cardinality_loop if isinstance(prob.term, Cardinality)
+                else l_stationary_penalty_loop)
+        X = np.array(points)
+        G = np.array([prob.objective.gradient(x) for x in X])
+        got = stationarity_module._l_stationary_at(prob, X, G, L, 1e-8)
+        assert got.tolist() == [loop(prob, x, L, 1e-8) for x in X]
+        return got
+
+    @pytest.mark.parametrize("mode", ["cons", "regu"])
+    def test_every_basic_point_of_table1(self, mode):
+        prob = table1_problem(mode)
+        got = self._check(prob, [x for _, x in enumerate_basic_points(prob)])
+        assert got.any() and not got.all()
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("mode", ["cons", "regu"])
+    def test_random_problems(self, mode, seed):
+        prob = random_gram_problem(7, 80 + seed, Cardinality(3) if mode == "cons"
+                                   else L0Penalty(0.1))
+        points = random_points(prob, np.random.default_rng(seed), 100)
+        if mode == "cons":
+            # basic points with one nonzero more than the cap allows
+            wider = CompositeProblem(prob.objective, Cardinality(4))
+            points += [x for S, x in enumerate_basic_points(wider) if len(S) == 4]
+        got = self._check(prob, points)
+        assert got.any()
 
 
 class TestIsBlockK:
@@ -589,8 +645,8 @@ class TestBatchedCertificateMatchesLoop:
         X = np.array(points)
         G = np.array([prob.objective.gradient(x) for x in points])
         blocks = np.array(list(itertools.combinations(range(5), 2)))
-        solve = stationarity_module._substitute
-        monkeypatch.setattr(stationarity_module, "_substitute",
+        solve = subproblem_module._cho_solve
+        monkeypatch.setattr(stationarity_module, "_cho_solve",
                             lambda L, B: solve(L, B) * (1.0 + 1e-6))
         outcomes = stationarity_module._block_outcomes(prob, X, G, np.full(len(X), 1e-9), blocks)
         assert (outcomes == stationarity_module.UNSURE).all()
@@ -733,7 +789,9 @@ class TestCholesky:
         G[3, 0, :, 2] = G[3, 0, :, 0] + 1e-5 * rng.standard_normal(6)
         M = G.swapaxes(-1, -2) @ G
         M[1, 2] = -np.eye(3)
-        L, weak = stationarity_module._cholesky(M)
+        L, failed = subproblem_module._cholesky(M)
+        np.testing.assert_array_equal(failed, [False, True, False, False, False])
+        _, weak = stationarity_module._weak_cholesky(M)
         want = np.zeros((5, 4), dtype=bool)
         want[1] = True  # every system of the block with the failing one
         want[3, 0] = True

@@ -492,6 +492,83 @@ class TestTieRulesInMaskOrder:
             solve_block(prob, x, prob.objective.gradient(x), [0, 1, 2], 0.0)
 
 
+# the popcount-2 group of a 4-coordinate block, in mask order
+PAIRS = [[0, 1], [0, 2], [1, 2], [0, 3], [1, 3], [2, 3]]
+
+
+class TestPerSystemRidge:
+    """A system that does not factor does not change how its group's others are solved."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_only_the_failing_system_is_ridged(self, seed):
+        # columns 0 and 1 are equal, with |a|^2 = 4, so {0, 1} has a zero
+        # Cholesky pivot; columns 2 and 3 are 1e-3 apart, so {2, 3} factors
+        # with condition number 1.2e7.  At theta = 0 each system of the group
+        # must come out as it does when solved alone: only {0, 1} ridged
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((6, 6))
+        A[:, 0] = A[:, 1] = [1.0, 1.0, 1.0, 1.0, 0.0, 0.0]
+        A[:, 2] = [0.0, 1.0, 0.0, 1.0, 1.0, 0.0]
+        A[:, 3] = A[:, 2] + [0.0, 0.0, 0.0, 0.0, 0.0, 1e-3]
+        prob = CompositeProblem(QuadraticObjective(A=A, b=rng.standard_normal(6)),
+                                Cardinality(2))
+        x = np.zeros(6)
+        g = prob.objective.gradient(x)
+        Q = prob.objective.gram_matrix()
+        M = np.array([Q[np.ix_(T, T)] for T in PAIRS])
+        rhs = np.array([-g[T] for T in PAIRS])
+        failed = subproblem_module._cholesky(M)[1]
+        np.testing.assert_array_equal(failed, [True, False, False, False, False, False])
+        z, failure = subproblem_module._solve_group(M, rhs, 0.0)
+        assert failure is None
+        for i in range(len(PAIRS)):
+            alone, _ = subproblem_module._solve_group(M[i:i + 1], rhs[i:i + 1], 0.0)
+            np.testing.assert_array_equal(z[i], alone[0], err_msg=str(PAIRS[i]))
+        B = [0, 1, 2, 3]
+        x_next, evaluated, delta = reference_solve_block(prob, x, g, B, 0.0)
+        got = solve_block(prob, x, g, B, 0.0)
+        np.testing.assert_array_equal(np.flatnonzero(got.x_next), np.flatnonzero(x_next))
+        assert got.patterns_evaluated == evaluated == 11
+        assert got.composite_delta == pytest.approx(delta, rel=1e-9, abs=0.0)
+
+    def test_a_ridged_system_is_not_refined(self):
+        # {0, 1, 2} does not factor; ridged, its solution misses the residual
+        # bound in the 1e-3 coordinate by a factor of about 10, and a
+        # refinement pass with the ridged factor would meet it.  The loop
+        # does not refine a ridged system and raises
+        Q = np.array([[4.0, 4.0, 0.0], [4.0, 4.0, 0.0], [0.0, 0.0, 1e-3]])
+        prob = CompositeProblem(QuadraticObjective(Q=Q, p=-np.ones(3)), L0Penalty(0.1))
+        x = np.zeros(3)
+        g = prob.objective.gradient(x)
+        assert _outcome(reference_solve_block, prob, x, g, [0, 1, 2], 0.0) is NumericalError
+        with pytest.raises(NumericalError):
+            solve_block(prob, x, g, [0, 1, 2], 0.0)
+
+    def test_error_of_the_lowest_failing_system(self):
+        # at theta = 1e-300 the duplicated pair {2, 3} (mask 12) does not
+        # factor, and the nearly duplicated, inconsistent pair {0, 2}
+        # (mask 5) factors but misses its residual bound: the loop stops at
+        # mask 5, whose error is not the group's first system's
+        d = 2.0 ** -40
+        Q = np.array([[4.0 + d, 0.0, 4.0, 4.0], [0.0, 1.0, 0.0, 0.0],
+                      [4.0, 0.0, 4.0, 4.0], [4.0, 0.0, 4.0, 4.0]])
+        p = np.array([0.3, 0.5, -0.7, -0.7])
+        prob = CompositeProblem(QuadraticObjective(Q=Q, p=p), L0Penalty(0.1))
+        x = np.zeros(4)
+        g = prob.objective.gradient(x)
+        theta = 1e-300
+        M = np.array([Q[np.ix_(T, T)] + theta * np.eye(2) for T in PAIRS])
+        _, (i, error) = subproblem_module._solve_group(M, -p[PAIRS], theta)
+        assert (i, type(error)) == (1, NumericalError)
+        # first in the stack, the pair that does not factor is charged as
+        # degenerate, although its stand-in solution also misses its bound
+        _, (i, error) = subproblem_module._solve_group(M[::-1], -p[PAIRS][::-1], theta)
+        assert (i, type(error)) == (0, DegenerateSystemError)
+        assert _outcome(reference_solve_block, prob, x, g, [0, 1, 2, 3], theta) is NumericalError
+        with pytest.raises(NumericalError):
+            solve_block(prob, x, g, [0, 1, 2, 3], theta)
+
+
 class TestPatternChunks:
     def test_chunked_block_matches_loop(self, monkeypatch):
         # a block spread over several chunks gives the loop's answer
