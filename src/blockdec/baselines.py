@@ -1,8 +1,8 @@
 """Reference solvers: proximal gradient, its accelerated variant, orthogonal
 matching pursuit, and an l1 sweep with debiasing.
 
-All gradient-type methods use the fixed step 1/L (L the spectral norm of the
-quadratic's matrix) and the same windowed stopping rule as the decomposition
+All gradient-type methods use the fixed step 1/L, L = ||A||_2^2 exactly (from the
+smaller of A'A and AA'), and the same windowed stopping rule as the decomposition
 solver, so traces are directly comparable.
 """
 

@@ -181,9 +181,10 @@ def make_term(mode, param):
 # that a plain slice.
 _GRAM_CACHE_LIMIT = 4096
 
-# Dense eigensolve is cheap up to this size; beyond it the spectral norm is
-# estimated iteratively.
-_DENSE_EIG_LIMIT = 64
+# L = lambda_max(Q) comes from the smaller Gram, A'A or AA' (r = min(m, n)): dense
+# eigvalsh up to this r, Lanczos above.  Wide Gaussian data, one BLAS thread: dense
+# 0.30 s vs Lanczos 0.94 s at r = 1024, 1.74 s vs 2.08 s at r = 2048 (2-vCPU VM).
+_DENSE_EIG_LIMIT = 2048
 
 
 class QuadraticObjective:
@@ -192,7 +193,7 @@ class QuadraticObjective:
     Use the ``from_gram`` / ``from_factored`` constructors.  Instances are
     immutable after construction and safe to share across threads; the only
     mutation is a one-time fill of the lazily computed Gram cache, curvature
-    diagonal and spectral-norm estimate.
+    diagonal and the exact largest eigenvalue of Q.
     """
 
     def __init__(self, *, Q=None, p=None, A=None, b=None):
@@ -320,39 +321,37 @@ class QuadraticObjective:
         return self._diag
 
     def lipschitz_global(self):
-        """The spectral norm of Q (largest eigenvalue), cached."""
+        """L = lambda_max(Q) = ||A||_2^2, exact to rounding, cached."""
         if self._lip is None:
             self._lip = self._spectral_norm()
         return self._lip
 
     def _spectral_norm(self):
-        if self.n <= _DENSE_EIG_LIMIT:
-            evals = np.linalg.eigvalsh(self.gram_matrix())
-            return float(max(evals[-1], 0.0))
-        # power iteration with a fixed, seeded start vector; falls back to a
-        # Lanczos eigensolve if 200 iterations cannot certify convergence
-        rng = np.random.Generator(np.random.PCG64(0))
-        v = rng.standard_normal(self.n)
-        v /= np.linalg.norm(v)
-        lam = 0.0
-        for _ in range(200):
-            w = self.matvec(v)
-            norm = np.linalg.norm(w)
-            if norm == 0.0:
-                return 0.0
-            lam_new = float(v @ w)
-            v = w / norm
-            if abs(lam_new - lam) <= 1e-10 * max(1.0, abs(lam_new)):
-                return lam_new
-            lam = lam_new
-        try:
-            from scipy.sparse.linalg import LinearOperator, eigsh
+        # lambda_max(A'A) = lambda_max(AA'): wide data never fill the n x n Gram
+        wide = self.is_factored and self.m < self.n
+        r = self.m if wide else self.n
+        with np.errstate(over="ignore", invalid="ignore"):
+            if r <= _DENSE_EIG_LIMIT:
+                G = self._A @ self._A.T if wide else self.gram_matrix()
+                try:
+                    lam = np.linalg.eigvalsh(G)[-1] if np.isfinite(G).all() else np.inf
+                except np.linalg.LinAlgError as exc:
+                    raise NumericalError(f"Gram eigensolve failed: {exc}") from exc
+            elif not self.coordinate_lipschitz().any():
+                lam = 0.0  # diag(Q) = 0 and Q is PSD, so Q = 0: ARPACK cannot start on it
+            else:  # imported here: scipy.sparse adds 0.3 s and 4 MB to import
+                from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
-            op = LinearOperator((self.n, self.n), matvec=self.matvec, dtype=float)
-            val = eigsh(op, k=1, which="LA", v0=v, return_eigenvectors=False)
-            return float(max(val[0], lam))
-        except Exception as exc:  # pragma: no cover - only on solver breakdown
-            raise NumericalError(f"spectral norm estimate did not converge: {exc}") from exc
+                mv = (lambda v: self._A @ (self._A.T @ v)) if wide else self.matvec
+                v0 = np.random.Generator(np.random.PCG64(0)).standard_normal(r)
+                try:
+                    lam = eigsh(LinearOperator((r, r), matvec=mv, dtype=float), k=1,
+                                which="LA", v0=v0, return_eigenvectors=False)[0]
+                except ArpackError as exc:
+                    raise NumericalError(f"Gram eigensolve failed: {exc}") from exc
+        if not np.isfinite(lam):
+            raise NumericalError("Gram matrix overflows: its largest eigenvalue is not finite")
+        return float(max(lam, 0.0))
 
 
 # ---------------------------------------------------------------------------

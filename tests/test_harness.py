@@ -529,6 +529,18 @@ class TestCli:
         assert "Traceback" not in r.stderr
         assert "line 3" in r.stderr
 
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_overflowing_gram_is_numerical_error(self, tmp_path, command):
+        # finite entries load, but A'A and AA' overflow double precision
+        inst, point = tmp_path / "big.txt", tmp_path / "x.txt"
+        save_instance(inst, np.full((3, 4), 1e200), np.ones(3))
+        save_point(point, np.zeros(4))
+        args = (["solve", "--solver", "pgm", "--mode", "cons"] if command == "solve"
+                else ["verify", "--point", str(point), "--check", "lstat"])
+        r = cli(*args, "--instance", str(inst), "--s", "2")
+        assert r.returncode == 3
+        assert r.stderr.count("\n") == 1 and r.stderr.startswith("error: ")
+
     def test_unknown_subcommand_is_usage_error(self):
         assert cli("frobnicate").returncode == 1
 

@@ -9,9 +9,10 @@ from blockdec import problem as problem_module
 from blockdec import (INFEASIBLE, Cardinality, CompositeProblem,
                       DataFormatError, DimensionMismatchError, HalfPenalty,
                       InvalidParameterError, L0Penalty, L1Penalty,
-                      QuadraticObjective, composite_value)
+                      NumericalError, QuadraticObjective, composite_value,
+                      corrupt, gen_random, pgm, table1_problem)
 
-from conftest import DEMO_L
+from conftest import DEMO_L, count_calls
 
 
 def _rand_gram(n, seed):
@@ -127,13 +128,14 @@ class TestQuadraticObjective:
     def test_demo_lipschitz_is_92(self, demo_cons):
         assert demo_cons.objective.lipschitz_global() == pytest.approx(DEMO_L, rel=1e-9)
 
-    def test_power_iteration_path(self):
-        # n > dense-eig threshold exercises the iterative spectral estimate
+    def test_lanczos_path(self, monkeypatch):
+        # r = min(m, n) above the dense limit runs eigsh, to rounding
+        monkeypatch.setattr(problem_module, "_DENSE_EIG_LIMIT", 10)
         rng = np.random.default_rng(8)
         A = rng.standard_normal((40, 100))
         obj = QuadraticObjective.from_factored(A, rng.standard_normal(40))
         direct = float(np.linalg.eigvalsh(A.T @ A)[-1])
-        assert obj.lipschitz_global() == pytest.approx(direct, rel=1e-6)
+        assert obj.lipschitz_global() == pytest.approx(direct, rel=1e-12)
 
     def test_gram_submatrix_and_linear_term(self):
         rng = np.random.default_rng(9)
@@ -220,6 +222,89 @@ class TestInfeasibleSentinel:
     def test_singleton(self):
         from blockdec.problem import _InfeasibleValue
         assert _InfeasibleValue() is INFEASIBLE
+
+
+def _designs():
+    rng = np.random.default_rng(12)
+    return {
+        "wide": rng.standard_normal((30, 90)),
+        "tall": rng.standard_normal((90, 30)),
+        "square": rng.standard_normal((40, 40)),
+        "rank-deficient": rng.standard_normal((50, 2)) @ rng.standard_normal((2, 70)),
+    }
+
+
+@pytest.fixture(params=[None, 1], ids=["dense", "lanczos"])
+def branch(request, monkeypatch):
+    """The default dense eigvalsh, or a limit of 1 that sends every r to eigsh."""
+    if request.param is not None:
+        monkeypatch.setattr(problem_module, "_DENSE_EIG_LIMIT", request.param)
+
+
+class TestExactLipschitz:
+    """L = lambda_max(A'A) = ||A||_2^2 exactly, from the smaller Gram."""
+
+    @pytest.mark.parametrize("design", list(_designs()))
+    def test_matches_squared_spectral_norm(self, branch, design):
+        A = _designs()[design]
+        b = np.ones(A.shape[0])
+        expect = np.linalg.norm(A, 2) ** 2
+        for obj in (QuadraticObjective.from_factored(A, b),
+                    QuadraticObjective.from_gram(A.T @ A, -(A.T @ b))):
+            assert obj.lipschitz_global() == pytest.approx(expect, rel=1e-12, abs=0)
+
+    def test_corrupted_benchmark_instance(self):
+        # 64x256 with 2% of entries x100: a 200-step power estimate stopped
+        # 2.8e-10 below the true value here, a step longer than 1/L
+        A, b, _ = gen_random(64, 256, 10, noise_scale=10.0, seed=1)
+        A = corrupt(A, fraction=0.02, factor=100.0, seed=2)
+        L = QuadraticObjective.from_factored(A, b).lipschitz_global()
+        assert L == pytest.approx(np.linalg.norm(A, 2) ** 2, rel=1e-12, abs=0)
+
+    def test_all_zero_data_give_zero(self, branch):
+        for shape in [(8, 12), (12, 8)]:
+            obj = QuadraticObjective.from_factored(np.zeros(shape), np.ones(shape[0]))
+            assert obj.lipschitz_global() == 0.0
+            with pytest.raises(InvalidParameterError, match="zero quadratic"):
+                pgm(CompositeProblem(obj, Cardinality(2)), np.zeros(shape[1]))
+        assert QuadraticObjective.from_gram(np.zeros((9, 9)), np.ones(9)).lipschitz_global() == 0.0
+
+    def test_cached_gram_takes_the_same_call(self, demo_cons):
+        # n <= m and Gram form: eigvalsh of the very Q the solvers read
+        A = _designs()["tall"]
+        objs = [QuadraticObjective.from_factored(A, np.ones(90)),
+                QuadraticObjective.from_gram(*_rand_gram(7, 3)),
+                demo_cons.objective, table1_problem("regu").objective]
+        for obj in objs:
+            assert obj.lipschitz_global() == float(np.linalg.eigvalsh(obj.gram_matrix())[-1])
+
+    def test_wide_data_fill_no_gram_and_call_no_matvec(self, branch):
+        A, b, _ = gen_random(20, 300, 4, seed=5)
+        obj = QuadraticObjective.from_factored(A, b)
+        calls = count_calls(obj, "matvec")
+        assert obj.lipschitz_global() == pytest.approx(np.linalg.norm(A, 2) ** 2, rel=1e-12)
+        assert obj._Q is None and calls == []
+        pgm(CompositeProblem(obj, Cardinality(4)), np.zeros(300), max_iters=20)
+        assert obj._Q is None and calls == []
+
+    @pytest.mark.parametrize("make", [
+        lambda: QuadraticObjective.from_factored(np.full((3, 4), 1e200), np.ones(3)),
+        lambda: QuadraticObjective.from_factored(np.full((4, 3), 1e200), np.ones(4)),
+        lambda: QuadraticObjective.from_gram(np.full((4, 4), 5e307), np.zeros(4)),
+    ], ids=["wide", "tall", "gram"])
+    def test_overflowing_gram_is_numerical_error(self, branch, make):
+        # finite data whose Gram, or its largest eigenvalue, overflows
+        with pytest.raises(NumericalError):
+            make().lipschitz_global()
+
+    def test_eigensolver_failure_is_numerical_error(self, monkeypatch):
+        def fail(G):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        obj = QuadraticObjective.from_gram(*_rand_gram(4, 0))
+        with pytest.raises(NumericalError, match="did not converge"):
+            obj.lipschitz_global()
 
 
 class TestCompositeProblem:
