@@ -2,13 +2,16 @@
 
 Two on-disk formats are supported:
 
-* dense instance: a header line ``m n``, then the m rows of A
+* dense instance: a header line of exactly ``m n``, then the m rows of A
   whitespace-separated, then the m entries of b (token stream; line breaks
   are not significant beyond error reporting);
 * sparse text: one example per line, ``<label> <idx>:<val> ...`` with
   1-based strictly ascending indices, the common SVM-light style.
 
-All floats are written with %.17g, so write-then-read round trips are exact.
+Readers take one nonblank line at a time; dense and point files parse each
+line into one float array, so memory grows with the floats read, not with
+the tokens or with the header's claim.  All floats are written with %.17g,
+so write-then-read round trips are exact.
 All randomness flows through numpy's PCG64 generator seeded explicitly; the
 draw order inside each generator is fixed and documented, so a given seed
 yields the same instance on every platform.
@@ -77,56 +80,68 @@ def save_instance(path, A, b):
         fh.write(" ".join(FLOAT_FMT % v for v in b) + "\n")
 
 
-def _tokenize(path):
-    """All whitespace tokens of a file, each with its 1-based line number."""
-    toks = []
+def _lines(path):
+    """Yield (1-based line number, whitespace tokens) for each nonblank line."""
     with open(path) as fh:
         for ln, line in enumerate(fh, start=1):
-            for tok in line.split():
-                toks.append((tok, ln))
-    return toks
+            toks = line.split()
+            if toks:
+                yield ln, toks
 
 
-def _parse_floats(toks):
-    """Parse (token, line) pairs; a bad or non-finite number raises at its line."""
-    vals = np.empty(len(toks))
-    for j, (tok, ln) in enumerate(toks):
-        try:
-            vals[j] = float(tok)
-        except ValueError:
-            raise DataFormatError(f"{tok!r} is not a number", line=ln) from None
-    finite = np.isfinite(vals)
-    if not finite.all():  # one vectorised check; the line is looked up on failure
-        tok, ln = toks[int(np.argmin(finite))]
-        raise DataFormatError(f"{tok!r} is not a finite number", line=ln)
+def _floats(ln, toks):
+    """One line's tokens as a float array; a bad number raises at ln."""
+    try:
+        return np.array(toks, dtype=float)  # accepts what float() accepts, same bits
+    except ValueError:
+        for tok in toks:
+            try:
+                float(tok)
+            except ValueError:
+                raise DataFormatError(f"{tok!r} is not a number", line=ln) from None
+        raise
+
+
+def _finite(vals, path):
+    """vals if every entry is finite; else raise at the file's first non-finite token."""
+    if not np.isfinite(vals).all():  # once per file: per line it outweighs short lines' parse
+        for ln, toks in _lines(path):
+            finite = np.isfinite(_floats(ln, toks))
+            if not finite.all():
+                tok = toks[int(np.argmin(finite))]
+                raise DataFormatError(f"{tok!r} is not a finite number", line=ln)
     return vals
 
 
 def load_dense_instance(path):
     """Read the header-A-b dense format; returns (A, b)."""
-    toks = _tokenize(path)
-    if len(toks) < 2:
-        raise DataFormatError("missing 'm n' header", line=1)
+    lines = _lines(path)
+    ln, head = next(lines, (1, []))
+    if len(head) < 2:
+        raise DataFormatError("missing 'm n' header", line=ln)
+    if len(head) > 2:
+        raise DataFormatError("data after 'm n' on the header line", line=ln)
     dims = []
-    for tok, ln in toks[:2]:
+    for tok in head:
         try:
             dims.append(int(tok))
         except ValueError:
             raise DataFormatError(f"header entry {tok!r} is not an integer", line=ln) from None
     m, n = dims
     if m < 1 or n < 1:
-        raise DataFormatError(f"header dimensions must be positive, got {m} {n}", line=toks[0][1])
-    need = 2 + m * n + m
-    if len(toks) < need:
+        raise DataFormatError(f"header dimensions must be positive, got {m} {n}", line=ln)
+    need = m * n + m
+    parts, found = [], 0
+    for ln, toks in lines:
+        found += len(toks)
+        if found > need:
+            raise DataFormatError("trailing data after b", line=ln)
+        parts.append(_floats(ln, toks))
+    if found < need:  # counts include the two header entries
         raise DataFormatError(
-            f"file ends early: expected {need} numbers, found {len(toks)}",
-            line=toks[-1][1])
-    if len(toks) > need:
-        raise DataFormatError("trailing data after b", line=toks[need][1])
-    vals = _parse_floats(toks[2:])
-    A = vals[:m * n].reshape(m, n)
-    b = vals[m * n:]
-    return A, b
+            f"file ends early: expected {need + 2} numbers, found {found + 2}", line=ln)
+    vals = _finite(np.concatenate(parts), path)  # the header's two integers are finite
+    return vals[:m * n].reshape(m, n), vals[m * n:]
 
 
 # ---------------------------------------------------------------------------
@@ -155,44 +170,44 @@ def load_sparse_text(path, rows=None, cols=None, seed=0):
     """
     labels = []
     rows_data = []  # list of (line, indices, values) per example, 0-based indices
-    n_cols = 0
-    with open(path) as fh:
-        for ln, line in enumerate(fh, start=1):
-            toks = line.split()
-            if not toks:
-                continue
+    n_cols = widest = 0  # the largest index seen, and its line
+    for ln, toks in _lines(path):
+        try:
+            labels.append(float(toks[0]))
+        except ValueError:
+            raise DataFormatError(f"label {toks[0]!r} is not a number", line=ln) from None
+        idxs, vals = [], []
+        prev = 0
+        for tok in toks[1:]:
+            left, sep, right = tok.partition(":")
+            if not sep or not left or not right or ":" in right:
+                raise DataFormatError(f"malformed feature pair {tok!r}", line=ln)
             try:
-                labels.append(float(toks[0]))
+                idx = int(left)
             except ValueError:
-                raise DataFormatError(f"label {toks[0]!r} is not a number", line=ln) from None
-            idxs, vals = [], []
-            prev = 0
-            for tok in toks[1:]:
-                left, sep, right = tok.partition(":")
-                if not sep or not left or not right or ":" in right:
-                    raise DataFormatError(f"malformed feature pair {tok!r}", line=ln)
-                try:
-                    idx = int(left)
-                except ValueError:
-                    raise DataFormatError(f"feature index {left!r} is not an integer", line=ln) from None
-                if idx < 1:
-                    raise DataFormatError(f"feature index {idx} must be >= 1", line=ln)
-                if idx <= prev:
-                    raise DataFormatError(
-                        f"feature indices must be strictly ascending ({idx} after {prev})", line=ln)
-                try:
-                    val = float(right)
-                except ValueError:
-                    raise DataFormatError(f"feature value {right!r} is not a number", line=ln) from None
-                idxs.append(idx - 1)
-                vals.append(val)
-                prev = idx
-            if idxs:
-                n_cols = max(n_cols, idxs[-1] + 1)
-            rows_data.append((ln, idxs, vals))
+                raise DataFormatError(f"feature index {left!r} is not an integer", line=ln) from None
+            if idx < 1:
+                raise DataFormatError(f"feature index {idx} must be >= 1", line=ln)
+            if idx <= prev:
+                raise DataFormatError(
+                    f"feature indices must be strictly ascending ({idx} after {prev})", line=ln)
+            try:
+                val = float(right)
+            except ValueError:
+                raise DataFormatError(f"feature value {right!r} is not a number", line=ln) from None
+            idxs.append(idx - 1)
+            vals.append(val)
+            prev = idx
+        if prev > n_cols:
+            n_cols, widest = prev, ln
+        rows_data.append((ln, idxs, vals))
 
     m = len(rows_data)
-    A = np.zeros((m, n_cols))
+    try:
+        A = np.zeros((m, n_cols))
+    except (MemoryError, ValueError):  # numpy refuses a size it cannot hold
+        raise DataFormatError(f"feature index {n_cols} is too large to allocate A",
+                              line=widest) from None
     for i, (_, idxs, vals) in enumerate(rows_data):
         A[i, idxs] = vals
     b = np.asarray(labels)
@@ -222,13 +237,8 @@ def load_instance(path):
     A first line consisting of exactly two integer tokens is the dense
     header; anything else is treated as sparse text.
     """
-    first = None
-    with open(path) as fh:
-        for line in fh:
-            if line.split():
-                first = line.split()
-                break
-    if first is None:
+    _, first = next(_lines(path), (1, []))
+    if not first:
         raise DataFormatError("empty instance file", line=1)
     if len(first) == 2:
         try:
@@ -251,7 +261,8 @@ def save_point(path, x):
 
 
 def load_point(path, n=None):
-    vals = _parse_floats(_tokenize(path))
+    parts = [_floats(ln, toks) for ln, toks in _lines(path)]
+    vals = _finite(np.concatenate(parts) if parts else np.empty(0), path)
     if n is not None and vals.size != n:
         raise DataFormatError(f"point has {vals.size} entries, expected {n}")
     return vals

@@ -1,6 +1,7 @@
 """Instance generation, file formats, the benchmark runner, and the CLI."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +37,32 @@ MALFORMED_LINES = {
     "non_numeric_value.txt": 2,
     "repeated_index.txt": 1,
 }
+
+# name -> (loader, file text, message substring, 1-based line of the complaint)
+DENSE_POINT_ERRORS = {
+    "empty": (load_dense_instance, "", "missing 'm n' header", 1),
+    "non_integer_header": (load_dense_instance, "\n2 x\n1 2\n", "header entry 'x'", 2),
+    "non_positive_header": (load_dense_instance, "0 2\n", "must be positive", 1),
+    "data_on_header_line": (load_dense_instance, "1 1 5.0\n2.0\n", "header line", 1),
+    "short_header_line": (load_dense_instance, "1\n1 5.0 2.0\n", "missing 'm n' header", 1),
+    "bad_token": (load_dense_instance, "2 2\n1 2\n\n3 three\n5 6\n", "'three' is not a number", 4),
+    # every number is parsed before any is checked for finiteness
+    "bad_token_after_non_finite": (load_dense_instance, "2 2\n1 nan\n3 4\nx 6\n",
+                                   "'x' is not a number", 4),
+    "non_finite_token": (load_dense_instance, "2 2\n1 2\n3 4\n-inf 6\n",
+                         "'-inf' is not a finite", 4),
+    "ends_early": (load_dense_instance, "2 2\n1 2\n3 4\n5\n\n", "expected 8 numbers, found 7", 4),
+    "trailing_data": (load_dense_instance, "1 2\n1 2\n3\n\n4 5\n", "trailing data after b", 5),
+    "header_claims_1e15_columns": (load_dense_instance, "1 1000000000000000\n1 2\n3\n",
+                                   "file ends early", 3),
+    "point_bad_token": (load_point, "0.0\n1.0 2.0\n\n0x10\n", "'0x10' is not a number", 4),
+    "point_non_finite_token": (load_point, "0.0\n1.0 1e999\n", "'1e999' is not a finite", 2),
+}
+
+# tokens float() accepts whose parse is easy to get wrong: underscores, bare
+# signs and points, underflow to zero, the smallest subnormal, negative zero,
+# the largest finite double
+EDGE_TOKENS = ["1_000", "+.5", "5.", "1e-400", "4.9e-324", "-0", "-0.0e5", "1.7976931348623157e308"]
 
 
 class TestGenRandom:
@@ -143,6 +170,48 @@ class TestDenseFormat:
             load_dense_instance(path)
         assert err.value.line == 4
 
+    @pytest.mark.parametrize("name", sorted(DENSE_POINT_ERRORS))
+    def test_error_table(self, tmp_path, name):
+        loader, text, message, line = DENSE_POINT_ERRORS[name]
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(DataFormatError) as err:
+            loader(path)
+        assert message in str(err.value)
+        assert err.value.line == line
+        assert str(err.value).startswith(f"line {line}: ")
+
+    def test_values_equal_float_bit_for_bit(self, tmp_path):
+        path = tmp_path / "edge.txt"
+        k = len(EDGE_TOKENS)
+        path.write_text(f"1 {k - 1}\n" + " ".join(EDGE_TOKENS[:-1]) + "\n" + EDGE_TOKENS[-1] + "\n")
+        A, b = load_dense_instance(path)
+        expected = np.array([float(tok) for tok in EDGE_TOKENS])
+        assert np.concatenate([A.ravel(), b]).tobytes() == expected.tobytes()
+        path.write_text("\n".join(EDGE_TOKENS[::2]) + "\n" + " ".join(EDGE_TOKENS[1::2]))
+        order = EDGE_TOKENS[::2] + EDGE_TOKENS[1::2]
+        assert load_point(path).tobytes() == np.array([float(tok) for tok in order]).tobytes()
+
+    def test_load_memory_grows_with_floats_not_tokens(self, tmp_path):
+        """Loading a 200x2000 file peaks below 4x the bytes of A.
+
+        Measured under tracemalloc with numpy 2.4: 6.8 MB with one float
+        array per line, and 59.7 MB when every token is first held as a
+        (string, line) tuple, which is what this bound exists to catch.
+        """
+        A, b, _ = gen_random(200, 2000, 5, seed=3)
+        path = tmp_path / "inst.txt"
+        save_instance(path, A, b)
+        tracemalloc.start()
+        try:
+            A2, b2 = load_instance(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(A2, A)
+        np.testing.assert_array_equal(b2, b)
+        assert peak < 4 * A.nbytes, f"peak {peak / 1e6:.1f} MB"
+
 
 class TestSparseFormat:
     def test_round_trip_exact(self, tmp_path):
@@ -190,6 +259,15 @@ class TestSparseFormat:
         two = load_sparse_text(path, rows=4, cols=5, seed=9)
         np.testing.assert_array_equal(one[0], two[0])
         np.testing.assert_array_equal(one[1], two[1])
+
+    @pytest.mark.parametrize("index", [10**15, 10**19])
+    def test_absurd_feature_index_is_data_error(self, tmp_path, index):
+        # numpy refuses both sizes at once (MemoryError, ValueError)
+        path = tmp_path / "huge.txt"
+        path.write_text(f"1.0 2:1.0\n\n2.0 {index}:2.0\n-1.0 3:1.0\n")
+        with pytest.raises(DataFormatError, match=f"feature index {index} is too large") as err:
+            load_sparse_text(path)
+        assert err.value.line == 3
 
     def test_oversized_subsample_rejected(self, tmp_path):
         path = tmp_path / "t.txt"
@@ -528,6 +606,13 @@ class TestCli:
         assert r.returncode == 2
         assert "Traceback" not in r.stderr
         assert "line 3" in r.stderr
+
+    def test_absurd_feature_index_is_data_error(self, tmp_path):
+        inst = tmp_path / "huge.txt"
+        inst.write_text("1.0 1000000000000000:2.0\n")
+        r = cli("solve", "--instance", str(inst), "--solver", "pgm", "--mode", "cons", "--s", "1")
+        assert r.returncode == 2
+        assert r.stderr.count("\n") == 1 and r.stderr.startswith("error: line 1: ")
 
     @pytest.mark.parametrize("command", ["solve", "verify"])
     def test_overflowing_gram_is_numerical_error(self, tmp_path, command):
