@@ -8,10 +8,12 @@ Two on-disk formats are supported:
 * sparse text: one example per line, ``<label> <idx>:<val> ...`` with
   1-based strictly ascending indices, the common SVM-light style.
 
+Files are UTF-8 text; a byte that is not UTF-8 is reported at its line.
 Readers take one nonblank line at a time; dense and point files parse each
-line into one float array, so memory grows with the floats read, not with
-the tokens or with the header's claim.  All floats are written with %.17g,
-so write-then-read round trips are exact.
+line into one float array, and sparse text each row into one index and one
+value array, so memory grows with the numbers read, not with the tokens or
+with the header's claim.  All floats are written with %.17g, so
+write-then-read round trips are exact.
 All randomness flows through numpy's PCG64 generator seeded explicitly; the
 draw order inside each generator is fixed and documented, so a given seed
 yields the same instance on every platform.
@@ -82,8 +84,13 @@ def save_instance(path, A, b):
 
 def _lines(path):
     """Yield (1-based line number, whitespace tokens) for each nonblank line."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for ln, line in enumerate(fh, start=1):
+            if not line.isascii():  # a byte that is not UTF-8 is read as a lone surrogate
+                try:
+                    line.encode()
+                except UnicodeEncodeError:
+                    raise DataFormatError("text is not UTF-8", line=ln) from None
             toks = line.split()
             if toks:
                 yield ln, toks
@@ -169,7 +176,7 @@ def load_sparse_text(path, rows=None, cols=None, seed=0):
     offending 1-based line number; blank lines are skipped.
     """
     labels = []
-    rows_data = []  # list of (line, indices, values) per example, 0-based indices
+    rows_data = []  # (line, indices, values) per example: 0-based index and float arrays
     n_cols = widest = 0  # the largest index seen, and its line
     for ln, toks in _lines(path):
         try:
@@ -200,7 +207,11 @@ def load_sparse_text(path, rows=None, cols=None, seed=0):
             prev = idx
         if prev > n_cols:
             n_cols, widest = prev, ln
-        rows_data.append((ln, idxs, vals))
+        try:
+            rows_data.append((ln, np.array(idxs, dtype=np.intp), np.array(vals)))
+        except OverflowError:  # past any size numpy can allocate
+            raise DataFormatError(f"feature index {prev} is too large to allocate A",
+                                  line=ln) from None
 
     m = len(rows_data)
     try:

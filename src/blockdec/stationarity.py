@@ -10,19 +10,18 @@ Three nested notions are covered, from weakest to strongest:
 
 Block-k certificates are batched over points, blocks and patterns.  At
 theta = 0 the system of pattern T in block B is Q[T, T] whatever the point,
-so ``_certify`` factors each (block, pattern) system once, in one batched
-call per popcount group, and solves every point's right-hand side against
-it, with the stacked Cholesky kernel of ``subproblem`` that ``solve_block``
-and the basic-point enumeration also use.  The objective change of every
-(point, block, pattern) comes out as one array, pruned by the cardinality
-budget of each (point, block); a point fails at its first block, in
-visiting order, whose change is below -slack.  The batches hold a bounded
-number of systems (``CERT_CHUNK``).  A block the batch cannot decide as
-surely as a block-by-block ``solve_block`` loop would -- a change within
-rounding and ``TIE_TOL`` of -slack, a system that does not factor (which
-``solve_block`` ridges) or factors with a tiny pivot, a residual near the
-solver's bound -- is handed to ``solve_block``, so the verdicts and the
-errors are that loop's.
+so ``_certify`` runs ``pattern_deltas``, the engine of ``solve_block``, on a
+stack of blocks and points: each (block, pattern) system is factored once
+and every point's right-hand side is solved against it.  The objective
+change of every (point, block, pattern) comes out as one array, pruned by
+the cardinality budget of each (point, block); a point fails at its first
+block, in visiting order, whose change is below -slack.  The batches hold a
+bounded number of systems (``CERT_CHUNK``).  A block the batch cannot decide
+as surely as a block-by-block ``solve_block`` loop would -- a change within
+rounding and ``TIE_TOL`` of -slack, or a system the engine flags because it
+does not factor (which ``solve_block`` ridges), factors with a tiny pivot or
+has a residual near the solver's bound -- is handed to ``solve_block``, so
+the verdicts and the errors are that loop's.
 
 For problems small enough to enumerate, ``landscape_table`` counts the
 points in each class, deciding L-stationarity for every point in one
@@ -41,8 +40,8 @@ from scipy.linalg import cho_factor, cho_solve
 from .errors import BlockdecError, BudgetExceededError, InvalidParameterError
 from .problem import (INFEASIBLE, Cardinality, CompositeProblem, QuadraticObjective,
                       composite_value, make_term, require_l0_term)
-from .subproblem import (PATTERN_CHUNK, TIE_TOL, _cho_solve, _cholesky, _col_norms,
-                         _pattern_chunks, solve_block)
+from .subproblem import (PATTERN_CHUNK, TIE_TOL, _cho_solve, _cholesky, _pattern_chunks,
+                         _tiny_pivots, pattern_deltas, solve_block)
 from .working_set import random_set
 
 ZERO_TOL = 1e-12
@@ -56,13 +55,10 @@ BLOCK_BUDGET = 10 ** 8
 CERT_CHUNK = 1 << 15
 
 # A batched objective change may differ from solve_block's by rounding,
-# bounded by ROUND_REL times the magnitude of its terms.  A residual above
-# RESIDUAL_MARGIN times solve_block's bound, or a system that does not
-# factor or has a Cholesky pivot at most PIVOT_FLOOR times its diagonal
-# entry, leaves the block to solve_block.
+# bounded by ROUND_REL times the magnitude of its terms.  A system that
+# pattern_deltas marks WEAK (see RESIDUAL_MARGIN and PIVOT_FLOOR there) or
+# failing leaves the block to solve_block.
 ROUND_REL = 2.0 ** -40
-RESIDUAL_MARGIN = 2.0 ** -10
-PIVOT_FLOOR = 2.0 ** -26
 
 # outcome of one (point, block) in a batch
 PASS, GAIN, UNSURE = 0, 1, 2
@@ -197,7 +193,11 @@ def _certify(prob, X, G, F, k, blocks, tol):
         for lo in range(0, active.size, step):
             rows = active[lo:lo + step]
             outcomes = _block_outcomes(prob, X[rows], G[rows], slack[rows], chunk)
-            for i, outcome in zip(rows, outcomes):
+            # a point fails at a GAIN before any UNSURE block without a call
+            first = outcomes[np.arange(len(rows)), (outcomes != PASS).argmax(axis=1)]
+            for i in rows[first == GAIN]:
+                verdicts[i] = False
+            for i, outcome in zip(rows[first == UNSURE], outcomes[first == UNSURE]):
                 verdicts[i] = _first_decision(prob, X[i], G[i], slack[i], chunk, outcome)
         active = active[[verdicts[i] is True for i in active]]
     return verdicts
@@ -225,18 +225,15 @@ def _block_outcomes(prob, X, G, slack, blocks):
     """PASS, GAIN or UNSURE for every point of X (R, n) and block of blocks (N, k).
 
     GAIN: a block-by-block solve_block loop would find the block improving;
-    PASS: it would not; UNSURE: leave the block to solve_block.  Pattern T's
-    system Q[T, T] z_T = c_T, with solve_block's right-hand side
-    c = Q_BB x_B - g_B, is factored once for all points, with the other
-    systems of its popcount group, and the objective change is formed as
-    solve_block forms it.
+    PASS: it would not; UNSURE: leave the block to solve_block, as when
+    ``pattern_deltas`` does not mark every system of the block OK.
     """
     k = blocks.shape[1]
     Q_B = prob.objective.gram_blocks(blocks)              # (N, k, k)
-    x_B = X[:, blocks].transpose(1, 2, 0)                 # (N, k, R)
-    g_B = G[:, blocks].transpose(1, 2, 0)
-    c = Q_B @ x_B - g_B
-    nnz_B = np.count_nonzero(x_B, axis=1)                 # (N, R)
+    x_B = X[:, blocks].swapaxes(0, 1).copy()              # (N, R, k), C order
+    g_B = G[:, blocks].swapaxes(0, 1).copy()
+    ones = np.ones(k)  # sums over the short coordinate axis run as products
+    nnz_B = (x_B != 0) @ ones                             # (N, R)
     if isinstance(prob.term, Cardinality):
         lam = 0.0
         budget = prob.term.s - np.count_nonzero(X, axis=1) + nnz_B
@@ -244,34 +241,20 @@ def _block_outcomes(prob, X, G, slack, blocks):
         lam = prob.term.lam
         budget = np.full(nnz_B.shape, k)
     # |D g_B| + |D'Q_BB D|/2 <= |D| |g_B| + |D|^2 |Q_BB|_F / 2 bounds the terms
-    g_norm = _col_norms(g_B)[:, None]                     # (N, 1, R)
+    g_norm = np.sqrt(np.square(g_B) @ ones)[:, None]      # (N, 1, R)
     q_norm = np.sqrt(np.einsum("nij,nij->n", Q_B, Q_B))[:, None, None]
 
     unsure = np.zeros(budget.shape, dtype=bool)
     gain = np.zeros(budget.shape, dtype=bool)
     clear = np.ones(budget.shape, dtype=bool)
     for masks, groups in _pattern_chunks(k, int(budget.max())):
-        Z = np.zeros((len(blocks), masks.size, k, X.shape[0]))
-        size = np.zeros(masks.size, dtype=int)
-        for rows, T in groups:
-            size[rows] = T.shape[1]
-            M = Q_B[:, T[:, :, None], T[:, None, :]]      # (N, P, r, r)
-            L, weak = _weak_cholesky(M)
-            rhs = c[:, T]                                 # (N, P, r, R)
-            z = _cho_solve(L, rhs)
-            loose = ~(_col_norms(rhs - M @ z)
-                      <= RESIDUAL_MARGIN * 1e-10 * (1.0 + _col_norms(rhs)))
-            unsure |= (weak[..., None] | loose).any(axis=1)
-            Z[:, rows[:, None], T] = z
-        D = Z - x_B[:, None]
-        delta = (np.einsum("npir,nir->npr", D, g_B)
-                 + 0.5 * np.einsum("npir,npir->npr", Q_B[:, None] @ D, D))
-        d2 = np.einsum("npir,npir->npr", D, D)
+        Z, delta, status = pattern_deltas(Q_B, x_B, g_B, 0.0, lam, masks, groups, certify=True)
+        unsure |= status.any(axis=1)
+        size = (masks[:, None] >> np.arange(k) & 1).sum(axis=1)
+        d2 = np.square(Z - x_B[:, None]) @ ones           # (N, P, R)
         scale = np.sqrt(d2) * g_norm + 0.5 * d2 * q_norm
         if lam:
-            change = np.count_nonzero(Z, axis=2) - nnz_B[:, None]
-            delta = delta + lam * change
-            scale = scale + lam * np.abs(change)
+            scale = scale + lam * np.abs((Z != 0) @ ones - nnz_B[:, None])
         err = ROUND_REL * scale
         # solve_block's tie rules keep its change at most TIE_TOL above the
         # least; a NaN change fails both tests and leaves the block unsure
@@ -280,21 +263,6 @@ def _block_outcomes(prob, X, G, slack, blocks):
         clear &= (~ok | (delta - err >= -slack)).all(axis=1)
     outcome = np.where(unsure | ~(gain | clear), UNSURE, np.where(gain, GAIN, PASS))
     return outcome.T
-
-
-def _weak_cholesky(M):
-    """Cholesky factors of the stacked systems M (N, ..., k, k), and which are weak.
-
-    A system is weak when it does not factor (then all of its first-axis
-    entry's systems are, with identity factors; see ``_cholesky``), or when
-    a pivot L_jj^2 is at most PIVOT_FLOOR * M_jj: coordinate j is then
-    nearly a combination of the ones before it, and a factorization that
-    succeeded here might fail elsewhere.
-    """
-    L, failed = _cholesky(M)
-    pivots = np.diagonal(L, axis1=-2, axis2=-1) ** 2
-    tiny = (pivots <= PIVOT_FLOOR * np.diagonal(M, axis1=-2, axis2=-1)).any(axis=-1)
-    return L, tiny | failed.reshape(failed.shape + (1,) * (tiny.ndim - 1))
 
 
 def enumerate_basic_points(prob):
@@ -332,14 +300,14 @@ def enumerate_basic_points(prob):
 def _restricted_minimizers(M, rhs):
     """Solve the stacked systems M[i] z[i] = rhs[i] of one support size.
 
-    One batched Cholesky factorization serves the whole stack.  A weak
-    system (see ``_weak_cholesky``) is solved on its own, as the per-support
-    loop solved it: by Cholesky, or by minimum-norm least squares where it
-    is singular.
+    One batched Cholesky factorization serves the whole stack.  A system
+    that does not factor or has a tiny pivot is solved on its own, as the
+    per-support loop solved it: by Cholesky, or by minimum-norm least
+    squares where it is singular.
     """
-    L, weak = _weak_cholesky(M)
+    L, failed = _cholesky(M)
     Z = _cho_solve(L, rhs[..., None])[..., 0]
-    for i in np.flatnonzero(weak):
+    for i in np.flatnonzero(failed | _tiny_pivots(L, M)):
         try:
             Z[i] = cho_solve(cho_factor(M[i]), rhs[i])
         except np.linalg.LinAlgError:

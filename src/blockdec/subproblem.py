@@ -8,19 +8,13 @@ over all 2^k on/off patterns for the coordinates in B (pruned to the
 remaining budget under a cardinality cap).  The minimum over patterns is the
 global optimum of the (NP-hard) block problem.
 
-The patterns are solved in batches.  Masks are taken in ascending order,
-``PATTERN_CHUNK`` at a time, so a call's memory does not grow with 2^k, and
-each chunk's masks are grouped by popcount r.  A group's C stacked (r, r)
-systems are built with one fancy index and go through one batched Cholesky
-factorization and one batched pair of triangular solves; the chunk's
-objective changes then come out as one vector.  The tie rules run over that
-vector in mask order, so the result is the one a mask-by-mask loop would
-pick.  At theta = 0 a system that does not factor (a singular restricted
-system) is ridged on its own; the others in its group are not.
-
-This module is also the one home of the stacked SPD kernel -- ``_cholesky``,
-``_cho_solve`` and ``_col_norms`` -- which the block-k certificate and the
-basic-point enumeration in ``stationarity`` share.
+``pattern_deltas`` is the one engine for it.  It takes masks in ascending
+order, ``PATTERN_CHUNK`` at a time, so memory does not grow with 2^k, and
+solves a stack of blocks and points with one batched Cholesky factorization
+per popcount group.  ``solve_block`` is its one-block, one-point case, and
+runs the tie rules in mask order, so its result and its errors are those of
+a mask-by-mask loop.  The block-k certificate and the basic-point
+enumeration in ``stationarity`` share the engine and its Cholesky kernel.
 """
 
 from dataclasses import dataclass
@@ -46,6 +40,14 @@ TIE_TOL = 1e-12
 # O(PATTERN_CHUNK * k^2), not O(2^k)
 PATTERN_CHUNK = 4096
 
+# the certificate hands on a system with a residual above RESIDUAL_MARGIN times
+# the bound, or with coordinate j nearly a combination of the ones before it
+RESIDUAL_MARGIN = 2.0 ** -10
+PIVOT_FLOOR = 2.0 ** -26
+
+# status of one system in pattern_deltas
+OK, NUMERICAL, DEGENERATE, WEAK = 0, 1, 2, 3
+
 
 @dataclass
 class BlockSolveResult:
@@ -64,10 +66,11 @@ class BlockSolveResult:
 def _pattern_tables(k, budget, lo):
     """Admissible masks in [lo, lo + PATTERN_CHUNK), ascending, grouped by popcount.
 
-    Returns ``(masks, groups)``.  Each group is ``(rows, T)``: ``rows`` are
-    its positions in ``masks`` and ``T[i]`` holds the set bits of
-    ``masks[rows[i]]`` in ascending order.  The empty pattern is in no
-    group.
+    Returns ``(masks, groups)``.  Each group is ``(rows, T, S)``: ``rows`` are
+    its positions in ``masks``, ``T[i]`` holds the set bits of
+    ``masks[rows[i]]`` in ascending order, and ``S[i]`` the positions of
+    that pattern's system in a flattened k x k matrix.  The empty pattern is
+    in no group.
     """
     masks = np.arange(lo, min(lo + PATTERN_CHUNK, 1 << k), dtype=np.int64)
     bits = (masks[:, None] >> np.arange(k)) & 1 == 1
@@ -78,7 +81,8 @@ def _pattern_tables(k, budget, lo):
     for r in range(1, min(k, budget) + 1):
         rows = np.flatnonzero(size == r)
         if rows.size:
-            groups.append((rows, np.nonzero(bits[rows])[1].reshape(rows.size, r)))
+            T = np.nonzero(bits[rows])[1].reshape(rows.size, r)
+            groups.append((rows, T, T[:, :, None] * k + T[:, None, :]))
     return masks, groups
 
 
@@ -130,58 +134,77 @@ def _cholesky(M):
     return np.concatenate((L1, L2)), np.concatenate((failed1, failed2))
 
 
-def _solve_group(M, rhs, theta):
-    """Solve one popcount group's stacked systems M[i] z[i] = rhs[i].
+def pattern_deltas(Q_B, x_B, g_B, theta, lam, masks, groups, certify=False):
+    """Solve every pattern of one chunk for N blocks and R points at once.
 
-    At theta = 0 a system that does not factor is ridged by 1e-12 * trace / r
-    and is not refined, as a mask-by-mask loop treats it; the other systems
-    are solved unridged.  Returns ``(z, None)``, or ``(None, (i, error))``
-    with i the lowest system that fails.
+    Q_B (N, k, k) holds Q on each block; x_B and g_B (N, R, k) each point and
+    its gradient there; (masks, groups) is one chunk of ``_pattern_chunks``.
+    Pattern T solves (Q_B + theta I)[T, T] z_T = theta x_T + (Q_B x_B - g_B)_T.
+    Returns ``(Z, delta, status)``, indexed (N, P, R, ...): z_B, the change in
+    F plus (theta/2) ||z_B - x_B||^2 (lam: the count penalty, 0 under a cap),
+    and OK or why a solution is not trusted.  At theta = 0 a system that does
+    not factor is ridged by 1e-12 trace / r on its own; if it still fails, or
+    at theta > 0, it is DEGENERATE.  An unridged system missing the residual
+    bound 1e-10 (1 + |rhs|) is refined once, and is NUMERICAL if it still
+    misses.  With ``certify``, a system is WEAK if it did not factor
+    unridged, has ``_tiny_pivots`` or first missed RESIDUAL_MARGIN * bound.
     """
-    L, failed = _cholesky(M)
-    degenerate = failed
-    if theta == 0.0 and failed.any():
-        r = M.shape[-1]
-        ridge = 1e-12 * np.trace(M[failed], axis1=1, axis2=2) / r
-        # a zero trace gives a zero ridge, and the system fails again
-        degenerate = failed.copy()
-        L[failed], degenerate[failed] = _cholesky(M[failed] + ridge[:, None, None] * np.eye(r))
-    rhs = rhs[..., None]
-    z = _cho_solve(L, rhs)
-    bound = 1e-10 * (1.0 + _col_norms(rhs))
-    res = rhs - M @ z
-    bad = np.flatnonzero(_col_norms(res) > bound)
-    if bad.size:
-        # one pass of iterative refinement for the systems factored unridged
-        fix = bad[~failed[bad]]
-        z[fix] += _cho_solve(L[fix], res[fix])
-        bad = bad[(_col_norms(rhs[bad] - M[bad] @ z[bad]) > bound[bad])[:, 0]]
-    stuck = np.flatnonzero(degenerate)
-    if stuck.size and not (bad.size and bad[0] < stuck[0]):
-        return None, (stuck[0], DegenerateSystemError("degenerate restricted system"))
-    if bad.size:
-        return None, (bad[0], NumericalError(
-            "restricted system solve exceeded residual tolerance"))
-    return z[..., 0], None
-
-
-def _solve_patterns(Q_theta, rhs_B, theta, masks, groups):
-    """Solve every pattern of one chunk; row i of the result is z_B of masks[i].
-
-    Pattern T's system is Q_theta[T, T] z_T = rhs_B[T].  A failure raises
-    the error of the lowest failing mask, as a mask-by-mask loop would.
-    """
-    Z = np.zeros((masks.size, rhs_B.size))
-    failures = []  # (row, error)
-    for rows, T in groups:
-        z, failure = _solve_group(Q_theta[T[:, :, None], T[:, None, :]], rhs_B[T], theta)
-        if failure is None:
-            Z[rows[:, None], T] = z
+    N, R, k = x_B.shape
+    Q_theta = (Q_B + theta * np.eye(k)).reshape(N, k * k)
+    x_T = x_B.swapaxes(1, 2)                              # (N, k, R)
+    rhs_B = theta * x_T + (Q_B @ x_T - g_B.swapaxes(1, 2))
+    Z = np.zeros((N, masks.size, R, k))
+    status = np.zeros((N, masks.size, R), dtype=np.int8)
+    for rows, T, S in groups:
+        C, r = T.shape
+        M = Q_theta.take(S, axis=1).reshape(N * C, r, r)
+        rhs = rhs_B.take(T, axis=1).reshape(N * C, r, R)
+        L, failed = _cholesky(M)
+        degenerate = failed
+        if theta == 0.0 and failed.any():
+            ridge = 1e-12 * np.trace(M[failed], axis1=1, axis2=2) / r
+            # a zero trace gives a zero ridge, and the system fails again
+            degenerate = failed.copy()
+            L[failed], degenerate[failed] = _cholesky(M[failed] + ridge[:, None, None] * np.eye(r))
+        z = _cho_solve(L, rhs)
+        res = rhs - M @ z
+        bound = 1e-10 * (1.0 + _col_norms(rhs))           # (N C, R)
+        first = _col_norms(res)
+        bad = first > bound
+        if trouble := bad.any():
+            # one pass of iterative refinement for the systems factored unridged
+            fix = np.flatnonzero(bad.any(axis=1) & ~failed)
+            z[fix] += np.where(bad[fix, None], _cho_solve(L[fix], res[fix]), 0.0)
+            again = np.flatnonzero(bad.any(axis=1))
+            bad[again] &= _col_norms(rhs[again] - M[again] @ z[again]) > bound[again]
+        Z.swapaxes(2, 3)[:, rows[:, None], T] = z.reshape(N, C, r, R)
+        if certify:
+            # bad and degenerate systems are among these; NaN residuals too
+            code = WEAK * ((failed | _tiny_pivots(L, M))[:, None]
+                           | ~(first <= RESIDUAL_MARGIN * bound))
+        elif trouble or degenerate.any():
+            code = np.where(degenerate[:, None], DEGENERATE, NUMERICAL * bad)
         else:
-            failures.append((rows[failure[0]], failure[1]))
-    if failures:
-        raise min(failures, key=lambda f: f[0])[1]
-    return Z
+            continue
+        status[:, rows] = code.reshape(N, C, R)
+
+    # BLAS products, so that one point's digits are the ones solve_block always had
+    D = Z - x_B[:, None]
+    DQ = (D.reshape(N, -1, k) @ Q_B).reshape(D.shape)
+    Dg = (D.swapaxes(1, 2) @ g_B[..., None]).swapaxes(1, 2)[..., 0]
+    delta = Dg + 0.5 * np.einsum("...i,...i->...", DQ, D)
+    if lam:
+        ones = np.ones(k)  # nonzeros per row, counted by one product
+        delta = delta + lam * ((Z != 0) @ ones - ((x_B != 0) @ ones)[:, None])
+    if theta:
+        delta = delta + 0.5 * theta * np.einsum("...i,...i->...", D, D)
+    return Z, delta, status
+
+
+def _tiny_pivots(L, M):
+    """Which stacked systems M (..., r, r) have a pivot L_jj^2 <= PIVOT_FLOOR * M_jj."""
+    pivots = np.diagonal(L, axis1=-2, axis2=-1) ** 2
+    return (pivots <= PIVOT_FLOOR * np.diagonal(M, axis1=-2, axis2=-1)).any(axis=-1)
 
 
 def solve_block(prob, x, g, B, theta):
@@ -216,29 +239,23 @@ def solve_block(prob, x, g, B, theta):
     if theta < 0:
         raise InvalidParameterError(f"theta must be nonnegative, got {theta}")
 
-    cardinality = isinstance(prob.term, Cardinality)
     x_B = x[idx]
     nnz_x_B = int(np.count_nonzero(x_B))
     nnz_out = int(np.count_nonzero(x)) - nnz_x_B
-    if cardinality:
-        budget = prob.term.s - nnz_out
+    if isinstance(prob.term, Cardinality):
+        budget, lam = prob.term.s - nnz_out, 0.0
         if budget < 0:
             raise InvalidParameterError("x is infeasible for the cardinality bound")
     else:
-        budget = k
-        lam = prob.term.lam
+        budget, lam = k, prob.term.lam
     if budget == 0 and nnz_x_B == 0:
         # the one admissible pattern, z_B = 0, is x_B itself
         return BlockSolveResult(x_next=x.copy(), patterns_evaluated=1)
 
-    # block-local data: g and Q on B.  Pattern T's right-hand side
-    # theta x_T - p_T - Q[T, outside B] x_outside is theta x_T + c_T
+    # block-local data: g and Q on B; every pattern's system is a principal
+    # submatrix of Q_BB + theta I
     g_B = g[idx]
     Q_BB = prob.objective.gram_submatrix(idx)
-    c = Q_BB @ x_B - g_B
-    # every pattern's system is a principal submatrix of Q_BB + theta I
-    Q_theta = Q_BB + theta * np.eye(k)
-    rhs_B = theta * x_B + c
 
     best_delta = 0.0  # the stay-put candidate z = x is always admissible
     best_nnz = nnz_x_B
@@ -248,13 +265,15 @@ def solve_block(prob, x, g, B, theta):
 
     for masks, groups in _pattern_chunks(k, budget):
         evaluated += masks.size
-        Z = _solve_patterns(Q_theta, rhs_B, theta, masks, groups)
-
-        D = Z - x_B
-        delta = D @ g_B + 0.5 * np.einsum("ij,ij->i", D @ Q_BB, D)
-        if not cardinality:
-            delta = delta + lam * (np.count_nonzero(Z, axis=1) - nnz_x_B)
-        delta = delta + 0.5 * theta * np.einsum("ij,ij->i", D, D)
+        Z, delta, status = pattern_deltas(Q_BB[None], x_B[None, None], g_B[None, None],
+                                          theta, lam, masks, groups)
+        failed = np.flatnonzero(status)
+        if failed.size:
+            # the error of the lowest failing mask, as a mask-by-mask loop meets it
+            if status.flat[failed[0]] == DEGENERATE:
+                raise DegenerateSystemError("degenerate restricted system")
+            raise NumericalError("restricted system solve exceeded residual tolerance")
+        Z, delta = Z[0, :, 0], delta[0, :, 0]
 
         # The tie rules, in mask order.  best_delta never rises and ends each
         # step at most TIE_TOL above that step's delta, so a pattern more than

@@ -23,8 +23,8 @@ from blockdec import (BudgetExceededError, Cardinality, CompositeProblem,
                       is_block_k, is_l_stationary, landscape_table, solve_block,
                       table1_problem)
 from blockdec.problem import INFEASIBLE
-from blockdec.stationarity import ZERO_TOL
-from blockdec.subproblem import TIE_TOL
+from blockdec.stationarity import ROUND_REL, ZERO_TOL
+from blockdec.subproblem import OK, TIE_TOL, pattern_deltas
 from blockdec.working_set import random_set
 
 from conftest import CONS_GLOBAL_X, REGU_GLOBAL_F, count_calls, random_gram_problem
@@ -645,9 +645,15 @@ class TestBatchedCertificateMatchesLoop:
         X = np.array(points)
         G = np.array([prob.objective.gradient(x) for x in points])
         blocks = np.array(list(itertools.combinations(range(5), 2)))
-        solve = subproblem_module._cho_solve
-        monkeypatch.setattr(stationarity_module, "_cho_solve",
-                            lambda L, B: solve(L, B) * (1.0 + 1e-6))
+        engine, solve = stationarity_module.pattern_deltas, subproblem_module._cho_solve
+
+        def off(*args, **kw):  # the certificate's solutions only, not solve_block's
+            with monkeypatch.context() as patch:
+                patch.setattr(subproblem_module, "_cho_solve",
+                              lambda L, B: solve(L, B) * (1.0 + 1e-6))
+                return engine(*args, **kw)
+
+        monkeypatch.setattr(stationarity_module, "pattern_deltas", off)
         outcomes = stationarity_module._block_outcomes(prob, X, G, np.full(len(X), 1e-9), blocks)
         assert (outcomes == stationarity_module.UNSURE).all()
         assert [is_block_k(prob, x, 2) for x in points] == [
@@ -791,13 +797,62 @@ class TestCholesky:
         M[1, 2] = -np.eye(3)
         L, failed = subproblem_module._cholesky(M)
         np.testing.assert_array_equal(failed, [False, True, False, False, False])
-        _, weak = stationarity_module._weak_cholesky(M)
         want = np.zeros((5, 4), dtype=bool)
         want[1] = True  # every system of the block with the failing one
-        want[3, 0] = True
-        np.testing.assert_array_equal(weak, want)
         for i, j in zip(*np.nonzero(~want)):
             np.testing.assert_array_equal(L[i, j], np.linalg.cholesky(M[i, j]))
+        # the engine stacks each system on its own, so it flags only the
+        # failing system and the weak one: block n's Q holds its four systems
+        # on the diagonal, and pattern j picks out system j
+        Q_B = np.zeros((5, 12, 12))
+        T = np.arange(12).reshape(4, 3)
+        for j in range(4):
+            Q_B[:, T[j, :, None], T[j]] = M[:, j]
+        _, _, status = pattern_deltas(Q_B, np.zeros((5, 1, 12)), rng.standard_normal((5, 1, 12)),
+                                      0.0, 0.0, np.array([7 << 3 * j for j in range(4)]),
+                                      [(np.arange(4), T, 12 * T[:, :, None] + T[:, None])],
+                                      certify=True)
+        want = np.zeros((5, 4), dtype=bool)
+        want[1, 2] = want[3, 0] = True
+        np.testing.assert_array_equal(status[..., 0] != OK, want)
+
+
+class TestStackedEngine:
+    @pytest.mark.parametrize("factored", [False, True])
+    @pytest.mark.parametrize("mode", ["cons", "regu"])
+    def test_stacked_deltas_within_the_rounding_bound(self, mode, factored, monkeypatch):
+        # the certificate reads every (block, pattern, point) change from one
+        # stacked call; each must be within ROUND_REL times the certificate's
+        # scale bound of the change solve_block's one-block, one-point call forms
+        if factored:
+            monkeypatch.setattr(problem_module, "_GRAM_CACHE_LIMIT", 0)
+        rng = np.random.default_rng(8 + factored)
+        lam = 0.0 if mode == "cons" else 0.2
+        prob = CompositeProblem(QuadraticObjective(A=rng.standard_normal((12, 9)),
+                                                   b=rng.standard_normal(12)),
+                                Cardinality(4) if mode == "cons" else L0Penalty(lam))
+        assert prob.objective._gram_cached != factored
+        X = rng.standard_normal((7, 9)) * (rng.random((7, 9)) < 0.5)
+        G = np.array([prob.objective.gradient(x) for x in X])
+        blocks = np.sort([rng.choice(9, 4, replace=False) for _ in range(25)], axis=1)
+        masks, groups = subproblem_module._pattern_tables(4, 4, 0)
+        _, delta, status = pattern_deltas(prob.objective.gram_blocks(blocks),
+                                          X[:, blocks].swapaxes(0, 1), G[:, blocks].swapaxes(0, 1),
+                                          0.0, lam, masks, groups, certify=True)
+        compared = 0
+        for n, B in enumerate(blocks):
+            Q_BB = prob.objective.gram_submatrix(B)
+            for r, (x, g) in enumerate(zip(X, G)):
+                Z, alone, failed = pattern_deltas(Q_BB[None], x[B][None, None], g[B][None, None],
+                                                  0.0, lam, masks, groups)
+                Z, alone, ok = Z[0, :, 0], alone[0, :, 0], status[n, :, r] == OK
+                assert not failed.any()
+                d2 = np.sum((Z - x[B]) ** 2, axis=1)
+                scale = (np.sqrt(d2) * np.linalg.norm(g[B]) + 0.5 * d2 * np.linalg.norm(Q_BB)
+                         + lam * np.abs(np.count_nonzero(Z, axis=1) - np.count_nonzero(x[B])))
+                assert np.all(np.abs(delta[n, ok, r] - alone[ok]) <= ROUND_REL * scale[ok])
+                compared += np.count_nonzero(ok)
+        assert compared >= 0.9 * delta.size
 
 
 class TestBatchedBasicPoints:

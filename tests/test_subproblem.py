@@ -12,7 +12,7 @@ from blockdec import (Cardinality, CompositeProblem, DegenerateSystemError,
                       DimensionMismatchError, InvalidParameterError, L0Penalty,
                       L1Penalty, NumericalError, QuadraticObjective,
                       composite_value, solve_block)
-from blockdec.subproblem import TIE_TOL
+from blockdec.subproblem import DEGENERATE, NUMERICAL, TIE_TOL
 
 from conftest import random_factored_problem, random_gram_problem
 
@@ -482,18 +482,31 @@ class TestTieRulesInMaskOrder:
     def test_failure_raises_the_error_of_the_lowest_mask(self, monkeypatch):
         # groups fail at masks 4 (r = 1), 3 (r = 2) and 7 (r = 3); the loop
         # would have stopped at mask 3
-        errors = {1: (2, NumericalError("r1")), 2: (0, DegenerateSystemError("r2")),
-                  3: (0, NumericalError("r3"))}
-        monkeypatch.setattr(subproblem_module, "_solve_group",
-                            lambda M, rhs, theta: (None, errors[M.shape[-1]]))
+        engine = subproblem_module.pattern_deltas
+
+        def failing(*args, **kw):
+            Z, delta, status = engine(*args, **kw)
+            status[:, [4, 3, 7]] = [[NUMERICAL], [DEGENERATE], [NUMERICAL]]
+            return Z, delta, status
+
+        monkeypatch.setattr(subproblem_module, "pattern_deltas", failing)
         prob = random_gram_problem(3, 0, L0Penalty(0.1))
         x = np.zeros(3)
-        with pytest.raises(DegenerateSystemError, match="r2"):
+        with pytest.raises(DegenerateSystemError, match="degenerate"):
             solve_block(prob, x, prob.objective.gradient(x), [0, 1, 2], 0.0)
 
 
 # the popcount-2 group of a 4-coordinate block, in mask order
 PAIRS = [[0, 1], [0, 2], [1, 2], [0, 3], [1, 3], [2, 3]]
+
+
+def pairs_at_zero(Q, g, theta, pairs):
+    """pattern_deltas on block 0..3 at x = 0, for the pair patterns ``pairs`` as one group."""
+    masks = np.array([(1 << i) | (1 << j) for i, j in pairs])
+    T = np.array(pairs)
+    return subproblem_module.pattern_deltas(Q[None, :4, :4], np.zeros((1, 1, 4)),
+                                            g[None, None, :4], theta, 0.0, masks,
+                                            [(np.arange(len(T)), T, 4 * T[:, :, None] + T[:, None])])
 
 
 class TestPerSystemRidge:
@@ -516,14 +529,13 @@ class TestPerSystemRidge:
         g = prob.objective.gradient(x)
         Q = prob.objective.gram_matrix()
         M = np.array([Q[np.ix_(T, T)] for T in PAIRS])
-        rhs = np.array([-g[T] for T in PAIRS])
         failed = subproblem_module._cholesky(M)[1]
         np.testing.assert_array_equal(failed, [True, False, False, False, False, False])
-        z, failure = subproblem_module._solve_group(M, rhs, 0.0)
-        assert failure is None
+        Z, _, status = pairs_at_zero(Q, g, 0.0, PAIRS)
+        assert not status.any()
         for i in range(len(PAIRS)):
-            alone, _ = subproblem_module._solve_group(M[i:i + 1], rhs[i:i + 1], 0.0)
-            np.testing.assert_array_equal(z[i], alone[0], err_msg=str(PAIRS[i]))
+            alone, _, _ = pairs_at_zero(Q, g, 0.0, PAIRS[i:i + 1])
+            np.testing.assert_array_equal(Z[0, i, 0], alone[0, 0, 0], err_msg=str(PAIRS[i]))
         B = [0, 1, 2, 3]
         x_next, evaluated, delta = reference_solve_block(prob, x, g, B, 0.0)
         got = solve_block(prob, x, g, B, 0.0)
@@ -557,13 +569,14 @@ class TestPerSystemRidge:
         x = np.zeros(4)
         g = prob.objective.gradient(x)
         theta = 1e-300
-        M = np.array([Q[np.ix_(T, T)] + theta * np.eye(2) for T in PAIRS])
-        _, (i, error) = subproblem_module._solve_group(M, -p[PAIRS], theta)
-        assert (i, type(error)) == (1, NumericalError)
+        status = pairs_at_zero(Q, g, theta, PAIRS)[2][0, :, 0]
+        i = np.flatnonzero(status)[0]
+        assert (i, status[i]) == (1, NUMERICAL)
         # first in the stack, the pair that does not factor is charged as
         # degenerate, although its stand-in solution also misses its bound
-        _, (i, error) = subproblem_module._solve_group(M[::-1], -p[PAIRS][::-1], theta)
-        assert (i, type(error)) == (0, DegenerateSystemError)
+        status = pairs_at_zero(Q, g, theta, PAIRS[::-1])[2][0, :, 0]
+        i = np.flatnonzero(status)[0]
+        assert (i, status[i]) == (0, DEGENERATE)
         assert _outcome(reference_solve_block, prob, x, g, [0, 1, 2, 3], theta) is NumericalError
         with pytest.raises(NumericalError):
             solve_block(prob, x, g, [0, 1, 2, 3], theta)
