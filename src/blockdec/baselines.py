@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from .dec import IterationRecord, SolveTrace, relative_drop, stopping_rule
+from .dec import IterationRecord, SolveTrace, record_drop, relative_drop, stopping_rule
 from .errors import InvalidParameterError
 from .problem import (INFEASIBLE, CompositeProblem, L1Penalty, QuadraticObjective,
                       composite_value)
@@ -29,7 +29,7 @@ def _proximal_gradient(prob, x0, max_iters, epsilon, window, accelerated):
     y = x
     tau = 1.0
     trace = SolveTrace()
-    drops = []
+    drops = np.empty(min(max_iters, 1024))
     for t in range(max_iters):
         tic = time.perf_counter()
         x_new = proximal_step(prob, y, beta)
@@ -44,9 +44,9 @@ def _proximal_gradient(prob, x0, max_iters, epsilon, window, accelerated):
         trace.records.append(IterationRecord(
             iteration=t, objective=f, step_norm=step, working_set=(),
             elapsed=time.perf_counter() - tic))
-        drops.append(relative_drop(f, f_new))
+        drops = record_drop(drops, t, relative_drop(f, f_new))
         x, f = x_new, f_new
-        if stopping_rule(drops, window, epsilon):
+        if stopping_rule(drops[:t + 1], window, epsilon):
             trace.status = "converged"
             break
     else:

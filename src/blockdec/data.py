@@ -36,8 +36,9 @@ def gen_random(m, n, support, noise_scale=10.0, seed=0):
         raise InvalidParameterError(f"need positive dimensions, got m={m}, n={n}")
     if not 0 < support <= n:
         raise InvalidParameterError(f"true support {support} outside (0, {n}]")
-    if noise_scale < 0:
-        raise InvalidParameterError(f"noise scale must be nonnegative, got {noise_scale}")
+    if not 0 <= noise_scale < np.inf:
+        raise InvalidParameterError(
+            f"noise scale must be nonnegative and finite, got {noise_scale}")
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((m, n))
     pos = rng.choice(n, size=support, replace=False)
@@ -55,6 +56,8 @@ def corrupt(A, fraction=0.02, factor=100.0, seed=0):
     """
     if not 0 <= fraction <= 1:
         raise InvalidParameterError(f"fraction {fraction} outside [0, 1]")
+    if not np.isfinite(factor):
+        raise InvalidParameterError(f"corruption factor must be finite, got {factor}")
     A = np.array(A, dtype=float)
     count = int(np.rint(fraction * A.size))
     if count == 0:

@@ -9,7 +9,8 @@ descent property
 
 holds exactly for the recorded trace, because objectives are accumulated
 from the subproblem's own improvement deltas rather than recomputed.  One
-gradient per point feeds both working-set selection and the block solve.
+gradient per point feeds both working-set selection and the block solve, and
+the greedy part of the working set is ranked once per point.
 """
 
 import time
@@ -21,7 +22,7 @@ from .errors import InvalidParameterError
 from .problem import INFEASIBLE, Cardinality, composite_value, require_l0_term
 from .prox import hard_threshold_topk
 from .subproblem import solve_block
-from .working_set import select_working_set
+from .working_set import greedy_picks, select_working_set
 
 
 @dataclass
@@ -94,6 +95,18 @@ def stopping_rule(relative_drops, window, epsilon):
     return float(np.mean(relative_drops[-window:])) <= epsilon
 
 
+def record_drop(drops, t, value):
+    """Store value as drops[t], doubling the buffer when it is full; returns it.
+
+    The loops pass ``stopping_rule`` the slice ``drops[:t + 1]``, one
+    contiguous float64 array, so the window mean converts nothing.
+    """
+    if t == drops.size:
+        drops = np.concatenate((drops, np.empty(drops.size)))
+    drops[t] = value
+    return drops
+
+
 def relative_drop(f_old, f_new):
     """(F_t - F_{t+1}) / |F_t|, with a zero denominator mapped to 0.
 
@@ -133,14 +146,22 @@ def run_dec(prob, x0, config):
         raise InvalidParameterError(
             f"infeasible start: {np.count_nonzero(x)} nonzeros exceed budget {term.s}")
 
-    g = prob.objective.gradient(x)  # the gradient at x, renewed only when x moves
+    # the greedy picks depend only on x and g, so they are ranked once per point
+    ranked = 0 < config.n_greedy and config.n_random + config.n_greedy < prob.n
+
+    def renew(x):
+        g = prob.objective.gradient(x)
+        return g, greedy_picks(prob, x, g, config.n_greedy) if ranked else None
+
+    g, greedy = renew(x)  # renewed only when x moves
     rng = np.random.default_rng(config.seed)
     trace = SolveTrace()
-    drops = []
+    drops = np.empty(min(config.max_iters, 1024))
     settled = False  # full block solved exactly; nothing left to improve
     for t in range(config.max_iters):
         tic = time.perf_counter()
-        B = select_working_set(prob, x, g, config.n_random, config.n_greedy, rng)
+        B = select_working_set(prob, x, g, config.n_random, config.n_greedy, rng,
+                               greedy=greedy)
         if settled:
             step = 0.0
             f_next = f
@@ -150,16 +171,16 @@ def run_dec(prob, x0, config):
             f_next = f + result.composite_delta
             # a move of entries below ~1e-162 has step 0.0 but is still a move
             if not np.array_equal(result.x_next, x):
-                g = prob.objective.gradient(result.x_next)
+                g, greedy = renew(result.x_next)
             elif len(B) == prob.n:
                 settled = True
             x = result.x_next
         trace.records.append(IterationRecord(
             iteration=t, objective=f, step_norm=step, working_set=tuple(B.tolist()),
             elapsed=time.perf_counter() - tic))
-        drops.append(relative_drop(f, f_next))
+        drops = record_drop(drops, t, relative_drop(f, f_next))
         f = f_next
-        if stopping_rule(drops, config.window, config.epsilon):
+        if stopping_rule(drops[:t + 1], config.window, config.epsilon):
             trace.status = "converged"
             break
     else:

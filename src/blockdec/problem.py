@@ -101,8 +101,9 @@ class L0Penalty:
     """Count penalty h(x) = lam * ||x||_0."""
 
     def __init__(self, lam):
-        if not lam > 0:
-            raise InvalidParameterError(f"penalty weight must be positive, got {lam}")
+        if not 0 < lam < np.inf:
+            raise InvalidParameterError(
+                f"penalty weight must be positive and finite, got {lam}")
         self.lam = float(lam)
 
     def __repr__(self):
@@ -119,8 +120,9 @@ class L1Penalty:
     """Convex relaxation h(x) = lam * ||x||_1."""
 
     def __init__(self, lam):
-        if not lam >= 0:
-            raise InvalidParameterError(f"penalty weight must be nonnegative, got {lam}")
+        if not 0 <= lam < np.inf:
+            raise InvalidParameterError(
+                f"penalty weight must be nonnegative and finite, got {lam}")
         self.lam = float(lam)
 
     def __repr__(self):
@@ -137,8 +139,9 @@ class HalfPenalty:
     """Nonconvex relaxation h(x) = lam * sum_i |x_i|^(1/2)."""
 
     def __init__(self, lam):
-        if not lam > 0:
-            raise InvalidParameterError(f"penalty weight must be positive, got {lam}")
+        if not 0 < lam < np.inf:
+            raise InvalidParameterError(
+                f"penalty weight must be positive and finite, got {lam}")
         self.lam = float(lam)
 
     def __repr__(self):

@@ -9,6 +9,19 @@ import numpy as np
 from .errors import InvalidParameterError
 
 
+def smallest_k(keys, k):
+    """Indices of the k smallest keys, ranked by (key, index); 1 <= k <= n.
+
+    The same indices in the same order as the first k of a stable argsort
+    (equal keys, -0.0 and 0.0 included, keep index order; NaN ranks last),
+    found in O(n): a partition finds the k-th smallest key v, and only the
+    keys not above v are sorted.  A NaN v leaves every key in.
+    """
+    v = np.partition(keys, k - 1)[k - 1]
+    candidates = np.flatnonzero(~(keys > v))
+    return candidates[np.argsort(keys[candidates], kind="stable")[:k]]
+
+
 def hard_threshold_topk(a, s):
     """Keep the s largest-magnitude entries of a, zero out the rest.
 
@@ -24,8 +37,7 @@ def hard_threshold_topk(a, s):
         return a.copy()
     out = np.zeros_like(a)
     if s > 0:
-        # stable sort on negated magnitudes: equal magnitudes keep index order
-        keep = np.argsort(-np.abs(a), kind="stable")[:s]
+        keep = smallest_k(-np.abs(a), s)
         out[keep] = a[keep]
     return out
 

@@ -3,12 +3,17 @@
 The mixed strategy ("R i G j" in the command-line naming) takes the j
 coordinates with the best one-coordinate improvement scores and fills the
 rest of the block with i coordinates drawn uniformly from the remainder.
+Ranking is O(n) (a partition, then a sort of the j best keys and any that
+tie with the j-th), and the decomposition loop ranks once per point it visits: the
+greedy picks depend only on x and its gradient, so iterations that leave x
+unchanged reuse them and only draw the random part afresh.
 """
 
 import numpy as np
 
 from .errors import InvalidParameterError
 from .problem import L0Penalty, _as_vector, require_l0_term
+from .prox import smallest_k
 
 
 def random_set(n, k, rng):
@@ -46,11 +51,20 @@ def greedy_scores(prob, x, g):
     return np.where(x == 0.0, drop, change)
 
 
-def select_working_set(prob, x, g, n_random, n_greedy, rng):
+def greedy_picks(prob, x, g, n_greedy):
+    """The n_greedy coordinates with the smallest greedy scores, ties to the lower index.
+
+    Returned in rank order; g is grad f(x) and 1 <= n_greedy <= n.
+    """
+    return smallest_k(greedy_scores(prob, x, g), n_greedy)
+
+
+def select_working_set(prob, x, g, n_random, n_greedy, rng, greedy=None):
     """Pick n_greedy coordinates by greedy score, n_random uniformly; g is grad f(x).
 
-    The scores of ``greedy_scores`` rank all n coordinates; the n_greedy
-    smallest win (ties by lower index), and the random part is drawn without
+    The n_greedy coordinates with the smallest ``greedy_scores`` win (ties
+    by lower index); ``greedy`` may carry them, as ``greedy_picks`` returned
+    them for this x, to skip the ranking.  The random part is drawn without
     replacement from the remaining coordinates in ascending order.  Returns
     a sorted int array.  A full-size request short-circuits to the complete
     index set without consuming randomness.
@@ -66,9 +80,7 @@ def select_working_set(prob, x, g, n_random, n_greedy, rng):
 
     taken = np.zeros(n, dtype=bool)
     if n_greedy > 0:
-        scores = greedy_scores(prob, x, g)
-        # lexsort: primary key score, secondary key index (ascending)
-        taken[np.lexsort((np.arange(n), scores))[:n_greedy]] = True
+        taken[greedy_picks(prob, x, g, n_greedy) if greedy is None else greedy] = True
     if n_random > 0:
         pool = np.flatnonzero(~taken)
         taken[pool[rng.choice(pool.size, size=n_random, replace=False)]] = True

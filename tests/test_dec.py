@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from blockdec import (Cardinality, CompositeProblem, DecConfig,
                       InvalidParameterError, L0Penalty, QuadraticObjective,
-                      composite_value, init_solution, relative_drop, run_dec,
-                      solve_block, stopping_rule)
+                      composite_value, greedy_scores, init_solution, relative_drop,
+                      run_dec, solve_block, stopping_rule)
 from blockdec import dec as dec_module
+from blockdec import working_set as working_set_module
 
 from conftest import (CONS_GLOBAL_F, CONS_GLOBAL_X, REGU_GLOBAL_F, count_calls,
                       random_factored_problem, random_gram_problem)
@@ -42,6 +43,23 @@ class TestStoppingRule:
             assert not got
         else:
             assert got == (float(np.mean(drops[-window:])) <= 1e-5)
+        # the solvers pass a slice of their drop buffer, not a list
+        buffer = np.append(drops, np.full(7, np.nan))
+        assert stopping_rule(buffer[:len(drops)], window, 1e-5) == got
+
+    def test_window_longer_than_the_first_buffer(self):
+        # the first move's drop keeps the window mean above epsilon until
+        # the window slides past it, beyond the drop buffer's first 1024
+        prob = CompositeProblem(QuadraticObjective(Q=np.eye(4), p=-np.arange(1.0, 5.0)),
+                                L0Penalty(0.1))
+        window = 1100
+        x, trace = run_dec(prob, np.ones(4), DecConfig(n_random=4, n_greedy=0,
+                                                       window=window, max_iters=5000))
+        objs = [r.objective for r in trace.records] + [trace.final_objective]
+        drops = [relative_drop(f, g) for f, g in zip(objs, objs[1:])]
+        stop = next(t for t in range(window - 1, len(drops))
+                    if np.mean(drops[t + 1 - window:t + 1]) <= 1e-5)
+        assert trace.status == "converged" and len(trace) == stop + 1 > 1024
 
 
 class TestRelativeDrop:
@@ -138,6 +156,29 @@ class TestRunDec:
         assert len(calls) == 1 + moves
         assert fresh and all(fresh)
 
+    @pytest.mark.parametrize("n,split", [(16, (3, 2)), (16, (0, 3)), (8, (8, 0)),
+                                         (8, (6, 2)), (16, (5, 0))],
+                             ids=["R3G2", "R0G3", "full", "R6G2-full", "R5G0"])
+    @pytest.mark.parametrize("term", [Cardinality(3), L0Penalty(0.5)], ids=["cons", "regu"])
+    def test_greedy_ranked_once_per_point(self, term, n, split):
+        # the scores are ranked at the start and after each move, never on a
+        # zero step, and never when no greedy pick is asked for; the loop
+        # still selects through dec's binding once per iteration
+        prob, _ = random_factored_problem(10, n, 4, term)
+        x0 = init_solution(n, Cardinality(1) if isinstance(term, Cardinality) else term, 4)
+        ranked = count_calls(working_set_module, "greedy_scores")
+        selects = count_calls(dec_module, "select_working_set")
+        n_random, n_greedy = split
+        x, trace = run_dec(prob, x0, DecConfig(n_random=n_random, n_greedy=n_greedy,
+                                               seed=4, max_iters=80))
+        moves = sum(r.step_norm > 0.0 for r in trace.records)
+        assert len(selects) == len(trace)
+        if n_greedy and n_random + n_greedy < n:
+            assert 0 < moves < len(trace)
+            assert len(ranked) == 1 + moves
+        else:
+            assert ranked == []
+
     def test_gradient_renewed_after_an_underflowing_step(self):
         # clearing entries of 1e-170 is a move whose step_norm squares to
         # 0.0; the gradient must still follow x
@@ -225,3 +266,42 @@ class TestRunDec:
             DecConfig(window=0)
         with pytest.raises(InvalidParameterError):
             DecConfig(max_iters=0)
+
+
+def reranking_select(prob, x, g, n_random, n_greedy, rng, greedy=None):
+    """The selection rule with a full lexsort of the scores on every call.
+
+    Ignores any cached picks, so a run through it ranks on every iteration.
+    """
+    n = prob.n
+    if n_random + n_greedy == n:
+        return np.arange(n)
+    taken = np.zeros(n, dtype=bool)
+    if n_greedy:
+        taken[np.lexsort((np.arange(n), greedy_scores(prob, x, g)))[:n_greedy]] = True
+    if n_random:
+        pool = np.flatnonzero(~taken)
+        taken[pool[rng.choice(pool.size, size=n_random, replace=False)]] = True
+    return np.flatnonzero(taken)
+
+
+class TestRankedOncePerPoint:
+    @pytest.mark.parametrize("split", [(4, 2), (0, 6), (6, 0)], ids=["R4G2", "R0G6", "R6G0"])
+    @pytest.mark.parametrize("term", [Cardinality(5), L0Penalty(0.5)], ids=["cons", "regu"])
+    def test_identical_to_reranking_every_iteration(self, term, split, monkeypatch):
+        prob, _ = random_factored_problem(20, 60, 3, term)
+        # a cardinality start below the bound leaves pure greedy a budget
+        x0 = init_solution(60, Cardinality(2) if isinstance(term, Cardinality) else term, 3)
+        config = DecConfig(n_random=split[0], n_greedy=split[1], seed=3, max_iters=300)
+        x, trace = run_dec(prob, x0, config)
+        monkeypatch.setattr(dec_module, "select_working_set", reranking_select)
+        x_ref, ref = run_dec(prob, x0, config)
+        assert x.tobytes() == x_ref.tobytes()
+        assert len(trace) == len(ref) and trace.status == ref.status
+        for r, q in zip(trace.records, ref.records):
+            assert (r.objective, r.step_norm, r.working_set) == \
+                (q.objective, q.step_norm, q.working_set)
+        assert trace.final_objective == ref.final_objective
+        # zero steps reuse the picks; moves rank afresh
+        moves = sum(r.step_norm > 0.0 for r in trace.records)
+        assert 0 < moves < len(trace)

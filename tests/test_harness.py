@@ -100,6 +100,11 @@ class TestGenRandom:
         with pytest.raises(InvalidParameterError):
             gen_random(5, 5, 2, noise_scale=-1.0)
 
+    @pytest.mark.parametrize("noise", [np.nan, np.inf])
+    def test_non_finite_noise_rejected(self, noise):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            gen_random(5, 5, 2, noise_scale=noise)
+
 
 class TestCorrupt:
     def test_fraction_zero_is_identity(self):
@@ -130,6 +135,13 @@ class TestCorrupt:
     def test_fraction_validation(self):
         with pytest.raises(InvalidParameterError):
             corrupt(np.ones((2, 2)), fraction=1.5)
+
+    @pytest.mark.parametrize("factor", [np.nan, np.inf, -np.inf])
+    def test_non_finite_factor_rejected(self, factor):
+        # even when no entry would be scaled
+        for fraction in (0.5, 0.0):
+            with pytest.raises(InvalidParameterError, match="finite"):
+                corrupt(np.ones((2, 2)), fraction=fraction, factor=factor)
 
 
 class TestDenseFormat:
@@ -591,6 +603,29 @@ class TestBenchmark:
 
 
 class TestCli:
+    @pytest.mark.parametrize("flags", [("--noise", "nan"), ("--noise", "inf"),
+                                       ("--kind", "random-corrupt", "--factor", "nan"),
+                                       ("--kind", "random-corrupt", "--factor=-inf")],
+                             ids=["noise-nan", "noise-inf", "factor-nan", "factor-inf"])
+    def test_generate_non_finite_is_usage_error(self, tmp_path, flags):
+        # such an instance would be refused by every reader
+        inst = tmp_path / "inst.txt"
+        r = cli("generate", "--m", "4", "--n", "6", "--support", "2", *flags,
+                "--out", str(inst))
+        assert r.returncode == 1, r.stderr
+        assert "finite" in r.stderr and "Traceback" not in r.stderr
+        assert not inst.exists()
+
+    @pytest.mark.parametrize("solver", ["dec", "pgm", "pgm-l1", "pgm-lhalf"])
+    def test_infinite_penalty_is_usage_error(self, tmp_path, solver):
+        inst = tmp_path / "i.txt"
+        save_instance(inst, *gen_random(4, 6, 2, seed=0)[:2])
+        r = cli("solve", "--instance", str(inst), "--solver", solver,
+                "--mode", "regu", "--lambda", "inf")
+        assert r.returncode == 1, r.stderr
+        assert "finite" in r.stderr and "Traceback" not in r.stderr
+        assert "final_objective" not in r.stdout
+
     def test_generate_solve_verify_flow(self, tmp_path):
         inst = tmp_path / "inst.txt"
         point = tmp_path / "x.txt"

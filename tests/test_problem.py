@@ -202,6 +202,12 @@ class TestTerms:
             HalfPenalty(-1.0)
         L1Penalty(0.0)  # the convex relaxation allows a zero weight
 
+    @pytest.mark.parametrize("term", [L0Penalty, L1Penalty, HalfPenalty])
+    @pytest.mark.parametrize("lam", [np.inf, np.nan])
+    def test_penalty_weight_must_be_finite(self, term, lam):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            term(lam)
+
 
 class TestInfeasibleSentinel:
     def test_ordering(self):

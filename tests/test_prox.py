@@ -9,6 +9,7 @@ from blockdec import (Cardinality, CompositeProblem, InvalidParameterError,
                       L0Penalty, QuadraticObjective, half_threshold,
                       hard_threshold_topk, prox_l0_penalty, proximal_step,
                       soft_threshold)
+from blockdec.prox import smallest_k
 
 
 def scalar_grid_min(a, penalty, lo=None, hi=None, points=20001):
@@ -23,7 +24,55 @@ def scalar_grid_min(a, penalty, lo=None, hi=None, points=20001):
     return z[j], float(vals[j])
 
 
+# integers, signed zeros and infinities, and NaN: nearly every key ties
+TIE_VALUES = np.array([0.0, -0.0, 1.0, -1.0, 2.0, np.inf, -np.inf, np.nan])
+
+
+def tie_heavy(seed, n):
+    return np.random.default_rng(seed).choice(TIE_VALUES, size=n)
+
+
+class TestSmallestK:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_full_sorts_for_every_k(self, seed):
+        n = 1 + seed % 17
+        keys = tie_heavy(seed, n)
+        stable = np.argsort(keys, kind="stable")
+        lex = np.lexsort((np.arange(n), keys))
+        for k in range(1, n + 1):
+            got = smallest_k(keys, k)
+            np.testing.assert_array_equal(got, stable[:k])
+            np.testing.assert_array_equal(got, lex[:k])
+
+    def test_signed_zeros_tie_in_index_order(self):
+        keys = np.array([0.0, -0.0, 0.0, -0.0, -1.0])
+        assert smallest_k(keys, 3).tolist() == [4, 0, 1]
+
+    def test_nan_kth_key_falls_back_to_every_key(self):
+        keys = np.array([np.nan, 3.0, np.nan, 1.0])
+        assert smallest_k(keys, 3).tolist() == [3, 1, 0]
+        assert smallest_k(np.full(4, np.nan), 2).tolist() == [0, 1]
+
+    def test_ties_at_scale(self):
+        keys = np.random.default_rng(5).integers(0, 20, size=5000).astype(float)
+        stable = np.argsort(keys, kind="stable")
+        for k in (1, 7, 250, 4999, 5000):
+            np.testing.assert_array_equal(smallest_k(keys, k), stable[:k])
+
+
 class TestHardThresholdTopK:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_stable_argsort_for_every_s(self, seed):
+        n = 1 + seed % 17
+        a = tie_heavy(seed, n)
+        order = np.argsort(-np.abs(a), kind="stable")
+        for s in range(n + 1):
+            want = np.zeros(n)
+            want[order[:s]] = a[order[:s]]
+            out = hard_threshold_topk(a, s)
+            # bit for bit: signed zeros and NaN positions included
+            assert out.tobytes() == want.tobytes(), (a, s)
+
     def test_keeps_largest(self):
         out = hard_threshold_topk(np.array([3.0, -5.0, 1.0, 4.0]), 2)
         np.testing.assert_array_equal(out, [0.0, -5.0, 0.0, 4.0])
