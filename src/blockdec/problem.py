@@ -179,9 +179,13 @@ def make_term(mode, param):
 # smooth quadratic objective
 
 
-# Factored instances at or below this dimension cache the Gram data; the
-# block subproblem extracts many small Q submatrices and the cache makes
-# that a plain slice.
+# Factored instances at or below this dimension cache the Gram data (n^2
+# doubles) on the first whole or stacked read: gram_matrix, linear_term,
+# matvec, gram_blocks.  A block-k certificate reads thousands of blocks per
+# point, which repays the fill.  gram_submatrix never fills it: one block
+# read from A costs m k^2 multiply-adds against m n^2 / 2 for the fill, so
+# a solver making one block solve per iteration would need n^2 / (2 k^2)
+# of them (58,000 at n = 2048, k = 6) to repay it.
 _GRAM_CACHE_LIMIT = 4096
 
 # L = lambda_max(Q) comes from the smaller Gram, A'A or AA' (r = min(m, n)): dense
@@ -196,7 +200,11 @@ class QuadraticObjective:
     Use the ``from_gram`` / ``from_factored`` constructors.  Instances are
     immutable after construction and safe to share across threads; the only
     mutation is a one-time fill of the lazily computed Gram cache, curvature
-    diagonal and the exact largest eigenvalue of Q.
+    diagonal and the exact largest eigenvalue of Q.  Each is published only
+    once complete.  Factored data fill the Gram cache only on a whole or
+    stacked read and only for n up to ``_GRAM_CACHE_LIMIT``; a single block,
+    ``gram_submatrix``, always reads A, so its value is the same whether or
+    not the cache is filled.
     """
 
     def __init__(self, *, Q=None, p=None, A=None, b=None):
@@ -267,8 +275,9 @@ class QuadraticObjective:
 
     def _ensure_gram(self):
         if self._Q is None:
-            self._Q = self._A.T @ self._A
+            # p first: a reader that sees Q also sees p
             self._p = -(self._A.T @ self._b)
+            self._Q = self._A.T @ self._A
 
     def gram_matrix(self):
         """Full Q (cached for factored instances up to the cache limit)."""
@@ -279,12 +288,15 @@ class QuadraticObjective:
         return self._Q
 
     def gram_submatrix(self, idx):
-        """Q[idx, idx] as a dense square block."""
+        """Q[idx, idx] as a dense square block.
+
+        Factored data give A[:, idx]' A[:, idx] (m k^2 multiply-adds) and
+        never fill the Gram cache; Gram-form data slice Q.
+        """
         idx = np.asarray(idx, dtype=int)
-        if not self._gram_cached:
+        if self.is_factored:
             cols = self._A[:, idx]
             return cols.T @ cols
-        self._ensure_gram()
         return self._Q[np.ix_(idx, idx)]
 
     def gram_blocks(self, idx):

@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockdec import problem as problem_module
-from blockdec import (INFEASIBLE, Cardinality, CompositeProblem,
+from blockdec import (INFEASIBLE, Cardinality, CompositeProblem, DecConfig,
                       DataFormatError, DimensionMismatchError, HalfPenalty,
                       InvalidParameterError, L0Penalty, L1Penalty,
-                      NumericalError, QuadraticObjective, composite_value,
-                      corrupt, gen_random, pgm, table1_problem)
+                      NumericalError, QuadraticObjective, apgm, composite_value,
+                      corrupt, gen_random, init_solution, pgm, run_dec,
+                      table1_problem)
 
 from conftest import DEMO_L, count_calls
 
@@ -114,6 +115,22 @@ class TestQuadraticObjective:
         gram = QuadraticObjective.from_gram(*_rand_gram(4, 12))
         assert gram.coordinate_lipschitz() is gram.coordinate_lipschitz()
         assert not gram.coordinate_lipschitz().flags.writeable
+
+    def test_gram_fill_publishes_p_before_q(self):
+        # readers take a filled Q to mean a filled p: linear_term() reads p
+        # without a check, so a thread must never see Q set and p still None
+        class Watched(QuadraticObjective):
+            def __setattr__(self, name, value):
+                if name == "_Q" and value is not None:
+                    assert self._p is not None, "Q published before p"
+                super().__setattr__(name, value)
+
+        rng = np.random.default_rng(13)
+        A, b = rng.standard_normal((7, 5)), rng.standard_normal(7)
+        obj = Watched.from_factored(A, b)
+        obj._ensure_gram()
+        np.testing.assert_array_equal(obj.linear_term(), -(A.T @ b))
+        np.testing.assert_array_equal(obj.gram_matrix(), A.T @ A)
 
     def test_demo_coordinate_lipschitz(self, demo_cons):
         np.testing.assert_allclose(demo_cons.objective.coordinate_lipschitz(),
@@ -285,13 +302,21 @@ class TestExactLipschitz:
             assert obj.lipschitz_global() == float(np.linalg.eigvalsh(obj.gram_matrix())[-1])
 
     def test_wide_data_fill_no_gram_and_call_no_matvec(self, branch):
+        # n = 300 is under the cache limit, yet no solver fills the 300^2 Gram:
+        # dec's block solves read their k columns of A
         A, b, _ = gen_random(20, 300, 4, seed=5)
         obj = QuadraticObjective.from_factored(A, b)
         calls = count_calls(obj, "matvec")
+        blocks = count_calls(obj, "gram_submatrix")
         assert obj.lipschitz_global() == pytest.approx(np.linalg.norm(A, 2) ** 2, rel=1e-12)
         assert obj._Q is None and calls == []
-        pgm(CompositeProblem(obj, Cardinality(4)), np.zeros(300), max_iters=20)
-        assert obj._Q is None and calls == []
+        for term in (Cardinality(4), L0Penalty(0.5)):
+            prob = CompositeProblem(obj, term)
+            pgm(prob, np.zeros(300), max_iters=20)
+            apgm(prob, np.zeros(300), max_iters=20)
+            run_dec(prob, init_solution(300, term, 0), DecConfig(max_iters=30))
+            assert obj._Q is None and calls == []
+        assert len(blocks) >= 30  # the block solves did run
 
     @pytest.mark.parametrize("make", [
         lambda: QuadraticObjective.from_factored(np.full((3, 4), 1e200), np.ones(3)),

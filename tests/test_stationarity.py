@@ -823,36 +823,45 @@ class TestStackedEngine:
     def test_stacked_deltas_within_the_rounding_bound(self, mode, factored, monkeypatch):
         # the certificate reads every (block, pattern, point) change from one
         # stacked call; each must be within ROUND_REL times the certificate's
-        # scale bound of the change solve_block's one-block, one-point call forms
+        # scale bound of the change solve_block's one-block, one-point call
+        # forms.  With the Gram cached, the stack slices it and the single
+        # block reads A; at k = 1 and k = 12 that product runs another BLAS
+        # kernel than the cache fill, so those cases take a few blocks too
         if factored:
             monkeypatch.setattr(problem_module, "_GRAM_CACHE_LIMIT", 0)
         rng = np.random.default_rng(8 + factored)
         lam = 0.0 if mode == "cons" else 0.2
-        prob = CompositeProblem(QuadraticObjective(A=rng.standard_normal((12, 9)),
-                                                   b=rng.standard_normal(12)),
-                                Cardinality(4) if mode == "cons" else L0Penalty(lam))
-        assert prob.objective._gram_cached != factored
-        X = rng.standard_normal((7, 9)) * (rng.random((7, 9)) < 0.5)
-        G = np.array([prob.objective.gradient(x) for x in X])
-        blocks = np.sort([rng.choice(9, 4, replace=False) for _ in range(25)], axis=1)
-        masks, groups = subproblem_module._pattern_tables(4, 4, 0)
-        _, delta, status = pattern_deltas(prob.objective.gram_blocks(blocks),
-                                          X[:, blocks].swapaxes(0, 1), G[:, blocks].swapaxes(0, 1),
-                                          0.0, lam, masks, groups, certify=True)
-        compared = 0
-        for n, B in enumerate(blocks):
-            Q_BB = prob.objective.gram_submatrix(B)
-            for r, (x, g) in enumerate(zip(X, G)):
-                Z, alone, failed = pattern_deltas(Q_BB[None], x[B][None, None], g[B][None, None],
-                                                  0.0, lam, masks, groups)
-                Z, alone, ok = Z[0, :, 0], alone[0, :, 0], status[n, :, r] == OK
-                assert not failed.any()
-                d2 = np.sum((Z - x[B]) ** 2, axis=1)
-                scale = (np.sqrt(d2) * np.linalg.norm(g[B]) + 0.5 * d2 * np.linalg.norm(Q_BB)
-                         + lam * np.abs(np.count_nonzero(Z, axis=1) - np.count_nonzero(x[B])))
-                assert np.all(np.abs(delta[n, ok, r] - alone[ok]) <= ROUND_REL * scale[ok])
-                compared += np.count_nonzero(ok)
-        assert compared >= 0.9 * delta.size
+        # (rows, columns, k, blocks, points)
+        for m, n, k, n_blocks, n_points in [(12, 9, 4, 25, 7), (40, 9, 1, 6, 3),
+                                            (20, 14, 12, 3, 2)]:
+            prob = CompositeProblem(QuadraticObjective(A=rng.standard_normal((m, n)),
+                                                       b=rng.standard_normal(m)),
+                                    Cardinality(4) if mode == "cons" else L0Penalty(lam))
+            assert prob.objective._gram_cached != factored
+            X = rng.standard_normal((n_points, n)) * (rng.random((n_points, n)) < 0.5)
+            G = np.array([prob.objective.gradient(x) for x in X])
+            blocks = np.sort([rng.choice(n, k, replace=False) for _ in range(n_blocks)], axis=1)
+            masks, groups = subproblem_module._pattern_tables(
+                k, min(k, 4) if mode == "cons" else k, 0)
+            _, delta, status = pattern_deltas(prob.objective.gram_blocks(blocks),
+                                              X[:, blocks].swapaxes(0, 1),
+                                              G[:, blocks].swapaxes(0, 1),
+                                              0.0, lam, masks, groups, certify=True)
+            compared = 0
+            for b, B in enumerate(blocks):
+                Q_BB = prob.objective.gram_submatrix(B)
+                for r, (x, g) in enumerate(zip(X, G)):
+                    Z, alone, failed = pattern_deltas(Q_BB[None], x[B][None, None],
+                                                      g[B][None, None], 0.0, lam, masks, groups)
+                    Z, alone, ok = Z[0, :, 0], alone[0, :, 0], status[b, :, r] == OK
+                    assert not failed.any()
+                    d2 = np.sum((Z - x[B]) ** 2, axis=1)
+                    scale = (np.sqrt(d2) * np.linalg.norm(g[B])
+                             + 0.5 * d2 * np.linalg.norm(Q_BB)
+                             + lam * np.abs(np.count_nonzero(Z, axis=1) - np.count_nonzero(x[B])))
+                    assert np.all(np.abs(delta[b, ok, r] - alone[ok]) <= ROUND_REL * scale[ok])
+                    compared += np.count_nonzero(ok)
+            assert compared >= 0.9 * delta.size
 
 
 class TestBatchedBasicPoints:

@@ -11,7 +11,7 @@ from blockdec import subproblem as subproblem_module
 from blockdec import (Cardinality, CompositeProblem, DegenerateSystemError,
                       DimensionMismatchError, InvalidParameterError, L0Penalty,
                       L1Penalty, NumericalError, QuadraticObjective,
-                      composite_value, solve_block)
+                      composite_value, gen_random, solve_block)
 from blockdec.subproblem import DEGENERATE, NUMERICAL, TIE_TOL
 
 from conftest import random_factored_problem, random_gram_problem
@@ -336,6 +336,32 @@ class TestGradientInput:
         assert got.patterns_evaluated == want.patterns_evaluated
         assert got.composite_delta == want.composite_delta
         assert not np.array_equal(want.x_next, x)  # the solve moved
+
+
+class TestGramCacheIndependence:
+    @pytest.mark.parametrize("k", [1, 2, 6, 12])
+    @pytest.mark.parametrize("term", [Cardinality(5), L0Penalty(0.2)], ids=["cons", "regu"])
+    def test_same_result_with_and_without_a_filled_cache(self, k, term):
+        # a factored block is read from A: a Gram cache that another caller
+        # filled cannot change a solve, and the solve fills none itself
+        A, b, _ = gen_random(30, 40, 5, noise_scale=0.5, seed=k)
+        fresh = QuadraticObjective.from_factored(A, b)
+        filled = QuadraticObjective.from_factored(A, b)
+        filled.gram_matrix()
+        rng = np.random.default_rng(k)
+        moved = 0
+        for _ in range(4):
+            x = np.zeros(40)
+            x[rng.choice(40, 4, replace=False)] = rng.standard_normal(4)  # budget >= 1
+            g = fresh.gradient(x)
+            B = np.sort(rng.choice(40, k, replace=False))
+            got = solve_block(CompositeProblem(fresh, term), x, g, B, 1e-3)
+            want = solve_block(CompositeProblem(filled, term), x, g, B, 1e-3)
+            np.testing.assert_array_equal(got.x_next, want.x_next)
+            assert got.composite_delta == want.composite_delta
+            assert got.patterns_evaluated == want.patterns_evaluated
+            moved += not np.array_equal(got.x_next, x)
+        assert moved and fresh._Q is None
 
 
 def _equivalence_case(family, seed):
