@@ -10,7 +10,8 @@ import time
 
 import numpy as np
 
-from .dec import IterationRecord, SolveTrace, record_drop, relative_drop, stopping_rule
+from .dec import (IterationRecord, SolveTrace, check_stopping, record_drop, relative_drop,
+                  stopping_rule)
 from .errors import InvalidParameterError
 from .problem import (INFEASIBLE, CompositeProblem, L1Penalty, QuadraticObjective,
                       composite_value)
@@ -18,28 +19,35 @@ from .prox import hard_threshold_topk, proximal_step
 
 
 def _proximal_gradient(prob, x0, max_iters, epsilon, window, accelerated):
-    L = prob.objective.lipschitz_global()
+    # each point's residual is formed once and shared by F and the gradient
+    # taken there; under a cardinality cap x has at most s nonzeros, y 2s
+    check_stopping(epsilon, window, max_iters)
+    obj = prob.objective
+    L = obj.lipschitz_global()
     if not L > 0:
         raise InvalidParameterError("zero quadratic: no meaningful step size 1/L")
     beta = 1.0 / L
     x = np.array(x0, dtype=float)
-    f = composite_value(prob, x)
+    r = obj.residual(x)
+    f = composite_value(prob, x, r=r)
     if f is INFEASIBLE:
         raise InvalidParameterError("infeasible start for the constrained problem")
-    y = x
+    y, r_y = x, r
     tau = 1.0
     trace = SolveTrace()
     drops = np.empty(min(max_iters, 1024))
     for t in range(max_iters):
         tic = time.perf_counter()
-        x_new = proximal_step(prob, y, beta)
+        x_new = proximal_step(prob, y, beta, r=r_y)
+        r_new = obj.residual(x_new)
         if accelerated:
             tau_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tau * tau))
             y = x_new + ((tau - 1.0) / tau_new) * (x_new - x)
+            r_y = obj.residual(y)
             tau = tau_new
         else:
-            y = x_new
-        f_new = composite_value(prob, x_new)
+            y, r_y = x_new, r_new
+        f_new = composite_value(prob, x_new, r=r_new)
         step = float(np.linalg.norm(x_new - x))
         trace.records.append(IterationRecord(
             iteration=t, objective=f, step_norm=step, working_set=(),

@@ -39,7 +39,7 @@ import numpy as np
 
 from .baselines import apgm, cvx_l1_sweep, omp, pgm
 from .data import FLOAT_FMT, corrupt, gen_random, load_instance
-from .dec import DecConfig, init_solution, run_dec
+from .dec import DecConfig, check_stopping, init_solution, run_dec
 from .errors import InvalidParameterError
 from .problem import (CompositeProblem, HalfPenalty, L1Penalty, QuadraticObjective,
                       composite_value, make_term)
@@ -207,6 +207,7 @@ def benchmark(config, out_dir):
                 epsilon=float(config.get("epsilon", 1e-5)),
                 window=int(config.get("window", 50)),
                 max_iters=int(config.get("max_iters", 1000)))
+    check_stopping(opts["epsilon"], opts["window"], opts["max_iters"])
     timing = bool(config.get("timing", False))
 
     instances = [_instance_data(spec) for spec in config.get("instances", [])]

@@ -49,12 +49,7 @@ class DecConfig:
             raise InvalidParameterError("working-set must contain at least one coordinate")
         if not self.theta > 0:
             raise InvalidParameterError(f"theta must be positive, got {self.theta}")
-        if not self.epsilon > 0:
-            raise InvalidParameterError(f"epsilon must be positive, got {self.epsilon}")
-        if self.window < 1:
-            raise InvalidParameterError(f"window must be >= 1, got {self.window}")
-        if self.max_iters < 1:
-            raise InvalidParameterError(f"max_iters must be >= 1, got {self.max_iters}")
+        check_stopping(self.epsilon, self.window, self.max_iters)
 
 
 @dataclass
@@ -79,6 +74,20 @@ class SolveTrace:
 
     def __len__(self):
         return len(self.records)
+
+
+def check_stopping(epsilon, window, max_iters):
+    """Reject stopping settings under which no solver run is meaningful.
+
+    Shared by the decomposition loop and the proximal-gradient baselines:
+    epsilon must be positive (NaN is not), window and max_iters at least 1.
+    """
+    if not epsilon > 0:
+        raise InvalidParameterError(f"epsilon must be positive, got {epsilon}")
+    if window < 1:
+        raise InvalidParameterError(f"window must be >= 1, got {window}")
+    if max_iters < 1:
+        raise InvalidParameterError(f"max_iters must be >= 1, got {max_iters}")
 
 
 def stopping_rule(relative_drops, window, epsilon):
@@ -141,7 +150,8 @@ def run_dec(prob, x0, config):
     if x.shape != (prob.n,):
         raise InvalidParameterError(
             f"x0 has shape {x.shape}, expected ({prob.n},)")
-    f = composite_value(prob, x)
+    r = prob.objective.residual(x)  # shared by F(x0) and the first gradient
+    f = composite_value(prob, x, r=r)
     if f is INFEASIBLE:
         raise InvalidParameterError(
             f"infeasible start: {np.count_nonzero(x)} nonzeros exceed budget {term.s}")
@@ -149,11 +159,11 @@ def run_dec(prob, x0, config):
     # the greedy picks depend only on x and g, so they are ranked once per point
     ranked = 0 < config.n_greedy and config.n_random + config.n_greedy < prob.n
 
-    def renew(x):
-        g = prob.objective.gradient(x)
+    def renew(x, r=None):
+        g = prob.objective.gradient(x, r=r)
         return g, greedy_picks(prob, x, g, config.n_greedy) if ranked else None
 
-    g, greedy = renew(x)  # renewed only when x moves
+    g, greedy = renew(x, r)  # renewed only when x moves
     rng = np.random.default_rng(config.seed)
     trace = SolveTrace()
     drops = np.empty(min(config.max_iters, 1024))

@@ -95,13 +95,14 @@ def half_threshold(a, t):
     return out
 
 
-def proximal_step(prob, x, beta):
+def proximal_step(prob, x, beta, r=None):
     """One proximal-gradient step on the composite problem.
 
     Computes a = x - beta * grad f(x) and applies the thresholding operator
-    matching the problem's sparsity term.
+    matching the problem's sparsity term.  ``r``, if given, must be
+    ``prob.objective.residual(x)`` at this same x.
     """
     if not beta > 0:
         raise InvalidParameterError(f"step size must be positive, got {beta}")
-    g = prob.objective.gradient(x)
+    g = prob.objective.gradient(x, r=r)
     return prob.term.prox(x - beta * g, beta)

@@ -6,7 +6,7 @@ import pytest
 from blockdec import (Cardinality, CompositeProblem, HalfPenalty,
                       InvalidParameterError, IterationRecord, L0Penalty,
                       L1Penalty, QuadraticObjective, SolveTrace, apgm,
-                      composite_value, cvx_l1_sweep, gen_random,
+                      composite_value, cvx_l1_sweep, gen_random, init_solution,
                       is_l_stationary, omp, pgm, soft_threshold)
 from blockdec.bench import write_trace
 
@@ -85,6 +85,74 @@ class TestProximalGradientTrace:
         write_trace(tmp_path / "timing.csv", trace, timing=True)
         rows = (tmp_path / "timing.csv").read_text().strip().split("\n")[1:]
         assert [float(row.split(",")[4]) for row in rows] == [r.elapsed for r in trace.records]
+
+
+def spy_residuals(obj):
+    """Count residual and gradient calls on obj, and check every r passed in.
+
+    A value or gradient call given r must get the residual of its own x,
+    bit for bit.  Returns the dict of call counts.
+    """
+    counts = {"residual": 0, "gradient": 0, "stale": 0}
+    residual, value, gradient = obj.residual, obj.value, obj.gradient
+
+    def check(x, r):
+        if r is not None and not np.array_equal(r, QuadraticObjective.residual(obj, x)):
+            counts["stale"] += 1
+
+    def counted_residual(x):
+        counts["residual"] += 1
+        return residual(x)
+
+    def checked_value(x, r=None):
+        check(x, r)
+        return value(x, r=r)
+
+    def counted_gradient(x, r=None):
+        counts["gradient"] += 1
+        check(x, r)
+        return gradient(x, r=r)
+
+    obj.residual, obj.value, obj.gradient = counted_residual, checked_value, counted_gradient
+    return counts
+
+
+class TestSharedResidual:
+    # n = 640 with s = 4: iterates take the support product (32 nnz <= n)
+    @pytest.mark.parametrize("term", [Cardinality(4), L0Penalty(20.0), L1Penalty(5.0)],
+                             ids=["cons", "regu", "l1"])
+    @pytest.mark.parametrize("solver, per_iter", [(pgm, 1), (apgm, 2)], ids=["pgm", "apgm"])
+    def test_one_residual_per_point(self, solver, per_iter, term):
+        # pgm forms the residual of x_new, which F(x_new) and the next
+        # gradient share; apgm also forms the residual of y
+        prob, _ = random_factored_problem(40, 640, 1, term, support=4)
+        counts = spy_residuals(prob.objective)
+        x0 = init_solution(640, term, 0) if isinstance(term, Cardinality) else np.zeros(640)
+        x, trace = solver(prob, x0, max_iters=60)
+        assert len(trace) > 1
+        assert counts["gradient"] == len(trace)
+        assert counts["residual"] == 1 + per_iter * len(trace)
+        assert counts["stale"] == 0
+
+    @pytest.mark.parametrize("solver", [pgm, apgm], ids=["pgm", "apgm"])
+    def test_shared_residuals_change_no_bits(self, solver):
+        # a run whose value and gradient each form their own residual
+        class Unshared(QuadraticObjective):
+            def value(self, x, r=None):
+                return super().value(x)
+
+            def gradient(self, x, r=None):
+                return super().gradient(x)
+
+        A, b, _ = gen_random(40, 640, 4, seed=1)
+        term = Cardinality(4)
+        x0 = init_solution(640, term, 0)
+        runs = [solver(CompositeProblem(cls.from_factored(A, b), term), x0, max_iters=60)
+                for cls in (QuadraticObjective, Unshared)]
+        (x, trace), (x_ref, trace_ref) = runs
+        np.testing.assert_array_equal(x, x_ref)
+        assert trace.final_objective == trace_ref.final_objective
+        np.testing.assert_array_equal(trace.objectives(), trace_ref.objectives())
 
 
 class TestApgm:

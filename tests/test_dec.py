@@ -10,6 +10,7 @@ from blockdec import (Cardinality, CompositeProblem, DecConfig,
                       composite_value, greedy_scores, init_solution, relative_drop,
                       run_dec, solve_block, stopping_rule)
 from blockdec import dec as dec_module
+from blockdec.dec import check_stopping
 from blockdec import working_set as working_set_module
 
 from conftest import (CONS_GLOBAL_F, CONS_GLOBAL_X, REGU_GLOBAL_F, count_calls,
@@ -156,6 +157,20 @@ class TestRunDec:
         assert len(calls) == 1 + moves
         assert fresh and all(fresh)
 
+    @pytest.mark.parametrize("term", [Cardinality(3), L0Penalty(0.5)], ids=["cons", "regu"])
+    def test_one_residual_per_point(self, term):
+        # F(x0) and the first gradient share one residual; each renewal's
+        # gradient forms the residual of its own point
+        prob, _ = random_factored_problem(10, 16, 4, term)
+        residuals = count_calls(prob.objective, "residual")
+        gradients = count_calls(prob.objective, "gradient")
+        x, trace = run_dec(prob, init_solution(16, term, 4),
+                           DecConfig(n_random=3, n_greedy=2, seed=4, max_iters=80))
+        moves = sum(r.step_norm > 0.0 for r in trace.records)
+        assert 0 < moves < len(trace)
+        assert len(gradients) == 1 + moves
+        assert len(residuals) == 1 + moves
+
     @pytest.mark.parametrize("n,split", [(16, (3, 2)), (16, (0, 3)), (8, (8, 0)),
                                          (8, (6, 2)), (16, (5, 0))],
                              ids=["R3G2", "R0G3", "full", "R6G2-full", "R5G0"])
@@ -266,6 +281,19 @@ class TestRunDec:
             DecConfig(window=0)
         with pytest.raises(InvalidParameterError):
             DecConfig(max_iters=0)
+
+    @pytest.mark.parametrize("stop", [dict(window=0), dict(window=-5), dict(epsilon=-1.0),
+                                      dict(epsilon=np.nan), dict(max_iters=0)],
+                             ids=["window-0", "window-neg", "epsilon-neg", "epsilon-nan",
+                                  "max-iters-0"])
+    def test_stopping_settings_checked_alike(self, stop):
+        # dec and the proximal-gradient baselines share one check
+        settings = {"epsilon": 1e-5, "window": 50, "max_iters": 1000, **stop}
+        with pytest.raises(InvalidParameterError) as from_config:
+            DecConfig(**stop)
+        with pytest.raises(InvalidParameterError) as from_check:
+            check_stopping(**settings)
+        assert str(from_config.value) == str(from_check.value)
 
 
 def reranking_select(prob, x, g, n_random, n_greedy, rng, greedy=None):

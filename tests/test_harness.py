@@ -153,6 +153,22 @@ class TestDenseFormat:
         np.testing.assert_array_equal(A, A2)
         np.testing.assert_array_equal(b, b2)
 
+    def test_bytes_equal_one_format_per_value(self, tmp_path):
+        # the writers format a row with one % on a template; the bytes are
+        # those of FLOAT_FMT applied to each value alone
+        special = [-0.0, 5e-324, 1e308, 0.1, -1.5e-300, 123456789.125]
+        A = np.array([special, special[::-1]])
+        b = np.array([0.1, -0.0])
+        save_instance(tmp_path / "inst.txt", A, b)
+        rows = [" ".join(FLOAT_FMT % v for v in row) for row in (*A, b)]
+        assert (tmp_path / "inst.txt").read_bytes() == (
+            "2 6\n" + "\n".join(rows) + "\n").encode()
+        save_point(tmp_path / "x.txt", np.array(special))
+        assert (tmp_path / "x.txt").read_bytes() == "".join(
+            FLOAT_FMT % v + "\n" for v in special).encode()
+        save_point(tmp_path / "empty.txt", np.zeros(0))
+        assert (tmp_path / "empty.txt").read_bytes() == b""
+
     def test_header_validation(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("3 -1\n")
@@ -407,6 +423,55 @@ class TestRunSolver:
         np.testing.assert_array_equal(x, blockdec.cvx_l1_sweep(A, b, 4, max_iters=5))
         # five iterations stop short of the default run on this instance
         assert not np.array_equal(x, run_solver("cvx-l1", A, b, "cons", 4, 0)[0])
+
+
+# stopping settings under which no iterative run is meaningful, and the
+# solvers (with a mode and parameter each) that take them
+BAD_STOPS = [{"window": 0}, {"window": -5}, {"epsilon": -1.0}, {"epsilon": float("nan")},
+             {"max_iters": 0}]
+BAD_STOP_IDS = ["window-0", "window-neg", "epsilon-neg", "epsilon-nan", "max-iters-0"]
+STOPPED_SOLVERS = [("pgm", "cons", 2), ("apgm", "regu", 0.5), ("cvx-l1", "cons", 2),
+                   ("pgm-l1", "cons", 0.5), ("pgm-lhalf", "regu", 0.5)]
+
+
+class TestStoppingSettings:
+    @pytest.mark.parametrize("stop", BAD_STOPS, ids=BAD_STOP_IDS)
+    @pytest.mark.parametrize("name, mode, param", STOPPED_SOLVERS,
+                             ids=[s[0] for s in STOPPED_SOLVERS])
+    def test_solvers_reject_bad_stopping_settings(self, name, mode, param, stop):
+        A, b, _ = gen_random(6, 10, 2, seed=0)
+        with pytest.raises(InvalidParameterError):
+            run_solver(name, A, b, mode, param, 0, **stop)
+
+    @pytest.mark.parametrize("stop", BAD_STOPS, ids=BAD_STOP_IDS)
+    def test_benchmark_rejects_them_before_writing(self, tmp_path, stop):
+        cfg = dict(TestBenchmark.CONFIG, **stop)
+        with pytest.raises(InvalidParameterError):
+            benchmark(cfg, str(tmp_path / "out"))
+        assert not (tmp_path / "out").exists()
+
+    # each solver once, each setting once
+    @pytest.mark.parametrize("solver, stop", [(s[0], stop) for s, stop in
+                                              zip(STOPPED_SOLVERS, BAD_STOPS)],
+                             ids=[f"{s[0]}-{i}" for s, i in zip(STOPPED_SOLVERS, BAD_STOP_IDS)])
+    def test_cli_exits_1(self, tmp_path, solver, stop):
+        (key, value), = stop.items()
+        inst = tmp_path / "i.txt"
+        save_instance(inst, *gen_random(6, 10, 2, seed=0)[:2])
+        r = cli("solve", "--instance", str(inst), "--solver", solver, "--mode", "cons",
+                "--s", "2", "--lambda", "0.5", "--" + key.replace("_", "-"), str(value))
+        assert r.returncode == 1, r.stderr
+        assert key in r.stderr
+        assert "Traceback" not in r.stderr and "final_objective" not in r.stdout
+
+    def test_cli_benchmark_exits_1_and_writes_nothing(self, tmp_path):
+        import json
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(dict(TestBenchmark.CONFIG, window=0)))
+        r = cli("benchmark", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out"))
+        assert r.returncode == 1
+        assert "window" in r.stderr and "Traceback" not in r.stderr
+        assert not (tmp_path / "out").exists()
 
 
 # every solver name in every mode it allows, with the term that scores it

@@ -188,6 +188,70 @@ class TestQuadraticObjective:
         assert factored._Q is None  # nothing on the factored path fills Q
 
 
+class TestResidual:
+    # n = 320: a point with up to 10 nonzeros takes the support product
+    M, N = 30, 320
+
+    def _objective(self):
+        A, b, _ = gen_random(self.M, self.N, 4, seed=8)
+        return A, b, QuadraticObjective.from_factored(A, b)
+
+    def _point(self, nnz, seed=3):
+        rng = np.random.default_rng(seed)
+        x = np.zeros(self.N)
+        x[rng.choice(self.N, size=nnz, replace=False)] = rng.standard_normal(nnz)
+        return x
+
+    @pytest.mark.parametrize("nnz", [0, 1, 9, 10, 11, 12, 40, 320])
+    def test_agrees_with_the_dense_product_to_rounding(self, nnz):
+        A, b, obj = self._objective()
+        x = self._point(nnz)
+        r = obj.residual(x)
+        dense = A @ x - b
+        if nnz == 0:
+            np.testing.assert_array_equal(r, -b)
+        bound = 4 * self.N * np.finfo(float).eps * (np.abs(A) @ np.abs(x) + np.abs(b))
+        assert np.all(np.abs(r - dense) <= bound)
+
+    @pytest.mark.parametrize("nnz, support_path", [(0, True), (10, True), (11, False)])
+    def test_support_path_reads_only_the_support_columns(self, nnz, support_path):
+        # 32 nnz <= n takes A[:, S] @ x[S]; a NaN column off the support is
+        # then never read, while the dense product carries it into r
+        _, _, obj = self._objective()
+        x = self._point(nnz)
+        obj._A[:, np.flatnonzero(x == 0)[0]] = np.nan
+        assert np.isfinite(obj.residual(x)).all() == support_path
+
+    def test_fewer_than_32_columns_take_the_dense_product(self):
+        # only x = 0 would qualify there, and it gains nothing from the support
+        A, b, _ = gen_random(6, 31, 2, seed=8)
+        obj = QuadraticObjective.from_factored(A, b)
+        obj._A[:, 0] = np.nan
+        assert np.isnan(obj.residual(np.zeros(31))).all()
+
+    @pytest.mark.parametrize("nnz", [0, 10, 11, 320])
+    def test_value_and_gradient_take_the_residual_bit_for_bit(self, nnz):
+        _, _, obj = self._objective()
+        x = self._point(nnz)
+        r = obj.residual(x)
+        assert obj.value(x, r=r) == obj.value(x)
+        np.testing.assert_array_equal(obj.gradient(x, r=r), obj.gradient(x))
+        prob = CompositeProblem(obj, L0Penalty(0.5))
+        assert composite_value(prob, x, r=r) == composite_value(prob, x)
+
+    def test_gram_form_has_no_residual(self):
+        Q, p = _rand_gram(5, 4)
+        obj = QuadraticObjective.from_gram(Q, p)
+        x = np.array([0.0, 1.0, 0.0, -2.0, 0.0])
+        assert obj.residual(x) is None
+        assert obj.value(x, r=None) == 0.5 * float(x @ (Q @ x)) + float(p @ x)
+
+    def test_residual_checks_the_shape(self):
+        _, _, obj = self._objective()
+        with pytest.raises(DimensionMismatchError):
+            obj.residual(np.zeros(self.N + 1))
+
+
 class TestTerms:
     def test_cardinality_value(self):
         t = Cardinality(2)

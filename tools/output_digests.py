@@ -7,6 +7,10 @@ this script on both checkouts and comparing the two listings::
     python3 tools/output_digests.py --src ../parent/src > old.txt
     diff old.txt new.txt
 
+A solver run's line also gives its final F (``%.17g``), iteration count and
+nnz, ``label sha256 F=... iters=... nnz=...``, so a moved digest shows how
+far the run moved.
+
 Each digest covers the bytes of a run's output, never its timings:
 
 * ``dec``: x, every trace record (F, step norm, working set), the status and
@@ -51,7 +55,8 @@ def _digest(*parts):
 
 def _run_digest(x, trace):
     records = [(r.iteration, r.objective, r.step_norm, r.working_set) for r in trace.records]
-    return _digest(x, records, trace.status, trace.final_objective)
+    return (f"{_digest(x, records, trace.status, trace.final_objective)} "
+            f"F={trace.final_objective:.17g} iters={len(trace)} nnz={int((x != 0).sum())}")
 
 
 def _file_digest(out_dir):
@@ -66,7 +71,7 @@ def _file_digest(out_dir):
 
 
 def digests(bd):
-    """Yield (label, sha256) for every fixed run, in a fixed order."""
+    """Yield (label, sha256 and run summary) for every fixed run, in a fixed order."""
     for size, (m, n, s, corrupted, lam, max_iters, window) in SIZES.items():
         A, b, _ = bd.gen_random(m, n, s, seed=1)
         if corrupted:
