@@ -2,16 +2,14 @@
 matching pursuit, and an l1 sweep with debiasing.
 
 All gradient-type methods use the fixed step 1/L, L = ||A||_2^2 exactly (from the
-smaller of A'A and AA'), and the same windowed stopping rule as the decomposition
-solver, so traces are directly comparable.
+smaller of A'A and AA'), and run in the decomposition solver's loop,
+``dec.iterate``, under the same windowed stopping rule, so traces are
+directly comparable.
 """
-
-import time
 
 import numpy as np
 
-from .dec import (IterationRecord, SolveTrace, check_stopping, record_drop, relative_drop,
-                  stopping_rule)
+from .dec import check_stopping, iterate
 from .errors import InvalidParameterError
 from .problem import (INFEASIBLE, CompositeProblem, L1Penalty, QuadraticObjective,
                       composite_value)
@@ -19,25 +17,29 @@ from .prox import hard_threshold_topk, proximal_step
 
 
 def _proximal_gradient(prob, x0, max_iters, epsilon, window, accelerated):
-    # each point's residual is formed once and shared by F and the gradient
-    # taken there; under a cardinality cap x has at most s nonzeros, y 2s
     check_stopping(epsilon, window, max_iters)
-    obj = prob.objective
-    L = obj.lipschitz_global()
+    L = prob.objective.lipschitz_global()
     if not L > 0:
         raise InvalidParameterError("zero quadratic: no meaningful step size 1/L")
-    beta = 1.0 / L
     x = np.array(x0, dtype=float)
-    r = obj.residual(x)
+    r = prob.objective.residual(x)
     f = composite_value(prob, x, r=r)
     if f is INFEASIBLE:
         raise InvalidParameterError("infeasible start for the constrained problem")
+    return iterate(_proximal_gradient_steps(prob, x, r, 1.0 / L, accelerated), x, f,
+                   max_iters, epsilon, window)
+
+
+def _proximal_gradient_steps(prob, x, r, beta, accelerated):
+    """Proximal-gradient steps of size beta from x, for ``iterate``.
+
+    Each point's residual is formed once and shared by F and the gradient
+    taken there; under a cardinality cap x has at most s nonzeros, y 2s.
+    """
+    obj = prob.objective
     y, r_y = x, r
     tau = 1.0
-    trace = SolveTrace()
-    drops = np.empty(min(max_iters, 1024))
-    for t in range(max_iters):
-        tic = time.perf_counter()
+    while True:
         x_new = proximal_step(prob, y, beta, r=r_y)
         r_new = obj.residual(x_new)
         if accelerated:
@@ -47,20 +49,8 @@ def _proximal_gradient(prob, x0, max_iters, epsilon, window, accelerated):
             tau = tau_new
         else:
             y, r_y = x_new, r_new
-        f_new = composite_value(prob, x_new, r=r_new)
-        step = float(np.linalg.norm(x_new - x))
-        trace.records.append(IterationRecord(
-            iteration=t, objective=f, step_norm=step, working_set=(),
-            elapsed=time.perf_counter() - tic))
-        drops = record_drop(drops, t, relative_drop(f, f_new))
-        x, f = x_new, f_new
-        if stopping_rule(drops[:t + 1], window, epsilon):
-            trace.status = "converged"
-            break
-    else:
-        trace.status = "max_iters"
-    trace.final_objective = f
-    return x, trace
+        x = x_new
+        yield x, composite_value(prob, x, r=r_new), ()
 
 
 def pgm(prob, x0, max_iters=1000, epsilon=1e-5, window=50):

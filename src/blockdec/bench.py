@@ -131,6 +131,7 @@ def run_solver(name, A, b, mode, param, seed, theta=1e-3, epsilon=1e-5,
     is the composite objective of the term the solver ran on.
     """
     spec = solver_spec(name, mode)
+    check_stopping(epsilon, window, max_iters)  # omp ignores them, but bad ones still fail
     prob = CompositeProblem(QuadraticObjective(A=A, b=b), spec.term(mode, param))
     stop = dict(max_iters=max_iters, epsilon=epsilon, window=window)
     dec = dict(n_random=krand, n_greedy=kgreedy, theta=theta)
@@ -207,7 +208,7 @@ def benchmark(config, out_dir):
                 epsilon=float(config.get("epsilon", 1e-5)),
                 window=int(config.get("window", 50)),
                 max_iters=int(config.get("max_iters", 1000)))
-    check_stopping(opts["epsilon"], opts["window"], opts["max_iters"])
+    DecConfig(**opts)  # bad theta or stopping keys fail before any output exists
     timing = bool(config.get("timing", False))
 
     instances = [_instance_data(spec) for spec in config.get("instances", [])]

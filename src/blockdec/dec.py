@@ -11,6 +11,9 @@ holds exactly for the recorded trace, because objectives are accumulated
 from the subproblem's own improvement deltas rather than recomputed.  One
 gradient per point feeds both working-set selection and the block solve, and
 the greedy part of the working set is ranked once per point.
+
+``iterate`` is the one loop of every iterative solver: it times and records
+the steps a solver's generator yields and applies the windowed stopping rule.
 """
 
 import time
@@ -47,8 +50,8 @@ class DecConfig:
             raise InvalidParameterError("working-set sizes must be nonnegative")
         if self.n_random + self.n_greedy < 1:
             raise InvalidParameterError("working-set must contain at least one coordinate")
-        if not self.theta > 0:
-            raise InvalidParameterError(f"theta must be positive, got {self.theta}")
+        if not 0 < self.theta < np.inf:
+            raise InvalidParameterError(f"theta must be positive and finite, got {self.theta}")
         check_stopping(self.epsilon, self.window, self.max_iters)
 
 
@@ -104,18 +107,6 @@ def stopping_rule(relative_drops, window, epsilon):
     return float(np.mean(relative_drops[-window:])) <= epsilon
 
 
-def record_drop(drops, t, value):
-    """Store value as drops[t], doubling the buffer when it is full; returns it.
-
-    The loops pass ``stopping_rule`` the slice ``drops[:t + 1]``, one
-    contiguous float64 array, so the window mean converts nothing.
-    """
-    if t == drops.size:
-        drops = np.concatenate((drops, np.empty(drops.size)))
-    drops[t] = value
-    return drops
-
-
 def relative_drop(f_old, f_new):
     """(F_t - F_{t+1}) / |F_t|, with a zero denominator mapped to 0.
 
@@ -134,6 +125,36 @@ def init_solution(n, term, seed):
     if isinstance(term, Cardinality):
         x = hard_threshold_topk(x, term.s)
     return x
+
+
+def iterate(steps, x, f, max_iters, epsilon, window):
+    """Take steps from x, F(x) = f, until the stopping rule fires; returns (x, trace).
+
+    At most ``max_iters`` steps are taken.  ``steps`` yields
+    ``(x_next, F(x_next), working_set)`` once per iteration.
+    A record holds F at the start, ||x_next - x||, the working set and the
+    time taken to produce and record the step.
+    """
+    trace = SolveTrace()
+    # one float64 buffer, doubled when full: the window mean converts nothing
+    drops = np.empty(min(max_iters, 1024))
+    for t in range(max_iters):
+        tic = time.perf_counter()
+        x_next, f_next, working_set = next(steps)
+        trace.records.append(IterationRecord(
+            iteration=t, objective=f, step_norm=float(np.linalg.norm(x_next - x)),
+            working_set=working_set, elapsed=time.perf_counter() - tic))
+        if t == drops.size:
+            drops = np.concatenate((drops, np.empty(drops.size)))
+        drops[t] = relative_drop(f, f_next)
+        x, f = x_next, f_next
+        if stopping_rule(drops[:t + 1], window, epsilon):
+            trace.status = "converged"
+            break
+    else:
+        trace.status = "max_iters"
+    trace.final_objective = f
+    return x, trace
 
 
 def run_dec(prob, x0, config):
@@ -163,37 +184,22 @@ def run_dec(prob, x0, config):
         g = prob.objective.gradient(x, r=r)
         return g, greedy_picks(prob, x, g, config.n_greedy) if ranked else None
 
-    g, greedy = renew(x, r)  # renewed only when x moves
-    rng = np.random.default_rng(config.seed)
-    trace = SolveTrace()
-    drops = np.empty(min(config.max_iters, 1024))
-    settled = False  # full block solved exactly; nothing left to improve
-    for t in range(config.max_iters):
-        tic = time.perf_counter()
-        B = select_working_set(prob, x, g, config.n_random, config.n_greedy, rng,
-                               greedy=greedy)
-        if settled:
-            step = 0.0
-            f_next = f
-        else:
-            result = solve_block(prob, x, g, B, config.theta)
-            step = float(np.linalg.norm(result.x_next - x))
-            f_next = f + result.composite_delta
-            # a move of entries below ~1e-162 has step 0.0 but is still a move
-            if not np.array_equal(result.x_next, x):
-                g, greedy = renew(result.x_next)
-            elif len(B) == prob.n:
-                settled = True
-            x = result.x_next
-        trace.records.append(IterationRecord(
-            iteration=t, objective=f, step_norm=step, working_set=tuple(B.tolist()),
-            elapsed=time.perf_counter() - tic))
-        drops = record_drop(drops, t, relative_drop(f, f_next))
-        f = f_next
-        if stopping_rule(drops[:t + 1], config.window, config.epsilon):
-            trace.status = "converged"
-            break
-    else:
-        trace.status = "max_iters"
-    trace.final_objective = f
-    return x, trace
+    def dec_steps(x, f, g, greedy):  # g and the picks are renewed only when x moves
+        rng = np.random.default_rng(config.seed)
+        settled = False  # full block solved exactly; nothing left to improve
+        while True:
+            B = select_working_set(prob, x, g, config.n_random, config.n_greedy, rng,
+                                   greedy=greedy)
+            if not settled:
+                result = solve_block(prob, x, g, B, config.theta)
+                f = f + result.composite_delta
+                # a move of entries below ~1e-162 has step 0.0 but is still a move
+                if not np.array_equal(result.x_next, x):
+                    g, greedy = renew(result.x_next)
+                elif len(B) == prob.n:
+                    settled = True
+                x = result.x_next
+            yield x, f, tuple(B.tolist())
+
+    return iterate(dec_steps(x, f, *renew(x, r)), x, f,
+                   config.max_iters, config.epsilon, config.window)

@@ -35,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import BlockdecError, BudgetExceededError, InvalidParameterError
 from .problem import (INFEASIBLE, Cardinality, CompositeProblem, QuadraticObjective,
@@ -308,6 +307,8 @@ def _restricted_minimizers(M, rhs):
     L, failed = _cholesky(M)
     Z = _cho_solve(L, rhs[..., None])[..., 0]
     for i in np.flatnonzero(failed | _tiny_pivots(L, M)):
+        # imported here: scipy.linalg adds about 27 MB to the package's import
+        from scipy.linalg import cho_factor, cho_solve
         try:
             Z[i] = cho_solve(cho_factor(M[i]), rhs[i])
         except np.linalg.LinAlgError:

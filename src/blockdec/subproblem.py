@@ -236,8 +236,8 @@ def solve_block(prob, x, g, B, theta):
     if idx[-1] >= prob.n:
         raise DimensionMismatchError(
             f"working set {idx.tolist()} out of range for n = {prob.n}")
-    if theta < 0:
-        raise InvalidParameterError(f"theta must be nonnegative, got {theta}")
+    if not 0 <= theta < np.inf:
+        raise InvalidParameterError(f"theta must be nonnegative and finite, got {theta}")
 
     x_B = x[idx]
     nnz_x_B = int(np.count_nonzero(x_B))

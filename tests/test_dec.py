@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from blockdec import (Cardinality, CompositeProblem, DecConfig,
                       InvalidParameterError, L0Penalty, QuadraticObjective,
-                      composite_value, greedy_scores, init_solution, relative_drop,
+                      composite_value, greedy_scores, init_solution, pgm, relative_drop,
                       run_dec, solve_block, stopping_rule)
 from blockdec import dec as dec_module
 from blockdec.dec import check_stopping
@@ -48,14 +48,18 @@ class TestStoppingRule:
         buffer = np.append(drops, np.full(7, np.nan))
         assert stopping_rule(buffer[:len(drops)], window, 1e-5) == got
 
-    def test_window_longer_than_the_first_buffer(self):
+    @pytest.mark.parametrize("solve", [
+        lambda prob, x0, window: run_dec(prob, x0, DecConfig(n_random=4, n_greedy=0,
+                                                             window=window, max_iters=5000)),
+        lambda prob, x0, window: pgm(prob, x0, window=window, max_iters=5000),
+    ], ids=["dec", "pgm"])
+    def test_window_longer_than_the_first_buffer(self, solve):
         # the first move's drop keeps the window mean above epsilon until
         # the window slides past it, beyond the drop buffer's first 1024
         prob = CompositeProblem(QuadraticObjective(Q=np.eye(4), p=-np.arange(1.0, 5.0)),
                                 L0Penalty(0.1))
         window = 1100
-        x, trace = run_dec(prob, np.ones(4), DecConfig(n_random=4, n_greedy=0,
-                                                       window=window, max_iters=5000))
+        x, trace = solve(prob, np.ones(4), window)
         objs = [r.objective for r in trace.records] + [trace.final_objective]
         drops = [relative_drop(f, g) for f, g in zip(objs, objs[1:])]
         stop = next(t for t in range(window - 1, len(drops))
@@ -281,6 +285,11 @@ class TestRunDec:
             DecConfig(window=0)
         with pytest.raises(InvalidParameterError):
             DecConfig(max_iters=0)
+
+    @pytest.mark.parametrize("theta", [np.inf, np.nan])
+    def test_theta_must_be_finite(self, theta):
+        with pytest.raises(InvalidParameterError, match="theta"):
+            DecConfig(theta=theta)
 
     @pytest.mark.parametrize("stop", [dict(window=0), dict(window=-5), dict(epsilon=-1.0),
                                       dict(epsilon=np.nan), dict(max_iters=0)],

@@ -450,10 +450,12 @@ class TestStoppingSettings:
             benchmark(cfg, str(tmp_path / "out"))
         assert not (tmp_path / "out").exists()
 
-    # each solver once, each setting once
+    # each solver once, each setting once; omp takes none but checks them all
     @pytest.mark.parametrize("solver, stop", [(s[0], stop) for s, stop in
-                                              zip(STOPPED_SOLVERS, BAD_STOPS)],
-                             ids=[f"{s[0]}-{i}" for s, i in zip(STOPPED_SOLVERS, BAD_STOP_IDS)])
+                                              zip(STOPPED_SOLVERS, BAD_STOPS)]
+                             + [("omp", stop) for stop in BAD_STOPS],
+                             ids=[f"{s[0]}-{i}" for s, i in zip(STOPPED_SOLVERS, BAD_STOP_IDS)]
+                             + [f"omp-{i}" for i in BAD_STOP_IDS])
     def test_cli_exits_1(self, tmp_path, solver, stop):
         (key, value), = stop.items()
         inst = tmp_path / "i.txt"
@@ -462,6 +464,22 @@ class TestStoppingSettings:
                 "--s", "2", "--lambda", "0.5", "--" + key.replace("_", "-"), str(value))
         assert r.returncode == 1, r.stderr
         assert key in r.stderr
+        assert "Traceback" not in r.stderr and "final_objective" not in r.stdout
+
+    @pytest.mark.parametrize("theta", [0.0, float("inf"), float("nan")])
+    def test_benchmark_rejects_bad_theta_before_writing(self, tmp_path, theta):
+        with pytest.raises(InvalidParameterError, match="theta"):
+            benchmark(dict(TestBenchmark.CONFIG, theta=theta), str(tmp_path / "out"))
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("theta", ["inf", "nan"])
+    def test_cli_dec_rejects_non_finite_theta(self, tmp_path, theta):
+        inst = tmp_path / "i.txt"
+        save_instance(inst, *gen_random(6, 10, 2, seed=0)[:2])
+        r = cli("solve", "--instance", str(inst), "--solver", "dec", "--mode", "cons",
+                "--s", "3", "--theta", theta)
+        assert r.returncode == 1, r.stderr
+        assert "theta" in r.stderr
         assert "Traceback" not in r.stderr and "final_objective" not in r.stdout
 
     def test_cli_benchmark_exits_1_and_writes_nothing(self, tmp_path):

@@ -7,6 +7,9 @@ from that closed form.
 """
 
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -27,7 +30,7 @@ from blockdec.stationarity import ROUND_REL, ZERO_TOL
 from blockdec.subproblem import OK, TIE_TOL, pattern_deltas
 from blockdec.working_set import random_set
 
-from conftest import CONS_GLOBAL_X, REGU_GLOBAL_F, count_calls, random_gram_problem
+from conftest import CONS_GLOBAL_X, REGU_GLOBAL_F, SRC, count_calls, random_gram_problem
 
 # Frozen reference sets for the demo problem (independently derived from the
 # closed form x_i = -1 + c_i * sigma_S / (1 + q_S) on each support S):
@@ -453,6 +456,29 @@ class TestLandscapeTable:
             assert counts.block[k] == sum(
                 all(is_block_k(prob, x, j) for j in range(min(counts.block), k + 1))
                 for x in reps.values())
+
+    def test_census_and_solves_leave_scipy_linalg_unloaded(self):
+        # scipy.linalg serves only near-singular supports, which none of
+        # these runs meets; a fresh interpreter sees what the package loads
+        script = "\n".join([
+            "import sys",
+            "import blockdec as bd",
+            "for mode in ('cons', 'regu'):",
+            "    bd.landscape_table(bd.table1_problem(mode))",
+            "A, b, _ = bd.gen_random(20, 40, 4, seed=0)",
+            "prob = bd.CompositeProblem(bd.QuadraticObjective.from_factored(A, b),",
+            "                           bd.Cardinality(4))",
+            "x0 = bd.init_solution(40, prob.term, 0)",
+            "bd.run_dec(prob, x0, bd.DecConfig(max_iters=50))",
+            "bd.pgm(prob, x0, max_iters=50)",
+            "print('scipy.linalg' in sys.modules)",
+        ])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        r = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                           text=True, env=env)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.strip() == "False"
 
 
 class TestHierarchy:

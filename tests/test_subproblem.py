@@ -296,8 +296,9 @@ class TestValidation:
     def test_negative_theta(self):
         prob = random_gram_problem(4, 8, Cardinality(2))
         x = np.zeros(4)
-        with pytest.raises(InvalidParameterError):
-            solve_block(prob, x, prob.objective.gradient(x), [0, 1], -0.1)
+        for theta in (-0.1, np.inf, np.nan):
+            with pytest.raises(InvalidParameterError):
+                solve_block(prob, x, prob.objective.gradient(x), [0, 1], theta)
 
     def test_relaxation_terms_rejected(self):
         rng = np.random.default_rng(9)

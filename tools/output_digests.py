@@ -1,11 +1,13 @@
 """Print one ``label sha256`` line per fixed, seeded run of the package.
 
-A change that claims to keep outputs byte-identical is checked by running
-this script on both checkouts and comparing the two listings::
+A change that claims to keep outputs byte-identical is checked by listing
+the parent checkout's runs and comparing this checkout's runs against them::
 
-    python3 tools/output_digests.py > new.txt
     python3 tools/output_digests.py --src ../parent/src > old.txt
-    diff old.txt new.txt
+    python3 tools/output_digests.py --against old.txt
+
+With ``--against`` the script prints each label whose line moved, with its
+old and new line, then ``K/N identical``, and exits 1 if any line moved.
 
 A solver run's line also gives its final F (``%.17g``), iteration count and
 nnz, ``label sha256 F=... iters=... nnz=...``, so a moved digest shows how
@@ -105,15 +107,30 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=os.path.join(ROOT, "src"),
                         help="directory holding the blockdec package (default: this checkout's src/)")
-    src = os.path.abspath(parser.parse_args().src)
+    parser.add_argument("--against", metavar="LISTING",
+                        help="compare with a listing printed earlier; exit 1 if any line moved")
+    args = parser.parse_args()
+    src = os.path.abspath(args.src)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
     sys.path.insert(0, src)
     import blockdec as bd
     if not os.path.abspath(bd.__file__).startswith(src + os.sep):
         sys.exit(f"imported blockdec from {bd.__file__}, not {src}")
-    for label, digest in digests(bd):
-        print(label, digest, flush=True)
+    if args.against is None:
+        for label, digest in digests(bd):
+            print(label, digest, flush=True)
+        return
+    with open(args.against) as fh:
+        old = dict(line.rstrip("\n").split(" ", 1) for line in fh if line.strip())
+    new = dict(digests(bd))
+    labels = list(new) + [label for label in old if label not in new]
+    moved = [label for label in labels if old.get(label) != new.get(label)]
+    for label in moved:
+        print(f"{label}\n  old: {old.get(label, '(absent)')}\n  new: {new.get(label, '(absent)')}")
+    print(f"{len(labels) - len(moved)}/{len(labels)} identical")
+    if moved:
+        sys.exit(1)
 
 
 if __name__ == "__main__":
