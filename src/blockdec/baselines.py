@@ -4,7 +4,11 @@ matching pursuit, and an l1 sweep with debiasing.
 All gradient-type methods use the fixed step 1/L, L = ||A||_2^2 exactly (from the
 smaller of A'A and AA'), and run in the decomposition solver's loop,
 ``dec.iterate``, under the same windowed stopping rule, so traces are
-directly comparable.
+directly comparable.  ``pgm`` and ``apgm`` take the gradient at a sparse
+point from the Gram columns of its support, p + Q[:, S] x_S, held in a store
+that lives for one solve and forms each column once (``GramColumns``); on a
+cardinality cap with n >> s that replaces a product with all of A per
+iteration by one per coordinate the run visits.
 """
 
 import numpy as np
@@ -35,12 +39,15 @@ def _proximal_gradient_steps(prob, x, r, beta, accelerated):
 
     Each point's residual is formed once and shared by F and the gradient
     taken there; under a cardinality cap x has at most s nonzeros, y 2s.
+    Gradients come from the solve's own ``GramColumns`` store: at a sparse
+    point from the Gram columns of its support, anywhere else from A'r.
     """
     obj = prob.objective
+    columns = obj.gram_columns()
     y, r_y = x, r
     tau = 1.0
     while True:
-        x_new = proximal_step(prob, y, beta, r=r_y)
+        x_new = proximal_step(prob, y, beta, g=columns.gradient(y, r=r_y))
         r_new = obj.residual(x_new)
         if accelerated:
             tau_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tau * tau))

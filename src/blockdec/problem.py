@@ -6,7 +6,10 @@ The smooth part f is a convex quadratic given either directly by its Gram data
 constant 1/2 ||b||^2 when Q = A'A and p = -A'b.  In factored form f and its
 gradient both start from the residual r = Ax - b, which a solver forms once
 per point and hands to both; on a sparse x it is read from the support
-columns of A alone.
+columns of A alone.  A proximal-gradient solve takes its gradients at sparse
+points from a ``GramColumns`` store instead, p + Q[:, S] x_S, with each
+column of Q formed from A once per solve; the store lives in the solve, and
+the objective never changes.
 
 The nonsmooth part h is one of four sparsity terms: a hard cardinality cap,
 a count penalty, or one of two separable relaxations (l1 and l1/2) used by
@@ -191,13 +194,23 @@ def make_term(mode, param):
 # of them (58,000 at n = 2048, k = 6) to repay it.
 _GRAM_CACHE_LIMIT = 4096
 
-# residual(x) multiplies only the support columns of A when 32 nnz(x) <= n.
-# Support product time over the dense A @ x - b, one BLAS thread (2-vCPU VM):
-# 500x5000 0.08x at 20 columns, 0.40x at n/32, 0.70-0.75x at n/16; 256x2048
-# 0.30x at 20, 0.67-0.72x at n/32, 1.2-1.3x at n/16.  At 64x256 the dense
-# product (4-6 us) beats the support product, which only points with at
-# most 8 nonzeros take there.
+# A point takes the support path -- residual(x) = A[:, S] x_S - b, and its
+# gradient from the Gram columns of S (GramColumns) -- when 32 nnz(x) <= n and
+# A has at least 2^16 entries.  The path has a fixed cost of 5-10 us (scan x,
+# index, gather) and the dense product about 0.2 ns per entry of A, so where
+# A is small the dense product wins at any nnz.  Support path over the dense
+# one, through residual(x) and GramColumns.gradient against gradient(x, r),
+# at nnz 1, 4, n/64 and n/32, one BLAS thread (2-vCPU VM):
+#   below the floor: 64x256 1.7-2.0x (residual), 2.0-2.2x (gradient);
+#   40x640 1.3-1.6x, 1.6-2.3x;
+#   at it: 64x1024 0.92-1.23x, 0.79-1.19x; 128x512 0.67-0.85x, 0.75-0.84x;
+#   above it: 96x1024 0.49-0.66x, 0.55-0.86x; 30x4200 0.40-0.62x, 0.74-0.84x;
+#   200x1000 0.30-0.45x, 0.35-0.41x; 128x4096 0.05-0.45x, 0.08-0.47x;
+#   100x10000 0.03-0.42x, 0.07-0.09x; 1000x2000 0.02-0.62x, 0.01-0.03x;
+#   256x2048 0.05-0.43x, 0.05-0.18x; 500x5000 0.01-0.39x, 0.02-0.35x.
+# (A gradient the store cannot serve, past its bound, costs 1.05-1.4x.)
 _SUPPORT_PRODUCT_RATIO = 32
+_SUPPORT_MIN_SIZE = 1 << 16
 
 # L = lambda_max(Q) comes from the smaller Gram, A'A or AA' (r = min(m, n)): dense
 # eigvalsh up to this r, Lanczos above.  Wide Gaussian data, one BLAS thread: dense
@@ -221,7 +234,8 @@ class QuadraticObjective:
     r = Ax - b, which ``residual`` forms from the support columns of A when x
     is sparse.  Callers that need both at one point form r once and pass it
     to each; it must be the residual of that same x.  Gram-form objectives
-    ignore r.
+    ignore r.  ``gram_columns`` gives a solve its own store of Gram columns,
+    from which it takes gradients at sparse points.
     """
 
     def __init__(self, *, Q=None, p=None, A=None, b=None):
@@ -275,20 +289,31 @@ class QuadraticObjective:
 
     # -- evaluation ---------------------------------------------------------
 
+    def _sparse_support(self, x):
+        """supp(x) if x takes the support path, else None.
+
+        The path is taken by factored data with m n >= 2^16 at a point with
+        at most n/32 nonzeros: see ``_SUPPORT_MIN_SIZE``.
+        """
+        if not self.is_factored or self.m * self.n < _SUPPORT_MIN_SIZE:
+            return None
+        nonzero = x != 0  # one float scan; counting and indexing bools is cheap
+        if _SUPPORT_PRODUCT_RATIO * np.count_nonzero(nonzero) <= self.n:
+            return np.flatnonzero(nonzero)
+        return None
+
     def residual(self, x):
         """r = Ax - b for factored data; None for Gram-form data, which have no A.
 
-        A point with at most n/32 nonzeros (n >= 32) is multiplied by its
-        support columns only, A[:, S] @ x[S]; any other by all of A.  Every call
-        forms r from x itself, so r never depends on an earlier point.
+        A point on the support path (``_sparse_support``) is multiplied by its
+        support columns only, A[:, S] @ x[S]; any other by all of A.  Every
+        call forms r from x itself, so r never depends on an earlier point.
         """
         x = _as_vector(x, self.n)
         if not self.is_factored:
             return None
-        # below 32 columns only x = 0 qualifies, and gains nothing: skip the count
-        if (self.n >= _SUPPORT_PRODUCT_RATIO
-                and _SUPPORT_PRODUCT_RATIO * np.count_nonzero(x) <= self.n):
-            support = np.flatnonzero(x)
+        support = self._sparse_support(x)
+        if support is not None:
             return self._A[:, support] @ x[support] - self._b
         return self._A @ x - self._b
 
@@ -309,6 +334,10 @@ class QuadraticObjective:
             return self._A.T @ r
         x = _as_vector(x, self.n)
         return self._Q @ x + self._p
+
+    def gram_columns(self):
+        """A new, empty ``GramColumns`` store: gradients for one solve."""
+        return GramColumns(self)
 
     # -- Gram access (used by the block subproblem) -------------------------
 
@@ -406,6 +435,80 @@ class QuadraticObjective:
         if not np.isfinite(lam):
             raise NumericalError("Gram matrix overflows: its largest eigenvalue is not finite")
         return float(max(lam, 0.0))
+
+
+class GramColumns:
+    """Gradients of a factored objective from Gram columns, for one solve.
+
+    At a point x on the support path (see ``QuadraticObjective.residual``)
+    ``gradient`` returns grad f(x) = p + Q[:, S] x_S with p = -A'b and
+    S = supp(x), at n |T| multiply-adds, where T is every coordinate the
+    store holds; A'(Ax - b) costs m n.  The store holds p, formed at the first
+    such point, and the column Q[:, j] = A'a_j of each j that has been in a
+    support, formed the first time j enters one: one product A[:, new]' A
+    covers each batch of new coordinates, and no column is formed twice.
+    It never fills the objective's n x n Gram cache, and the objective stays
+    unchanged.
+
+    Memory: at most m // 2 columns of n doubles, half the size of A; at that
+    bound a served gradient still costs at most half of A'r.  A support that
+    would take the store past its bound is not served and does not grow it.
+    That point, any point off the support path and every point of a Gram-form
+    objective get ``objective.gradient(x, r)`` itself, bit for bit.
+
+    A served gradient agrees with A'(Ax - b) to rounding, not bit for bit:
+    its last bits depend on the order in which the run filled the columns
+    (which fixes their slots, hence the order of the sum over T) and on how
+    they were batched.  The run fixes both, so a run repeats bit for bit.
+    """
+
+    def __init__(self, objective):
+        self.objective = objective
+        n = objective.n
+        self._slot = np.full(n, -1, dtype=np.intp)  # coordinate -> row of _rows
+        self._rows = np.empty((0, n))  # row t is the Gram column of slot t
+        self._size = 0
+        self._limit = objective.m // 2 if objective.is_factored else 0
+        self._p = None
+
+    def __len__(self):
+        """The number of Gram columns held."""
+        return self._size
+
+    def gradient(self, x, r=None):
+        """grad f(x); ``r``, if given, must be ``objective.residual(x)``.
+
+        ``r`` is used only where the store cannot serve x.
+        """
+        obj = self.objective
+        x = _as_vector(x, obj.n)
+        support = obj._sparse_support(x)
+        slots = None if support is None else self._slots(support)
+        if slots is None:
+            return obj.gradient(x, r=r)
+        if self._p is None:
+            self._p = -(obj._A.T @ obj._b)
+        w = np.zeros(self._size)
+        w[slots] = x[support]
+        return self._p + w @ self._rows[:self._size]
+
+    def _slots(self, support):
+        """The rows holding Q[:, support], formed as needed; None past the bound."""
+        new = support[self._slot[support] < 0]
+        size = self._size + new.size
+        if size > self._limit:
+            return None
+        if size > self._rows.shape[0]:  # grow by doubling, up to the bound
+            rows = np.empty((min(max(size, 2 * self._rows.shape[0]), self._limit),
+                             self.objective.n))
+            rows[:self._size] = self._rows[:self._size]
+            self._rows = rows
+        if new.size:
+            A = self.objective._A
+            self._rows[self._size:size] = A[:, new].T @ A
+            self._slot[new] = np.arange(self._size, size)
+            self._size = size
+        return self._slot[support]
 
 
 # ---------------------------------------------------------------------------

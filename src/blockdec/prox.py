@@ -95,14 +95,16 @@ def half_threshold(a, t):
     return out
 
 
-def proximal_step(prob, x, beta, r=None):
+def proximal_step(prob, x, beta, g=None):
     """One proximal-gradient step on the composite problem.
 
     Computes a = x - beta * grad f(x) and applies the thresholding operator
-    matching the problem's sparsity term.  ``r``, if given, must be
-    ``prob.objective.residual(x)`` at this same x.
+    matching the problem's sparsity term.  ``g``, if given, must be grad f(x)
+    at this same x, as ``prob.objective.gradient(x)`` or a ``GramColumns``
+    store of the objective gives it; otherwise the step takes the gradient.
     """
     if not beta > 0:
         raise InvalidParameterError(f"step size must be positive, got {beta}")
-    g = prob.objective.gradient(x, r=r)
+    if g is None:
+        g = prob.objective.gradient(x)
     return prob.term.prox(x - beta * g, beta)

@@ -90,11 +90,14 @@ class TestProximalGradientTrace:
 def spy_residuals(obj):
     """Count residual and gradient calls on obj, and check every r passed in.
 
-    A value or gradient call given r must get the residual of its own x,
-    bit for bit.  Returns the dict of call counts.
+    A value or gradient call given r, and a gradient asked of a
+    ``gram_columns`` store, must get the residual of its own x, bit for bit.
+    A store's gradient that made no ``gradient`` call counts as "served".
+    Returns the dict of call counts.
     """
-    counts = {"residual": 0, "gradient": 0, "stale": 0}
+    counts = {"residual": 0, "gradient": 0, "served": 0, "stale": 0}
     residual, value, gradient = obj.residual, obj.value, obj.gradient
+    gram_columns = obj.gram_columns
 
     def check(x, r):
         if r is not None and not np.array_equal(r, QuadraticObjective.residual(obj, x)):
@@ -113,24 +116,43 @@ def spy_residuals(obj):
         check(x, r)
         return gradient(x, r=r)
 
+    def counted_gram_columns():
+        columns = gram_columns()
+        column_gradient = columns.gradient
+
+        def counted(x, r=None):
+            check(x, r)
+            before = counts["gradient"]
+            g = column_gradient(x, r=r)
+            counts["served"] += counts["gradient"] == before
+            return g
+
+        columns.gradient = counted
+        return columns
+
     obj.residual, obj.value, obj.gradient = counted_residual, checked_value, counted_gradient
+    obj.gram_columns = counted_gram_columns
     return counts
 
 
 class TestSharedResidual:
-    # n = 640 with s = 4: iterates take the support product (32 nnz <= n)
+    # 128x640 with s = 4: l0 iterates take the support product (32 nnz <= n
+    # and m n >= 2^16), and their gradients come from Gram columns
     @pytest.mark.parametrize("term", [Cardinality(4), L0Penalty(20.0), L1Penalty(5.0)],
                              ids=["cons", "regu", "l1"])
     @pytest.mark.parametrize("solver, per_iter", [(pgm, 1), (apgm, 2)], ids=["pgm", "apgm"])
     def test_one_residual_per_point(self, solver, per_iter, term):
         # pgm forms the residual of x_new, which F(x_new) and the next
         # gradient share; apgm also forms the residual of y
-        prob, _ = random_factored_problem(40, 640, 1, term, support=4)
+        prob, _ = random_factored_problem(128, 640, 1, term, support=4)
         counts = spy_residuals(prob.objective)
         x0 = init_solution(640, term, 0) if isinstance(term, Cardinality) else np.zeros(640)
         x, trace = solver(prob, x0, max_iters=60)
         assert len(trace) > 1
-        assert counts["gradient"] == len(trace)
+        # one gradient per iteration; the l0 iterates have at most 4 nonzeros,
+        # so the store serves every one (l1 iterates grow past n/32 = 20)
+        assert counts["served"] + counts["gradient"] == len(trace)
+        assert counts["served"] == len(trace) or isinstance(term, L1Penalty)
         assert counts["residual"] == 1 + per_iter * len(trace)
         assert counts["stale"] == 0
 

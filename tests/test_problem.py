@@ -189,8 +189,9 @@ class TestQuadraticObjective:
 
 
 class TestResidual:
-    # n = 320: a point with up to 10 nonzeros takes the support product
-    M, N = 30, 320
+    # 256x320 is above the 2^16-entry floor, and n = 320: a point with up to
+    # 10 nonzeros takes the support product
+    M, N = 256, 320
 
     def _objective(self):
         A, b, _ = gen_random(self.M, self.N, 4, seed=8)
@@ -229,6 +230,14 @@ class TestResidual:
         obj._A[:, 0] = np.nan
         assert np.isnan(obj.residual(np.zeros(31))).all()
 
+    @pytest.mark.parametrize("m, support_path", [(64, False), (255, False), (256, True)])
+    def test_matrices_under_2_16_entries_take_the_dense_product(self, m, support_path):
+        # there the dense product is cheaper at any nnz
+        A, b, _ = gen_random(m, 256, 2, seed=8)
+        obj = QuadraticObjective.from_factored(A, b)
+        obj._A[:, 0] = np.nan
+        assert np.isfinite(obj.residual(np.zeros(256))).all() == support_path
+
     @pytest.mark.parametrize("nnz", [0, 10, 11, 320])
     def test_value_and_gradient_take_the_residual_bit_for_bit(self, nnz):
         _, _, obj = self._objective()
@@ -250,6 +259,86 @@ class TestResidual:
         _, _, obj = self._objective()
         with pytest.raises(DimensionMismatchError):
             obj.residual(np.zeros(self.N + 1))
+
+
+class TestGramColumns:
+    # 256x640 takes the support path up to 20 nonzeros; the store holds at
+    # most m // 2 = 128 columns
+    M, N = 256, 640
+
+    def _objective(self):
+        A, b, _ = gen_random(self.M, self.N, 4, seed=8)
+        return A, b, QuadraticObjective.from_factored(A, b)
+
+    def _point(self, support, seed=3):
+        x = np.zeros(self.N)
+        x[support] = np.random.default_rng(seed).standard_normal(len(support))
+        return x
+
+    @pytest.mark.parametrize("nnz", [0, 1, 20])
+    def test_agrees_with_the_dense_gradient_to_rounding(self, nnz):
+        A, b, obj = self._objective()
+        x = self._point(np.random.default_rng(nnz).choice(self.N, nnz, replace=False))
+        columns = obj.gram_columns()
+        g = columns.gradient(x, r=obj.residual(x))
+        assert len(columns) == nnz  # served, from nnz new columns
+        dense = A.T @ (A @ x - b)
+        # each Q_jk and each product sums m terms, the gradient nnz + 1 more
+        eps = np.finfo(float).eps
+        bound = 2 * (self.M + nnz + 2) * eps * (np.abs(A.T) @ (np.abs(A) @ np.abs(x) + np.abs(b)))
+        assert np.all(np.abs(g - dense) <= bound)
+
+    def test_off_the_support_path_it_is_the_gradient_bit_for_bit(self):
+        A, b, obj = self._objective()
+        small = QuadraticObjective.from_factored(A[:64, :256], b[:64])
+        gram = QuadraticObjective.from_gram(*_rand_gram(40, 2))
+        cases = [(obj, self._point(np.arange(21))),  # 21 > n/32 nonzeros
+                 (small, self._point(np.arange(2))[:256]),  # 2^14 entries of A
+                 (gram, self._point(np.arange(1))[:40])]
+        for objective, x in cases:
+            columns = objective.gram_columns()
+            r = objective.residual(x)
+            np.testing.assert_array_equal(columns.gradient(x, r=r), objective.gradient(x, r=r))
+            np.testing.assert_array_equal(columns.gradient(x), objective.gradient(x))
+            assert len(columns) == 0
+
+    def test_each_column_is_formed_once(self):
+        A, b, obj = self._objective()
+        columns = obj.gram_columns()
+        first = self._point(np.arange(0, 20))
+        g_first = columns.gradient(first)
+        columns.gradient(self._point(np.arange(10, 30)))
+        assert len(columns) == 30
+        calls = count_calls(obj, "gradient")
+        np.testing.assert_array_equal(columns.gradient(first), g_first)
+        columns.gradient(self._point(np.arange(5, 25)))
+        assert len(columns) == 30 and calls == []
+
+    def test_a_support_past_the_bound_falls_back_and_does_not_grow_the_store(self):
+        A, b, obj = self._objective()
+        columns = obj.gram_columns()
+        for start in range(0, 120, 20):  # 120 of the 128 columns
+            columns.gradient(self._point(np.arange(start, start + 20)))
+        assert len(columns) == 120
+        calls = count_calls(obj, "gradient")
+        x = self._point(np.arange(110, 130))  # 10 new columns: 130 > 128
+        r = obj.residual(x)
+        np.testing.assert_array_equal(columns.gradient(x, r=r), obj.gradient(x, r=r))
+        assert len(columns) == 120 and len(calls) == 2
+        columns.gradient(self._point(np.arange(0, 40, 2)))  # held columns: served
+        assert len(columns) == 120 and len(calls) == 2
+        assert columns._rows.nbytes <= A.nbytes // 2
+
+    def test_pgm_and_apgm_leave_the_gram_cache_unfilled(self):
+        # n = 640 is under the cache limit; p = -A'b must not come from
+        # linear_term(), which fills the n x n Gram
+        _, _, obj = self._objective()
+        stores = count_calls(obj, "gram_columns")
+        for term in (Cardinality(4), L0Penalty(20.0)):
+            prob = CompositeProblem(obj, term)
+            for solver in (pgm, apgm):
+                solver(prob, np.zeros(self.N), max_iters=30)
+        assert len(stores) == 4 and obj._Q is None
 
 
 class TestTerms:

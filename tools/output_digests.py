@@ -7,7 +7,11 @@ the parent checkout's runs and comparing this checkout's runs against them::
     python3 tools/output_digests.py --against old.txt
 
 With ``--against`` the script prints each label whose line moved, with its
-old and new line, then ``K/N identical``, and exits 1 if any line moved.
+old and new line, and exits 1 if any line moved.  A moved solver line also
+gets its drift: |dF|/|F| between the two final objectives, and whether the
+iteration count and nnz are equal.  The last line sums up: ``K/N identical``,
+then for the moved solver runs the largest |dF|/|F| and how many kept both
+iters and nnz.
 
 A solver run's line also gives its final F (``%.17g``), iteration count and
 nnz, ``label sha256 F=... iters=... nnz=...``, so a moved digest shows how
@@ -126,11 +130,37 @@ def main():
     new = dict(digests(bd))
     labels = list(new) + [label for label in old if label not in new]
     moved = [label for label in labels if old.get(label) != new.get(label)]
+    drifts = []
     for label in moved:
         print(f"{label}\n  old: {old.get(label, '(absent)')}\n  new: {new.get(label, '(absent)')}")
-    print(f"{len(labels) - len(moved)}/{len(labels)} identical")
+        drift = _drift(old.get(label), new.get(label))
+        if drift is not None:
+            drifts.append(drift)
+            rel, same_iters, same_nnz = drift
+            print(f"  drift: |dF|/|F| = {rel:.3g}, iters {'equal' if same_iters else 'differ'}, "
+                  f"nnz {'equal' if same_nnz else 'differ'}")
+    summary = f"{len(labels) - len(moved)}/{len(labels)} identical"
+    if drifts:
+        kept = sum(same_iters and same_nnz for _, same_iters, same_nnz in drifts)
+        summary += (f"; {len(drifts)} solver runs moved, max |dF|/|F| = "
+                    f"{max(rel for rel, _, _ in drifts):.3g}, iters and nnz equal in "
+                    f"{kept}/{len(drifts)}")
+    print(summary)
     if moved:
         sys.exit(1)
+
+
+def _drift(old_line, new_line):
+    """(|dF|/|F|, iters equal, nnz equal) of a moved solver line; else None."""
+    if old_line is None or new_line is None:
+        return None
+    fields = [dict(field.split("=", 1) for field in line.split()[1:] if "=" in field)
+              for line in (old_line, new_line)]
+    if not all({"F", "iters", "nnz"} <= set(f) for f in fields):
+        return None
+    f_old, f_new = (float(f["F"]) for f in fields)
+    rel = abs(f_new - f_old) / abs(f_old) if f_old else abs(f_new - f_old)
+    return rel, fields[0]["iters"] == fields[1]["iters"], fields[0]["nnz"] == fields[1]["nnz"]
 
 
 if __name__ == "__main__":
