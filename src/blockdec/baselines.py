@@ -3,44 +3,41 @@ matching pursuit, and an l1 sweep with debiasing.
 
 All gradient-type methods use the fixed step 1/L, L = ||A||_2^2 exactly (from the
 smaller of A'A and AA'), and run in the decomposition solver's loop,
-``dec.iterate``, under the same windowed stopping rule, so traces are
-directly comparable.  ``pgm`` and ``apgm`` take the gradient at a sparse
-point from the Gram columns of its support, p + Q[:, S] x_S, held in a store
-that lives for one solve and forms each column once (``GramColumns``); on a
-cardinality cap with n >> s that replaces a product with all of A per
-iteration by one per coordinate the run visits.
+``dec.iterate``, which checks their start as it checks ``dec``'s and applies
+the same windowed stopping rule, so traces are directly comparable.  ``pgm``
+and ``apgm`` take the gradient at a sparse point from the Gram columns of its
+support, p + Q[:, S] x_S, held in a store that lives for one solve and forms
+each column once (``GramColumns``); on a cardinality cap with n >> s that
+replaces a product with all of A per iteration by one per coordinate the run
+visits.
 """
 
 import numpy as np
 
-from .dec import check_stopping, iterate
+from .dec import iterate
 from .errors import InvalidParameterError
-from .problem import (INFEASIBLE, CompositeProblem, L1Penalty, QuadraticObjective,
-                      composite_value)
+from .problem import CompositeProblem, L1Penalty, QuadraticObjective, composite_value
 from .prox import hard_threshold_topk, proximal_step
 
 
 def _proximal_gradient(prob, x0, max_iters, epsilon, window, accelerated):
-    check_stopping(epsilon, window, max_iters)
+    # L before the start check: where A'A overflows, this fails before F(x0) does
     L = prob.objective.lipschitz_global()
     if not L > 0:
         raise InvalidParameterError("zero quadratic: no meaningful step size 1/L")
-    x = np.array(x0, dtype=float)
-    r = prob.objective.residual(x)
-    f = composite_value(prob, x, r=r)
-    if f is INFEASIBLE:
-        raise InvalidParameterError("infeasible start for the constrained problem")
-    return iterate(_proximal_gradient_steps(prob, x, r, 1.0 / L, accelerated), x, f,
+    return iterate(prob, x0,
+                   lambda x, r, f: _proximal_gradient_steps(prob, x, r, 1.0 / L, accelerated),
                    max_iters, epsilon, window)
 
 
 def _proximal_gradient_steps(prob, x, r, beta, accelerated):
-    """Proximal-gradient steps of size beta from x, for ``iterate``.
+    """Proximal-gradient steps of size beta from x with residual r, for ``iterate``.
 
-    Each point's residual is formed once and shared by F and the gradient
-    taken there; under a cardinality cap x has at most s nonzeros, y 2s.
     Gradients come from the solve's own ``GramColumns`` store: at a sparse
-    point from the Gram columns of its support, anywhere else from A'r.
+    point from the Gram columns of its support, anywhere else from A'r.  Each
+    x's residual is formed once, for F and (in ``pgm``) the next gradient;
+    ``apgm``'s extrapolated y carries none, so the store forms y's residual
+    only where it cannot serve y.
     """
     obj = prob.objective
     columns = obj.gram_columns()
@@ -52,7 +49,7 @@ def _proximal_gradient_steps(prob, x, r, beta, accelerated):
         if accelerated:
             tau_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tau * tau))
             y = x_new + ((tau - 1.0) / tau_new) * (x_new - x)
-            r_y = obj.residual(y)
+            r_y = None
             tau = tau_new
         else:
             y, r_y = x_new, r_new
@@ -116,11 +113,10 @@ def omp(A, b, s):
 DEFAULT_L1_GRID = tuple(2.0 ** j for j in range(-10, 11, 2))
 
 
-def cvx_l1_sweep(A, b, s, grid=DEFAULT_L1_GRID, max_iters=1000,
-                 epsilon=1e-5, window=50):
+def cvx_l1_sweep(A, b, s, max_iters=1000, epsilon=1e-5, window=50):
     """Convex surrogate: l1 sweep, truncate to s terms, debias by refitting.
 
-    For each weight in the grid, solves the l1-penalized least squares by
+    For each ``DEFAULT_L1_GRID`` weight, solves the l1-penalized least squares by
     proximal gradient from zero, keeps the s largest-magnitude coordinates,
     refits those by least squares, and returns the refit with the smallest
     residual objective 1/2||Ax - b||^2 (ties to the earliest grid entry).
@@ -132,7 +128,7 @@ def cvx_l1_sweep(A, b, s, grid=DEFAULT_L1_GRID, max_iters=1000,
         raise InvalidParameterError(f"sparsity level {s} outside [0, {n}]")
     obj = QuadraticObjective(A=A, b=b)
     best_x, best_f = np.zeros(n), 0.5 * float(b @ b)
-    for lam in grid:
+    for lam in DEFAULT_L1_GRID:
         relax = CompositeProblem(obj, L1Penalty(lam))
         xr, _ = pgm(relax, np.zeros(n), max_iters=max_iters,
                     epsilon=epsilon, window=window)

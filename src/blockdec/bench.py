@@ -196,7 +196,9 @@ def benchmark(config, out_dir):
         if unknown:
             raise InvalidParameterError(
                 f"unknown solver key(s) {sorted(unknown)}; valid keys: {sorted(SOLVER_KEYS)}")
-        solver_spec(spec.get("name"), mode)
+        term = solver_spec(spec.get("name"), mode).term
+        for param in params:
+            term(mode, param)  # a bad param fails before any output exists
         label = _solver_label(spec)
         if label in labels:
             # traces and summary rows are keyed by label

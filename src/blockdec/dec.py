@@ -12,8 +12,8 @@ from the subproblem's own improvement deltas rather than recomputed.  One
 gradient per point feeds both working-set selection and the block solve, and
 the greedy part of the working set is ranked once per point.
 
-``iterate`` is the one loop of every iterative solver: it times and records
-the steps a solver's generator yields and applies the windowed stopping rule.
+``iterate`` is the one loop of every iterative solver: it checks x0, times and
+records the steps a solver's generator yields, and applies the stopping rule.
 """
 
 import time
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import DimensionMismatchError, InvalidParameterError
 from .problem import INFEASIBLE, Cardinality, composite_value, require_l0_term
 from .prox import hard_threshold_topk
 from .subproblem import solve_block
@@ -127,20 +127,31 @@ def init_solution(n, term, seed):
     return x
 
 
-def iterate(steps, x, f, max_iters, epsilon, window):
-    """Take steps from x, F(x) = f, until the stopping rule fires; returns (x, trace).
+def iterate(prob, x0, steps, max_iters, epsilon, window):
+    """Run a solver from x0 until the stopping rule fires; returns (x, trace).
 
-    At most ``max_iters`` steps are taken.  ``steps`` yields
-    ``(x_next, F(x_next), working_set)`` once per iteration.
-    A record holds F at the start, ||x_next - x||, the working set and the
-    time taken to produce and record the step.
+    The one start check of every iterative solver: x0 must have shape (n,)
+    and be feasible; its residual r and F(x0) = f are formed once.  The
+    generator ``steps(x, r, f)`` yields ``(x_next, F(x_next), working_set)``
+    at most ``max_iters`` times.  A record holds F at the start, the step
+    norm ||x_next - x||, the working set and the time the step took.
     """
+    check_stopping(epsilon, window, max_iters)
+    x = np.array(x0, dtype=float)
+    if x.shape != (prob.n,):
+        raise DimensionMismatchError(f"x0 has shape {x.shape}, expected ({prob.n},)")
+    r = prob.objective.residual(x)
+    f = composite_value(prob, x, r=r)
+    if f is INFEASIBLE:
+        raise InvalidParameterError(
+            f"infeasible start: {np.count_nonzero(x)} nonzeros exceed budget {prob.term.s}")
+    moves = steps(x, r, f)
     trace = SolveTrace()
     # one float64 buffer, doubled when full: the window mean converts nothing
     drops = np.empty(min(max_iters, 1024))
     for t in range(max_iters):
         tic = time.perf_counter()
-        x_next, f_next, working_set = next(steps)
+        x_next, f_next, working_set = next(moves)
         trace.records.append(IterationRecord(
             iteration=t, objective=f, step_norm=float(np.linalg.norm(x_next - x)),
             working_set=working_set, elapsed=time.perf_counter() - tic))
@@ -160,23 +171,13 @@ def iterate(steps, x, f, max_iters, epsilon, window):
 def run_dec(prob, x0, config):
     """Run the decomposition solver; returns (x, trace).
 
-    A cardinality-infeasible start is rejected.  Once a full-size working
-    set leaves x unchanged the point is a global minimizer of the anchored
-    problem over every block, so later iterations skip the subproblem solve
-    and only advance the trace until the stopping rule fires.
+    ``iterate`` rejects an over-budget start, and its residual at x0 feeds
+    the first gradient.  Once a full-size working set leaves x unchanged the
+    point is a global minimizer of the anchored problem over every block, so
+    later iterations skip the subproblem solve and only advance the trace
+    until the stopping rule fires.
     """
-    term = prob.term
-    require_l0_term(term, "decomposition")
-    x = np.array(x0, dtype=float)
-    if x.shape != (prob.n,):
-        raise InvalidParameterError(
-            f"x0 has shape {x.shape}, expected ({prob.n},)")
-    r = prob.objective.residual(x)  # shared by F(x0) and the first gradient
-    f = composite_value(prob, x, r=r)
-    if f is INFEASIBLE:
-        raise InvalidParameterError(
-            f"infeasible start: {np.count_nonzero(x)} nonzeros exceed budget {term.s}")
-
+    require_l0_term(prob.term, "decomposition")
     # the greedy picks depend only on x and g, so they are ranked once per point
     ranked = 0 < config.n_greedy and config.n_random + config.n_greedy < prob.n
 
@@ -184,7 +185,8 @@ def run_dec(prob, x0, config):
         g = prob.objective.gradient(x, r=r)
         return g, greedy_picks(prob, x, g, config.n_greedy) if ranked else None
 
-    def dec_steps(x, f, g, greedy):  # g and the picks are renewed only when x moves
+    def dec_steps(x, r, f):
+        g, greedy = renew(x, r)  # g and the picks are renewed only when x moves
         rng = np.random.default_rng(config.seed)
         settled = False  # full block solved exactly; nothing left to improve
         while True:
@@ -201,5 +203,4 @@ def run_dec(prob, x0, config):
                 x = result.x_next
             yield x, f, tuple(B.tolist())
 
-    return iterate(dec_steps(x, f, *renew(x, r)), x, f,
-                   config.max_iters, config.epsilon, config.window)
+    return iterate(prob, x0, dec_steps, config.max_iters, config.epsilon, config.window)

@@ -85,7 +85,7 @@ class Cardinality:
     """Indicator of the cardinality ball: h(x) = 0 if ||x||_0 <= s, else +inf."""
 
     def __init__(self, s):
-        if int(s) != s or s < 1:
+        if not 1 <= s < np.inf or int(s) != s:
             raise InvalidParameterError(f"cardinality bound must be a positive integer, got {s}")
         self.s = int(s)
 
@@ -175,7 +175,7 @@ def require_l0_term(term, what):
 def make_term(mode, param):
     """The l0 term of a mode: a cardinality cap (cons) or a count penalty (regu)."""
     if mode == "cons":
-        return Cardinality(int(param))
+        return Cardinality(param)  # unconverted, so a fractional level is rejected
     if mode == "regu":
         return L0Penalty(float(param))
     raise InvalidParameterError(f"mode must be 'cons' or 'regu', got {mode!r}")
@@ -535,9 +535,6 @@ class CompositeProblem:
 
     def __repr__(self):
         return f"CompositeProblem({self.objective!r}, {self.term!r})"
-
-    def value(self, x):
-        return composite_value(self, x)
 
 
 def composite_value(prob, x, r=None):

@@ -44,6 +44,8 @@ from .subproblem import (PATTERN_CHUNK, TIE_TOL, _cho_solve, _cholesky, _pattern
 from .working_set import random_set
 
 ZERO_TOL = 1e-12
+LSTAT_TOL = 1e-8
+BLOCK_TOL = 1e-9
 ENUM_BUDGET = 10 ** 6
 BLOCK_BUDGET = 10 ** 8
 
@@ -79,7 +81,7 @@ def is_basic(prob, x, tol=1e-8):
     return bool(np.max(np.abs(g[supp])) <= tol)
 
 
-def is_l_stationary(prob, x, l_const=None, tol=1e-8):
+def is_l_stationary(prob, x, l_const=None, tol=LSTAT_TOL):
     """Fixed point of the proximal-gradient map at step size 1/L.
 
     L defaults to the largest eigenvalue of the quadratic's matrix.  The
@@ -119,7 +121,7 @@ def _l_stationary_at(prob, X, G, L, tol):
              | np.any(~on & (G_L * G_L > thresh + tol), axis=1))
 
 
-def is_block_k(prob, x, k, tol=1e-9, mode="exhaustive", trials=1000, seed=0):
+def is_block_k(prob, x, k, tol=BLOCK_TOL, mode="exhaustive", trials=1000, seed=0):
     """No size-k working set admits an improving exact update.
 
     Improvement is measured against composite_value(x) with relative slack
@@ -334,7 +336,7 @@ class LandscapeCounts:
         return [self.basic, self.l_stationary] + [self.block.get(k, 0) for k in ks]
 
 
-def landscape_table(prob, k_max=None, tol_grad=1e-8, tol_block=1e-9):
+def landscape_table(prob, k_max=None):
     """Count basic / L-stationary / block-k optimal points by enumeration.
 
     Exploits the containment chain (block-(k+1) optimal implies block-k
@@ -360,7 +362,7 @@ def landscape_table(prob, k_max=None, tol_grad=1e-8, tol_block=1e-9):
     # one gradient and one F per point, shared by every check on it
     X = np.array(reps)
     G = np.array([prob.objective.gradient(x) for x in X])
-    l_count = int(np.count_nonzero(_l_stationary_at(prob, X, G, L, tol_grad)))
+    l_count = int(np.count_nonzero(_l_stationary_at(prob, X, G, L, LSTAT_TOL)))
     F = [composite_value(prob, x) for x in X]
 
     block_counts = {k: 0 for k in range(k_min, k_max + 1)}
@@ -375,7 +377,7 @@ def landscape_table(prob, k_max=None, tol_grad=1e-8, tol_block=1e-9):
             failures[alive[0]] = exc
             break
         verdicts = _certify(prob, X[alive], G[alive], np.array([F[i] for i in alive]),
-                            k, blocks, tol_block)
+                            k, blocks, BLOCK_TOL)
         failures.update((i, v) for i, v in zip(alive, verdicts) if isinstance(v, Exception))
         alive = [i for i, v in zip(alive, verdicts) if v is True]
         block_counts[k] = len(alive)

@@ -93,35 +93,51 @@ def spy_residuals(obj):
     A value or gradient call given r, and a gradient asked of a
     ``gram_columns`` store, must get the residual of its own x, bit for bit.
     A store's gradient that made no ``gradient`` call counts as "served".
-    Returns the dict of call counts.
+    A residual formed outside ``gradient`` counts as "unread" until a value
+    or gradient call reads it.  Returns the dict of call counts.
     """
-    counts = {"residual": 0, "gradient": 0, "served": 0, "stale": 0}
+    counts = {"residual": 0, "gradient": 0, "served": 0, "stale": 0, "unread": 0}
     residual, value, gradient = obj.residual, obj.value, obj.gradient
     gram_columns = obj.gram_columns
+    unread = {}  # id -> r, kept alive so that no id is reused while listed
+    in_gradient = []
 
     def check(x, r):
         if r is not None and not np.array_equal(r, QuadraticObjective.residual(obj, x)):
             counts["stale"] += 1
 
+    def read(x, r):
+        check(x, r)
+        if r is not None and unread.pop(id(r), None) is not None:
+            counts["unread"] -= 1
+
     def counted_residual(x):
         counts["residual"] += 1
-        return residual(x)
+        r = residual(x)
+        if not in_gradient:
+            unread[id(r)] = r
+            counts["unread"] += 1
+        return r
 
     def checked_value(x, r=None):
-        check(x, r)
+        read(x, r)
         return value(x, r=r)
 
     def counted_gradient(x, r=None):
         counts["gradient"] += 1
-        check(x, r)
-        return gradient(x, r=r)
+        read(x, r)
+        in_gradient.append(x)
+        try:
+            return gradient(x, r=r)
+        finally:
+            in_gradient.pop()
 
     def counted_gram_columns():
         columns = gram_columns()
         column_gradient = columns.gradient
 
         def counted(x, r=None):
-            check(x, r)
+            check(x, r)  # the store reads r only where it cannot serve x
             before = counts["gradient"]
             g = column_gradient(x, r=r)
             counts["served"] += counts["gradient"] == before
@@ -140,10 +156,11 @@ class TestSharedResidual:
     # and m n >= 2^16), and their gradients come from Gram columns
     @pytest.mark.parametrize("term", [Cardinality(4), L0Penalty(20.0), L1Penalty(5.0)],
                              ids=["cons", "regu", "l1"])
-    @pytest.mark.parametrize("solver, per_iter", [(pgm, 1), (apgm, 2)], ids=["pgm", "apgm"])
-    def test_one_residual_per_point(self, solver, per_iter, term):
-        # pgm forms the residual of x_new, which F(x_new) and the next
-        # gradient share; apgm also forms the residual of y
+    @pytest.mark.parametrize("solver", [pgm, apgm], ids=["pgm", "apgm"])
+    def test_one_residual_per_point(self, solver, term):
+        # each of F's points, x0 and every x_new, takes one residual, which
+        # F and pgm's next gradient share; apgm's y takes one only where the
+        # store cannot serve it (x0, the first y, is served here)
         prob, _ = random_factored_problem(128, 640, 1, term, support=4)
         counts = spy_residuals(prob.objective)
         x0 = init_solution(640, term, 0) if isinstance(term, Cardinality) else np.zeros(640)
@@ -153,7 +170,9 @@ class TestSharedResidual:
         # so the store serves every one (l1 iterates grow past n/32 = 20)
         assert counts["served"] + counts["gradient"] == len(trace)
         assert counts["served"] == len(trace) or isinstance(term, L1Penalty)
-        assert counts["residual"] == 1 + per_iter * len(trace)
+        y_unserved = counts["gradient"] if solver is apgm else 0
+        assert counts["residual"] == 1 + len(trace) + y_unserved
+        assert counts["unread"] == 0
         assert counts["stale"] == 0
 
     @pytest.mark.parametrize("solver", [pgm, apgm], ids=["pgm", "apgm"])

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockdec import (Cardinality, CompositeProblem, DecConfig,
-                      InvalidParameterError, L0Penalty, QuadraticObjective,
+from blockdec import (Cardinality, CompositeProblem, DecConfig, DimensionMismatchError,
+                      InvalidParameterError, L0Penalty, QuadraticObjective, apgm,
                       composite_value, greedy_scores, init_solution, pgm, relative_drop,
                       run_dec, solve_block, stopping_rule)
 from blockdec import dec as dec_module
@@ -303,6 +303,34 @@ class TestRunDec:
         with pytest.raises(InvalidParameterError) as from_check:
             check_stopping(**settings)
         assert str(from_config.value) == str(from_check.value)
+
+
+# every iterative solver, from a start point
+START_SOLVERS = {
+    "dec": lambda prob, x0: run_dec(prob, x0, DecConfig(n_random=2, n_greedy=1, max_iters=20)),
+    "pgm": lambda prob, x0: pgm(prob, x0, max_iters=20),
+    "apgm": lambda prob, x0: apgm(prob, x0, max_iters=20),
+}
+
+
+class TestStartContract:
+    """Every iterative solver rejects a bad start alike: the check is ``iterate``'s."""
+
+    @pytest.mark.parametrize("term", [Cardinality(2), L0Penalty(0.5)], ids=["cons", "regu"])
+    @pytest.mark.parametrize("name", list(START_SOLVERS))
+    def test_bad_start_is_rejected_alike(self, name, term):
+        prob, _ = random_factored_problem(6, 8, 4, term)
+        solve = START_SOLVERS[name]
+        for x0 in (np.zeros(7), np.zeros((8, 1)), np.zeros((2, 4))):
+            with pytest.raises(DimensionMismatchError, match=r"^x0 has shape .*, expected \(8,\)$"):
+                solve(prob, x0)
+        if isinstance(term, Cardinality):
+            with pytest.raises(InvalidParameterError,
+                               match=r"^infeasible start: 8 nonzeros exceed budget 2$"):
+                solve(prob, np.ones(8))
+        else:  # a penalty has no budget: the dense start runs
+            x, trace = solve(prob, np.ones(8))
+            assert trace.records[0].objective == composite_value(prob, np.ones(8))
 
 
 def reranking_select(prob, x, g, n_random, n_greedy, rng, greedy=None):

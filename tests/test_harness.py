@@ -409,6 +409,12 @@ class TestRunSolver:
         with pytest.raises(InvalidParameterError):
             make_term("l2", 1.0)
 
+    def test_make_term_rejects_a_fractional_level(self):
+        with pytest.raises(InvalidParameterError, match="2.5"):
+            make_term("cons", 2.5)
+        term = make_term("cons", 10.0)
+        assert isinstance(term, Cardinality) and term.s == 10
+
     def test_dec_trace_objectives_decrease(self):
         A, b, _ = gen_random(10, 16, 4, noise_scale=1.0, seed=2)
         x, trace, _ = run_solver("dec", A, b, "cons", 4, 0, max_iters=200)
@@ -683,6 +689,16 @@ class TestBenchmark:
             {"name": "pgm", "label": "pgm-from-zero"}])
         rows = benchmark(cfg, str(tmp_path))
         assert [r.split(",")[1] for r in rows] == ["dec-R4G2", "dec-R3G1", "pgm-from-zero"]
+
+    @pytest.mark.parametrize("param", [2.5, float("nan"), float("inf")])
+    def test_cli_benchmark_rejects_a_bad_level_before_writing(self, tmp_path, param):
+        import json
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(dict(self.CONFIG, params=[3, param])))
+        r = cli("benchmark", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out"))
+        assert r.returncode == 1, r.stderr
+        assert "cardinality bound" in r.stderr and "Traceback" not in r.stderr
+        assert not (tmp_path / "out").exists()  # so no results.csv either
 
 
 class TestCli:

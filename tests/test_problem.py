@@ -378,6 +378,11 @@ class TestTerms:
         with pytest.raises(InvalidParameterError, match="finite"):
             term(lam)
 
+    @pytest.mark.parametrize("s", [np.inf, np.nan])
+    def test_cardinality_bound_must_be_finite(self, s):
+        with pytest.raises(InvalidParameterError, match="positive integer"):
+            Cardinality(s)
+
 
 class TestInfeasibleSentinel:
     def test_ordering(self):

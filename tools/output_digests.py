@@ -24,6 +24,8 @@ Each digest covers the bytes of a run's output, never its timings:
   64x256 instance (stopping rule), 256x2048 (300 iterations) and 30x4200
   (above ``_GRAM_CACHE_LIMIT``, 150 iterations);
 * ``pgm`` and ``apgm``: the same fields, on the same instances;
+* ``omp`` and ``cvx-l1``: x, on the same instances in cons mode; their line
+  gives F, ``iters=0`` and nnz, so a moved line shows its drift too;
 * ``table1``: the census row of the six-variable demo, both modes;
 * ``census``: the row and every basic point of four 20x8 problems, both
   modes, as the benchmark's census workload builds them;
@@ -62,7 +64,11 @@ def _digest(*parts):
 def _run_digest(x, trace):
     records = [(r.iteration, r.objective, r.step_norm, r.working_set) for r in trace.records]
     return (f"{_digest(x, records, trace.status, trace.final_objective)} "
-            f"F={trace.final_objective:.17g} iters={len(trace)} nnz={int((x != 0).sum())}")
+            f"{_summary(x, trace.final_objective, len(trace))}")
+
+
+def _summary(x, F, iters):
+    return f"F={F:.17g} iters={iters} nnz={int((x != 0).sum())}"
 
 
 def _file_digest(out_dir):
@@ -93,6 +99,10 @@ def digests(bd):
             for name, solver in (("pgm", bd.pgm), ("apgm", bd.apgm)):
                 x, trace = solver(prob, x0)
                 yield f"{name}/{size}/{mode}", _run_digest(x, trace)
+        prob = bd.CompositeProblem(bd.QuadraticObjective.from_factored(A, b), bd.Cardinality(s))
+        for name, solver in (("omp", bd.omp), ("cvx-l1", bd.cvx_l1_sweep)):
+            x = solver(A, b, s)
+            yield f"{name}/{size}/cons", f"{_digest(x)} {_summary(x, bd.composite_value(prob, x), 0)}"
     for mode in ("cons", "regu"):
         yield f"table1/{mode}", _digest(bd.landscape_table(bd.table1_problem(mode)).row())
     for seed in CENSUS_SEEDS:
