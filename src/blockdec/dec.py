@@ -10,7 +10,9 @@ descent property
 holds exactly for the recorded trace, because objectives are accumulated
 from the subproblem's own improvement deltas rather than recomputed.  One
 gradient per point feeds both working-set selection and the block solve, and
-the greedy part of the working set is ranked once per point.
+the greedy part of the working set is ranked once per point.  On factored
+data the residual r = Ax - b is formed once, at x0, and carried across
+moves: a move by d on block B costs r + A[:, B] d, and the gradient A'r.
 
 ``iterate`` is the one loop of every iterative solver: it checks x0, times and
 records the steps a solver's generator yields, and applies the stopping rule.
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidParameterError
+from .errors import DimensionMismatchError, InvalidParameterError, NumericalError
 from .problem import INFEASIBLE, Cardinality, composite_value, require_l0_term
 from .prox import hard_threshold_topk
 from .subproblem import solve_block
@@ -131,20 +133,24 @@ def iterate(prob, x0, steps, max_iters, epsilon, window):
     """Run a solver from x0 until the stopping rule fires; returns (x, trace).
 
     The one start check of every iterative solver: x0 must have shape (n,)
-    and be feasible; its residual r and F(x0) = f are formed once.  The
-    generator ``steps(x, r, f)`` yields ``(x_next, F(x_next), working_set)``
-    at most ``max_iters`` times.  A record holds F at the start, the step
+    and be feasible, and F(x0) finite (``NumericalError`` if it overflows);
+    its residual r and F(x0) = f are formed once.  The generator
+    ``steps(x, r, f)`` yields ``(x_next, F(x_next), working_set)`` at most
+    ``max_iters`` times.  A record holds F at the start, the step
     norm ||x_next - x||, the working set and the time the step took.
     """
     check_stopping(epsilon, window, max_iters)
     x = np.array(x0, dtype=float)
     if x.shape != (prob.n,):
         raise DimensionMismatchError(f"x0 has shape {x.shape}, expected ({prob.n},)")
-    r = prob.objective.residual(x)
-    f = composite_value(prob, x, r=r)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = prob.objective.residual(x)
+        f = composite_value(prob, x, r=r)
     if f is INFEASIBLE:
         raise InvalidParameterError(
             f"infeasible start: {np.count_nonzero(x)} nonzeros exceed budget {prob.term.s}")
+    if not np.isfinite(f):
+        raise NumericalError(f"objective at the start is not finite: F(x0) = {f}")
     moves = steps(x, r, f)
     trace = SolveTrace()
     # one float64 buffer, doubled when full: the window mean converts nothing
@@ -172,17 +178,25 @@ def run_dec(prob, x0, config):
     """Run the decomposition solver; returns (x, trace).
 
     ``iterate`` rejects an over-budget start, and its residual at x0 feeds
-    the first gradient.  Once a full-size working set leaves x unchanged the
-    point is a global minimizer of the anchored problem over every block, so
-    later iterations skip the subproblem solve and only advance the trace
-    until the stopping rule fires.
+    the first gradient.  Each move carries that residual, r + A[:, B] d
+    (``moved_residual``), and renews g = A'r; a Gram-form objective takes
+    g = Qx + p.  The carried r drifts from Ax - b by rounding only: to first
+    order in eps, after t moves on blocks of k coordinates each entry is
+    within (n + 1 + 3 (k + 1) t) eps S of the exact residual, with S the
+    largest entry of |A| |x| + |b| over the run's points.  F is accumulated
+    from the block changes, so the drift touches only g.  Once a full-size
+    working set leaves x unchanged the point is a global minimizer of the
+    anchored problem over every block, so later iterations skip the
+    subproblem solve and only advance the trace until the stopping rule
+    fires.
     """
     require_l0_term(prob.term, "decomposition")
+    objective = prob.objective
     # the greedy picks depend only on x and g, so they are ranked once per point
     ranked = 0 < config.n_greedy and config.n_random + config.n_greedy < prob.n
 
-    def renew(x, r=None):
-        g = prob.objective.gradient(x, r=r)
+    def renew(x, r):
+        g = objective.gradient(x, r=r)
         return g, greedy_picks(prob, x, g, config.n_greedy) if ranked else None
 
     def dec_steps(x, r, f):
@@ -197,7 +211,8 @@ def run_dec(prob, x0, config):
                 f = f + result.composite_delta
                 # a move of entries below ~1e-162 has step 0.0 but is still a move
                 if not np.array_equal(result.x_next, x):
-                    g, greedy = renew(result.x_next)
+                    r = objective.moved_residual(r, B, result.x_next[B] - x[B])
+                    g, greedy = renew(result.x_next, r)
                 elif len(B) == prob.n:
                     settled = True
                 x = result.x_next

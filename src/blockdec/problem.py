@@ -317,6 +317,18 @@ class QuadraticObjective:
             return self._A[:, support] @ x[support] - self._b
         return self._A @ x - self._b
 
+    def moved_residual(self, r, idx, d):
+        """r + A[:, idx] d: the residual once x moves by d on coordinates idx.
+
+        ``r`` must be the residual of the point before the move, formed by
+        ``residual`` or carried by this method; None for Gram-form data.  Each
+        carried move adds rounding of about (|idx| + 1) eps (|r| + |A[:, idx]| |d|)
+        per entry, so r drifts from Ax - b in its last bits.
+        """
+        if not self.is_factored:
+            return None
+        return r + self._A[:, idx] @ d
+
     def value(self, x, r=None):
         """f(x); ``r``, if given, must be ``residual(x)`` at this same x."""
         if self.is_factored:

@@ -39,8 +39,8 @@ import numpy as np
 from .errors import BlockdecError, BudgetExceededError, InvalidParameterError
 from .problem import (INFEASIBLE, Cardinality, CompositeProblem, QuadraticObjective,
                       composite_value, make_term, require_l0_term)
-from .subproblem import (PATTERN_CHUNK, TIE_TOL, _cho_solve, _cholesky, _pattern_chunks,
-                         _tiny_pivots, pattern_deltas, solve_block)
+from .subproblem import (PATTERN_CHUNK, TIE_TOL, _cholesky, _pattern_chunks, _tiny_pivots,
+                         pattern_deltas, solve_block)
 from .working_set import random_set
 
 ZERO_TOL = 1e-12
@@ -248,8 +248,9 @@ def _block_outcomes(prob, X, G, slack, blocks):
     unsure = np.zeros(budget.shape, dtype=bool)
     gain = np.zeros(budget.shape, dtype=bool)
     clear = np.ones(budget.shape, dtype=bool)
-    for masks, groups in _pattern_chunks(k, int(budget.max())):
-        Z, delta, status = pattern_deltas(Q_B, x_B, g_B, 0.0, lam, masks, groups, certify=True)
+    for masks, stacks in _pattern_chunks(k, int(budget.max())):
+        Z, delta, status = pattern_deltas(Q_B, x_B, g_B, 0.0, lam, masks, stacks,
+                                          certify=True)
         unsure |= status.any(axis=1)
         size = (masks[:, None] >> np.arange(k) & 1).sum(axis=1)
         d2 = np.square(Z - x_B[:, None]) @ ones           # (N, P, R)
@@ -307,7 +308,9 @@ def _restricted_minimizers(M, rhs):
     squares where it is singular.
     """
     L, failed = _cholesky(M)
-    Z = _cho_solve(L, rhs[..., None])[..., 0]
+    # LAPACK's triangular solves, not the engine's substitution, which would
+    # move the last bits of the basic points that the census reports
+    Z = np.linalg.solve(L.swapaxes(-1, -2), np.linalg.solve(L, rhs[..., None]))[..., 0]
     for i in np.flatnonzero(failed | _tiny_pivots(L, M)):
         # imported here: scipy.linalg adds about 27 MB to the package's import
         from scipy.linalg import cho_factor, cho_solve

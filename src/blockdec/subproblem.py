@@ -10,11 +10,16 @@ global optimum of the (NP-hard) block problem.
 
 ``pattern_deltas`` is the one engine for it.  It takes masks in ascending
 order, ``PATTERN_CHUNK`` at a time, so memory does not grow with 2^k, and
-solves a stack of blocks and points with one batched Cholesky factorization
-per popcount group.  ``solve_block`` is its one-block, one-point case, and
-runs the tie rules in mask order, so its result and its errors are those of
-a mask-by-mask loop.  The block-k certificate and the basic-point
-enumeration in ``stationarity`` share the engine and its Cholesky kernel.
+solves them for a stack of blocks and points at once.  Each pattern's
+system is padded with the identity to the width of its stack, so that
+patterns of different sizes share one batched Cholesky factorization and
+one solve by forward and back substitution.  A chunk of a block up to
+k = 8 is one stack; wider chunks are cut near their popcount groups
+(``STACK_ENTRIES``), where padding would multiply the work.  ``solve_block``
+is its one-block, one-point case, and runs the tie rules in mask order, so
+its result and its errors are those of a mask-by-mask loop.  The block-k
+certificate in ``stationarity`` shares the engine, and the basic-point
+enumeration its Cholesky kernel.
 """
 
 from dataclasses import dataclass
@@ -40,6 +45,13 @@ TIE_TOL = 1e-12
 # O(PATTERN_CHUNK * k^2), not O(2^k)
 PATTERN_CHUNK = 4096
 
+# padded system entries (systems times width squared) one stack may hold:
+# consecutive popcounts share a stack up to this size.  Of 2^10 .. 2^16 and
+# one stack per chunk, 2^14 gave the lowest or near-lowest solve_block time
+# at every k = 6..12 (256x2048, one BLAS thread): one stack for every whole
+# block up to k = 8, about one per popcount at k = 12
+STACK_ENTRIES = 1 << 14
+
 # the certificate hands on a system with a residual above RESIDUAL_MARGIN times
 # the bound, or with coordinate j nearly a combination of the ones before it
 RESIDUAL_MARGIN = 2.0 ** -10
@@ -64,35 +76,45 @@ class BlockSolveResult:
 
 
 def _pattern_tables(k, budget, lo):
-    """Admissible masks in [lo, lo + PATTERN_CHUNK), ascending, grouped by popcount.
+    """Admissible masks in [lo, lo + PATTERN_CHUNK), ascending, and their padded stacks.
 
-    Returns ``(masks, groups)``.  Each group is ``(rows, T, S)``: ``rows`` are
-    its positions in ``masks``, ``T[i]`` holds the set bits of
-    ``masks[rows[i]]`` in ascending order, and ``S[i]`` the positions of
-    that pattern's system in a flattened k x k matrix.  The empty pattern is
-    in no group.
+    Returns ``(masks, stacks)``.  Each stack is ``(rows, T)``: ``rows`` are
+    its positions in ``masks``, and ``T[i]`` (w wide) holds the set bits of
+    ``masks[rows[i]]`` in ascending order, then the pad indices k + a for the
+    positions a past them.  A stack takes the masks of consecutive popcounts
+    and is padded to the largest, w; the next popcount opens a new stack
+    once the stack's systems would hold more than STACK_ENTRIES entries.  So
+    a small chunk (every whole block up to k = 8) is one stack, and a large
+    one is cut near its popcount groups, where padding would multiply the
+    work.  The empty pattern is in no stack.
     """
     masks = np.arange(lo, min(lo + PATTERN_CHUNK, 1 << k), dtype=np.int64)
     bits = (masks[:, None] >> np.arange(k)) & 1 == 1
     size = bits.sum(axis=1)
     keep = size <= budget
     masks, bits, size = masks[keep], bits[keep], size[keep]
-    groups = []
-    for r in range(1, min(k, budget) + 1):
-        rows = np.flatnonzero(size == r)
+    # sorting puts each row's set bits first, in ascending order
+    order = np.sort(np.where(bits, np.arange(k), k), axis=1)
+    count = np.bincount(size, minlength=k + 1)
+    stacks, first = [], 1
+    for w in range(1, size.max() + 1):
+        if w < size.max() and count[first:w + 2].sum() * (w + 1) ** 2 <= STACK_ENTRIES:
+            continue  # popcount w + 1 joins this stack
+        rows = np.flatnonzero((size >= first) & (size <= w))
         if rows.size:
-            T = np.nonzero(bits[rows])[1].reshape(rows.size, r)
-            groups.append((rows, T, T[:, :, None] * k + T[:, None, :]))
-    return masks, groups
+            pad = np.arange(w) >= size[rows, None]
+            stacks.append((rows, np.where(pad, k + np.arange(w), order[rows, :w])))
+        first = w + 1
+    return masks, stacks
 
 
 @lru_cache(maxsize=None)  # at most 90 keys: 2^k <= PATTERN_CHUNK and budget <= k
 def _whole_block_tables(k, budget):
     """_pattern_tables of a block that fits in one chunk, read-only."""
-    masks, groups = _pattern_tables(k, budget, 0)
-    for a in (masks, *(a for group in groups for a in group)):
+    masks, stacks = _pattern_tables(k, budget, 0)
+    for a in (masks, *(a for stack in stacks for a in stack)):
         a.flags.writeable = False
-    return masks, groups
+    return masks, stacks
 
 
 def _pattern_chunks(k, budget):
@@ -112,8 +134,21 @@ def _col_norms(v):
 
 
 def _cho_solve(L, B):
-    """Solve L L' Z = B for stacked lower-triangular L (..., r, r) and B (..., r, R)."""
-    return np.linalg.solve(L.swapaxes(-1, -2), np.linalg.solve(L, B))
+    """Solve L L' Z = B for stacked lower-triangular L (..., r, r) and B (..., r, R).
+
+    Forward, then back substitution, one row of the whole stack per step.
+    """
+    r = L.shape[-1]
+    Z = np.array(B, dtype=float)
+    for j in range(r):
+        if j:
+            Z[..., j, :] -= (L[..., j, None, :j] @ Z[..., :j, :])[..., 0, :]
+        Z[..., j, :] /= L[..., j, j, None]
+    for j in range(r - 1, -1, -1):
+        if j < r - 1:
+            Z[..., j, :] -= (L[..., None, j + 1:, j] @ Z[..., j + 1:, :])[..., 0, :]
+        Z[..., j, :] /= L[..., j, j, None]
+    return Z
 
 
 def _cholesky(M):
@@ -134,38 +169,52 @@ def _cholesky(M):
     return np.concatenate((L1, L2)), np.concatenate((failed1, failed2))
 
 
-def pattern_deltas(Q_B, x_B, g_B, theta, lam, masks, groups, certify=False):
+def pattern_deltas(Q_B, x_B, g_B, theta, lam, masks, stacks, certify=False):
     """Solve every pattern of one chunk for N blocks and R points at once.
 
     Q_B (N, k, k) holds Q on each block; x_B and g_B (N, R, k) each point and
-    its gradient there; (masks, groups) is one chunk of ``_pattern_chunks``.
+    its gradient there; (masks, stacks) is one chunk of ``_pattern_chunks``.
     Pattern T solves (Q_B + theta I)[T, T] z_T = theta x_T + (Q_B x_B - g_B)_T.
-    Returns ``(Z, delta, status)``, indexed (N, P, R, ...): z_B, the change in
-    F plus (theta/2) ||z_B - x_B||^2 (lam: the count penalty, 0 under a cap),
-    and OK or why a solution is not trusted.  At theta = 0 a system that does
-    not factor is ridged by 1e-12 trace / r on its own; if it still fails, or
-    at theta > 0, it is DEGENERATE.  An unridged system missing the residual
+    In a stack padded to width w each system is w x w: it fills the leading
+    |T| x |T| block, and the rest is the identity with a zero right-hand
+    side, which solves to 0.  Each stack is one Cholesky factorization, one
+    solve by substitution and one residual check for all its systems.
+    Returns ``(Z, delta, status)``, indexed (N, P, R, ...): z_B, the change
+    in F plus (theta/2) ||z_B - x_B||^2 (lam: the count penalty, 0 under a
+    cap), and OK or why a solution is not trusted.  At theta = 0 a system
+    that does not factor is ridged by 1e-12 trace / |T|, with the trace taken
+    over T and the ridge added on T only; if it still fails, or at
+    theta > 0, it is DEGENERATE.  An unridged system missing the residual
     bound 1e-10 (1 + |rhs|) is refined once, and is NUMERICAL if it still
     misses.  With ``certify``, a system is WEAK if it did not factor
     unridged, has ``_tiny_pivots`` or first missed RESIDUAL_MARGIN * bound.
     """
     N, R, k = x_B.shape
-    Q_theta = (Q_B + theta * np.eye(k)).reshape(N, k * k)
+    K = k + max((T.shape[1] for _, T in stacks), default=0)  # block and pad indices
     x_T = x_B.swapaxes(1, 2)                              # (N, k, R)
-    rhs_B = theta * x_T + (Q_B @ x_T - g_B.swapaxes(1, 2))
-    Z = np.zeros((N, masks.size, R, k))
+    Q_pad = np.empty((N, K, K))
+    Q_pad[:] = np.eye(K)
+    Q_pad[:, :k, :k] = Q_B + theta * np.eye(k)
+    Q_pad = Q_pad.reshape(N, K * K)
+    rhs_pad = np.zeros((N, K, R))
+    rhs_pad[:, :k] = theta * x_T + (Q_B @ x_T - g_B.swapaxes(1, 2))
+    Z = np.zeros((N, masks.size, R, k + 1))              # column k takes the padding
     status = np.zeros((N, masks.size, R), dtype=np.int8)
-    for rows, T, S in groups:
-        C, r = T.shape
-        M = Q_theta.take(S, axis=1).reshape(N * C, r, r)
-        rhs = rhs_B.take(T, axis=1).reshape(N * C, r, R)
+    for rows, T in stacks:
+        C, w = T.shape
+        M = Q_pad.take(T[:, :, None] * K + T[:, None, :], axis=1).reshape(N * C, w, w)
+        rhs = rhs_pad.take(T, axis=1).reshape(N * C, w, R)
         L, failed = _cholesky(M)
         degenerate = failed
         if theta == 0.0 and failed.any():
-            ridge = 1e-12 * np.trace(M[failed], axis1=1, axis2=2) / r
+            on = T[np.flatnonzero(failed) % C] < k        # each failed system's T
+            ridged = M[failed]
+            diag = ridged[:, np.arange(w), np.arange(w)]
+            ridge = 1e-12 * np.where(on, diag, 0.0).sum(axis=1) / on.sum(axis=1)
             # a zero trace gives a zero ridge, and the system fails again
+            ridged[:, np.arange(w), np.arange(w)] = diag + ridge[:, None] * on
             degenerate = failed.copy()
-            L[failed], degenerate[failed] = _cholesky(M[failed] + ridge[:, None, None] * np.eye(r))
+            L[failed], degenerate[failed] = _cholesky(ridged)
         z = _cho_solve(L, rhs)
         res = rhs - M @ z
         bound = 1e-10 * (1.0 + _col_norms(rhs))           # (N C, R)
@@ -177,7 +226,7 @@ def pattern_deltas(Q_B, x_B, g_B, theta, lam, masks, groups, certify=False):
             z[fix] += np.where(bad[fix, None], _cho_solve(L[fix], res[fix]), 0.0)
             again = np.flatnonzero(bad.any(axis=1))
             bad[again] &= _col_norms(rhs[again] - M[again] @ z[again]) > bound[again]
-        Z.swapaxes(2, 3)[:, rows[:, None], T] = z.reshape(N, C, r, R)
+        Z.swapaxes(2, 3)[:, rows[:, None], np.minimum(T, k)] = z.reshape(N, C, w, R)
         if certify:
             # bad and degenerate systems are among these; NaN residuals too
             code = WEAK * ((failed | _tiny_pivots(L, M))[:, None]
@@ -187,6 +236,7 @@ def pattern_deltas(Q_B, x_B, g_B, theta, lam, masks, groups, certify=False):
         else:
             continue
         status[:, rows] = code.reshape(N, C, R)
+    Z = Z[..., :k]
 
     # BLAS products, so that one point's digits are the ones solve_block always had
     D = Z - x_B[:, None]
@@ -263,10 +313,10 @@ def solve_block(prob, x, g, B, theta):
     best_zB = x_B
     evaluated = 0
 
-    for masks, groups in _pattern_chunks(k, budget):
+    for masks, stacks in _pattern_chunks(k, budget):
         evaluated += masks.size
         Z, delta, status = pattern_deltas(Q_BB[None], x_B[None, None], g_B[None, None],
-                                          theta, lam, masks, groups)
+                                          theta, lam, masks, stacks)
         failed = np.flatnonzero(status)
         if failed.size:
             # the error of the lowest failing mask, as a mask-by-mask loop meets it

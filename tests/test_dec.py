@@ -16,6 +16,31 @@ from blockdec import working_set as working_set_module
 from conftest import (CONS_GLOBAL_F, CONS_GLOBAL_X, REGU_GLOBAL_F, count_calls,
                       random_factored_problem, random_gram_problem)
 
+EPS = np.finfo(float).eps
+
+
+def carried_residual_bound(A, b, points, k):
+    """Entrywise bound on |r - (Ax - b)| at the last of ``points``, r carried from the first.
+
+    To first order in eps: the residual formed at the first point is within
+    (n + 1) eps S of its exact value, and each of the len(points) - 1 moves
+    on a block of k coordinates adds at most 3 (k + 1) eps S, where S is the
+    largest entry of |A| |x| + |b| over the points (``run_dec``'s docstring).
+    """
+    S = max(np.max(np.abs(A) @ np.abs(x) + np.abs(b)) for x in points)
+    return (A.shape[1] + 1 + 3 * (k + 1) * (len(points) - 1)) * EPS * S
+
+
+def carried_gradient_bound(A, b, points, k):
+    """Entrywise bound on |A'r - A'(Ax - b)| between a carried r and a fresh one.
+
+    Both residuals are within ``carried_residual_bound`` of the exact one,
+    and each product A'r adds at most m eps |A|'|r|.
+    """
+    x = points[-1]
+    drift = carried_residual_bound(A, b, points, k) + carried_residual_bound(A, b, [x], k)
+    return np.abs(A).T @ (drift + 2 * A.shape[0] * EPS * np.abs(A @ x - b))
+
 
 class TestStoppingRule:
     def test_waits_for_full_window(self):
@@ -143,12 +168,15 @@ class TestRunDec:
     @pytest.mark.parametrize("term", [Cardinality(3), L0Penalty(0.5)], ids=["cons", "regu"])
     def test_one_gradient_per_point(self, term, monkeypatch):
         # g is computed at the start and after each move, never on a zero
-        # step, and every block solve receives the gradient at its own x
+        # step.  Every block solve receives A'r for the residual r carried
+        # from x0, which agrees with the fresh A'(Ax - b) at its own x within
+        # the carry's rounding bound
         prob, _ = random_factored_problem(10, 16, 4, term)
-        fresh = []
+        A, b = prob.objective._A, prob.objective._b
+        handed = []
 
         def checked_solve(prob, x, g, B, theta):
-            fresh.append(np.array_equal(g, QuadraticObjective.gradient(prob.objective, x)))
+            handed.append((x.copy(), g.copy()))
             return solve_block(prob, x, g, B, theta)
 
         monkeypatch.setattr(dec_module, "solve_block", checked_solve)
@@ -159,21 +187,75 @@ class TestRunDec:
         moves = sum(r.step_norm > 0.0 for r in trace.records)
         assert 0 < moves < len(trace)
         assert len(calls) == 1 + moves
+        points = []
+        for x, g in handed:
+            if not points or not np.array_equal(x, points[-1]):
+                points.append(x)
+            fresh = QuadraticObjective.gradient(prob.objective, x)
+            assert np.all(np.abs(g - fresh) <= carried_gradient_bound(A, b, points, 5))
+        assert len(points) == 1 + moves
+
+    def test_gram_form_gradient_is_fresh(self, monkeypatch):
+        # a Gram-form objective has no residual to carry: g = Qx + p at every point
+        prob = random_gram_problem(16, 4, L0Penalty(0.5))
+        fresh = []
+
+        def checked_solve(prob, x, g, B, theta):
+            fresh.append(np.array_equal(g, prob.objective.gradient(x)))
+            return solve_block(prob, x, g, B, theta)
+
+        monkeypatch.setattr(dec_module, "solve_block", checked_solve)
+        run_dec(prob, init_solution(16, prob.term, 4),
+                DecConfig(n_random=3, n_greedy=2, seed=4, max_iters=80))
         assert fresh and all(fresh)
 
     @pytest.mark.parametrize("term", [Cardinality(3), L0Penalty(0.5)], ids=["cons", "regu"])
     def test_one_residual_per_point(self, term):
-        # F(x0) and the first gradient share one residual; each renewal's
-        # gradient forms the residual of its own point
+        # F(x0) and the first gradient share the one residual formed at x0;
+        # after each move the residual is carried, never formed afresh
         prob, _ = random_factored_problem(10, 16, 4, term)
         residuals = count_calls(prob.objective, "residual")
         gradients = count_calls(prob.objective, "gradient")
-        x, trace = run_dec(prob, init_solution(16, term, 4),
-                           DecConfig(n_random=3, n_greedy=2, seed=4, max_iters=80))
+        carried = count_calls(prob.objective, "moved_residual")
+        x0 = init_solution(16, term, 4)
+        x, trace = run_dec(prob, x0, DecConfig(n_random=3, n_greedy=2, seed=4, max_iters=80))
         moves = sum(r.step_norm > 0.0 for r in trace.records)
         assert 0 < moves < len(trace)
         assert len(gradients) == 1 + moves
-        assert len(residuals) == 1 + moves
+        assert len(carried) == moves
+        assert len(residuals) == 1
+        np.testing.assert_array_equal(residuals[0][0], x0)
+
+    def test_carried_residual_drift_is_bounded(self, monkeypatch):
+        # a long penalized run from the dense default start moves on most
+        # iterations; its carried residual stays within the rounding bound
+        # of Ax - b, and F accumulated from the block changes matches a fresh F
+        prob, _ = random_factored_problem(40, 120, 3, L0Penalty(0.05))
+        A, b = prob.objective._A, prob.objective._b
+        points, carried = [], []
+        move = prob.objective.moved_residual
+
+        def recorded_move(r, idx, d):
+            carried.append(move(r, idx, d))
+            return carried[-1]
+
+        def recorded_solve(prob, x, g, B, theta):
+            if not points or not np.array_equal(x, points[-1]):
+                points.append(x.copy())
+            return solve_block(prob, x, g, B, theta)
+
+        monkeypatch.setattr(prob.objective, "moved_residual", recorded_move)
+        monkeypatch.setattr(dec_module, "solve_block", recorded_solve)
+        x, trace = run_dec(prob, init_solution(120, prob.term, 3),
+                           DecConfig(n_random=4, n_greedy=2, seed=3, max_iters=1000,
+                                     window=1000))
+        assert len(trace) == 1000
+        if not np.array_equal(x, points[-1]):
+            points.append(x)
+        assert len(carried) == len(points) - 1 > 500
+        drift = np.abs(carried[-1] - (A @ x - b))
+        assert np.all(drift <= carried_residual_bound(A, b, points, 6))
+        assert trace.final_objective == pytest.approx(composite_value(prob, x), rel=1e-9)
 
     @pytest.mark.parametrize("n,split", [(16, (3, 2)), (16, (0, 3)), (8, (8, 0)),
                                          (8, (6, 2)), (16, (5, 0))],

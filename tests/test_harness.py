@@ -798,14 +798,17 @@ class TestCli:
         assert "Traceback" not in r.stderr
         assert "line 3" in r.stderr
 
-    @pytest.mark.parametrize("command", ["solve", "verify"])
+    @pytest.mark.parametrize("command", ["solve", "solve-dec", "verify"])
     def test_overflowing_gram_is_numerical_error(self, tmp_path, command):
-        # finite entries load, but A'A and AA' overflow double precision
+        # finite entries load, but A'A and AA' overflow double precision;
+        # dec computes no L, so its F(x0) overflows and is caught instead
         inst, point = tmp_path / "big.txt", tmp_path / "x.txt"
         save_instance(inst, np.full((3, 4), 1e200), np.ones(3))
         save_point(point, np.zeros(4))
-        args = (["solve", "--solver", "pgm", "--mode", "cons"] if command == "solve"
-                else ["verify", "--point", str(point), "--check", "lstat"])
+        args = {"solve": ["solve", "--solver", "pgm", "--mode", "cons"],
+                "solve-dec": ["solve", "--solver", "dec", "--mode", "cons",
+                              "--krand", "2", "--kgreedy", "1"],
+                "verify": ["verify", "--point", str(point), "--check", "lstat"]}[command]
         r = cli(*args, "--instance", str(inst), "--s", "2")
         assert r.returncode == 3
         assert r.stderr.count("\n") == 1 and r.stderr.startswith("error: ")

@@ -248,11 +248,24 @@ class TestResidual:
         prob = CompositeProblem(obj, L0Penalty(0.5))
         assert composite_value(prob, x, r=r) == composite_value(prob, x)
 
+    def test_moved_residual_is_the_residual_of_the_moved_point(self):
+        # one move by d on a block: r + A[:, B] d against a fresh residual,
+        # within the rounding of both
+        A, b, obj = self._objective()
+        x, B = self._point(40), np.array([3, 17, 250])
+        d = np.random.default_rng(4).standard_normal(3)
+        moved = x.copy()
+        moved[B] += d
+        r = obj.moved_residual(obj.residual(x), B, d)
+        scale = np.abs(A) @ (np.abs(x) + np.abs(moved)) + np.abs(b)
+        assert np.all(np.abs(r - (A @ moved - b)) <= 4 * self.N * np.finfo(float).eps * scale)
+
     def test_gram_form_has_no_residual(self):
         Q, p = _rand_gram(5, 4)
         obj = QuadraticObjective.from_gram(Q, p)
         x = np.array([0.0, 1.0, 0.0, -2.0, 0.0])
         assert obj.residual(x) is None
+        assert obj.moved_residual(None, [1], [1.0]) is None
         assert obj.value(x, r=None) == 0.5 * float(x @ (Q @ x)) + float(p @ x)
 
     def test_residual_checks_the_shape(self):

@@ -836,8 +836,7 @@ class TestCholesky:
             Q_B[:, T[j, :, None], T[j]] = M[:, j]
         _, _, status = pattern_deltas(Q_B, np.zeros((5, 1, 12)), rng.standard_normal((5, 1, 12)),
                                       0.0, 0.0, np.array([7 << 3 * j for j in range(4)]),
-                                      [(np.arange(4), T, 12 * T[:, :, None] + T[:, None])],
-                                      certify=True)
+                                      [(np.arange(4), T)], certify=True)
         want = np.zeros((5, 4), dtype=bool)
         want[1, 2] = want[3, 0] = True
         np.testing.assert_array_equal(status[..., 0] != OK, want)
@@ -867,18 +866,18 @@ class TestStackedEngine:
             X = rng.standard_normal((n_points, n)) * (rng.random((n_points, n)) < 0.5)
             G = np.array([prob.objective.gradient(x) for x in X])
             blocks = np.sort([rng.choice(n, k, replace=False) for _ in range(n_blocks)], axis=1)
-            masks, groups = subproblem_module._pattern_tables(
+            masks, stacks = subproblem_module._pattern_tables(
                 k, min(k, 4) if mode == "cons" else k, 0)
             _, delta, status = pattern_deltas(prob.objective.gram_blocks(blocks),
                                               X[:, blocks].swapaxes(0, 1),
                                               G[:, blocks].swapaxes(0, 1),
-                                              0.0, lam, masks, groups, certify=True)
+                                              0.0, lam, masks, stacks, certify=True)
             compared = 0
             for b, B in enumerate(blocks):
                 Q_BB = prob.objective.gram_submatrix(B)
                 for r, (x, g) in enumerate(zip(X, G)):
                     Z, alone, failed = pattern_deltas(Q_BB[None], x[B][None, None],
-                                                      g[B][None, None], 0.0, lam, masks, groups)
+                                                      g[B][None, None], 0.0, lam, masks, stacks)
                     Z, alone, ok = Z[0, :, 0], alone[0, :, 0], status[b, :, r] == OK
                     assert not failed.any()
                     d2 = np.sum((Z - x[B]) ** 2, axis=1)

@@ -527,13 +527,17 @@ class TestTieRulesInMaskOrder:
 PAIRS = [[0, 1], [0, 2], [1, 2], [0, 3], [1, 3], [2, 3]]
 
 
-def pairs_at_zero(Q, g, theta, pairs):
-    """pattern_deltas on block 0..3 at x = 0, for the pair patterns ``pairs`` as one group."""
+def pairs_at_zero(Q, g, theta, pairs, w=2):
+    """pattern_deltas on block 0..3 at x = 0, for the pair patterns ``pairs`` as one stack.
+
+    Each pair's system is padded to w x w, as a stack that also holds
+    patterns of w coordinates pads it.
+    """
     masks = np.array([(1 << i) | (1 << j) for i, j in pairs])
-    T = np.array(pairs)
+    T = np.hstack((pairs, np.tile(4 + np.arange(2, w), (len(pairs), 1))))
     return subproblem_module.pattern_deltas(Q[None, :4, :4], np.zeros((1, 1, 4)),
                                             g[None, None, :4], theta, 0.0, masks,
-                                            [(np.arange(len(T)), T, 4 * T[:, :, None] + T[:, None])])
+                                            [(np.arange(len(T)), T)])
 
 
 class TestPerSystemRidge:
@@ -609,6 +613,71 @@ class TestPerSystemRidge:
             solve_block(prob, x, g, [0, 1, 2, 3], theta)
 
 
+class TestPaddedStacks:
+    """Systems padded past their pattern: a stack's width is its largest popcount."""
+
+    @pytest.mark.parametrize("k", [6, 10])
+    @pytest.mark.parametrize("theta", [0.0, 1e-3])
+    def test_every_budget_below_k(self, k, theta):
+        # a cardinality budget of 1..k-1 pads every stack to a width below
+        # k; each block must give the loop's support, count and change
+        rng = np.random.default_rng(k)
+        A, b = rng.standard_normal((30, 16)), rng.standard_normal(30)
+        B = np.sort(rng.choice(16, k, replace=False))
+        outside = np.setdiff1d(np.arange(16), B)
+        for budget in range(1, k):
+            prob = CompositeProblem(QuadraticObjective(A=A, b=b), Cardinality(budget + 3))
+            x = np.zeros(16)
+            x[rng.choice(outside, 3, replace=False)] = rng.standard_normal(3)
+            masks, stacks = subproblem_module._whole_block_tables(k, budget)
+            assert max(T.shape[1] for _, T in stacks) == budget
+            g = prob.objective.gradient(x)
+            got = solve_block(prob, x, g, B, theta)
+            x_next, evaluated, delta = reference_solve_block(prob, x, g, B, theta)
+            np.testing.assert_array_equal(np.flatnonzero(got.x_next), np.flatnonzero(x_next))
+            assert got.patterns_evaluated == evaluated == masks.size
+            assert got.composite_delta == pytest.approx(delta, rel=1e-12, abs=1e-13)
+
+    def test_stacks_cover_each_admissible_mask_once(self):
+        for k, budget in [(6, 6), (6, 2), (10, 10), (12, 5)]:
+            masks, stacks = subproblem_module._whole_block_tables(k, budget)
+            rows = np.concatenate([rows for rows, _ in stacks])
+            np.testing.assert_array_equal(np.sort(rows), np.arange(1, masks.size))
+            for rows, T in stacks:
+                for mask, t in zip(masks[rows], T):
+                    bits = [j for j in range(k) if mask >> j & 1]
+                    np.testing.assert_array_equal(t, bits + list(range(k + len(bits), k + len(t))))
+        # a whole block up to k = 8 is one stack
+        assert all(len(subproblem_module._whole_block_tables(k, k)[1]) == 1 for k in range(1, 9))
+
+    def test_ridge_does_not_touch_the_padding(self, monkeypatch):
+        # the duplicated pair {0, 1} does not factor at theta = 0; padded to
+        # 4 x 4, its ridge is 1e-12 times the trace over the pair, over 2,
+        # added on the pair only, and its solution is the unpadded one
+        rng = np.random.default_rng(3)
+        A = rng.standard_normal((6, 4))
+        A[:, 0] = A[:, 1] = [1.0, 1.0, 1.0, 1.0, 0.0, 0.0]
+        prob = CompositeProblem(QuadraticObjective(A=A, b=rng.standard_normal(6)),
+                                L0Penalty(0.1))
+        Q, g = prob.objective.gram_matrix(), prob.objective.gradient(np.zeros(4))
+        factored = []
+        cholesky = subproblem_module._cholesky
+        monkeypatch.setattr(subproblem_module, "_cholesky",
+                            lambda M: factored.append(M.copy()) or cholesky(M))
+        Z, _, status = pairs_at_zero(Q, g, 0.0, PAIRS, w=4)
+        assert not status.any()
+        ridged = factored[-1]  # the stand-alone failing systems, ridged
+        assert len(ridged) == 1
+        ridge = 1e-12 * (Q[0, 0] + Q[1, 1]) / 2
+        np.testing.assert_array_equal(ridged[0, :2, :2], Q[:2, :2] + ridge * np.eye(2))
+        np.testing.assert_array_equal(ridged[0, 2:, 2:], np.eye(2))
+        np.testing.assert_array_equal(ridged[0, :2, 2:], 0.0)
+        np.testing.assert_array_equal(ridged[0, 2:, :2], 0.0)
+        alone, _, _ = pairs_at_zero(Q, g, 0.0, PAIRS)
+        np.testing.assert_allclose(Z, alone, rtol=1e-9, atol=0.0)
+        np.testing.assert_array_equal(Z[0, 0, 0, 2:], 0.0)
+
+
 class TestPatternChunks:
     def test_chunked_block_matches_loop(self, monkeypatch):
         # a block spread over several chunks gives the loop's answer
@@ -646,8 +715,8 @@ class TestPatternChunks:
     def test_memory_does_not_grow_with_pattern_count(self):
         """One penalized k = 16 solve (65,536 patterns) peaks below 16 MB.
 
-        Measured under tracemalloc with numpy 2.4: 4.8 MB with the default
-        4096-mask chunks, and 37 MB when all 65,536 masks are solved as one
+        Measured under tracemalloc with numpy 2.4.6: 6.5 MB with the default
+        4096-mask chunks, and 46 MB when all 65,536 masks are solved as one
         chunk, which is what this bound exists to catch.
         """
         rng = np.random.default_rng(0)

@@ -22,7 +22,9 @@ Each digest covers the bytes of a run's output, never its timings:
 * ``dec``: x, every trace record (F, step norm, working set), the status and
   the final F; R4G2, R0G6, R6G0, R6G6 and R1G0 in both modes on a corrupted
   64x256 instance (stopping rule), 256x2048 (300 iterations) and 30x4200
-  (above ``_GRAM_CACHE_LIMIT``, 150 iterations);
+  (above ``_GRAM_CACHE_LIMIT``, 150 iterations); and R4G2 and R6G6 in cons
+  mode on 256x2048 from x = 0 (300 iterations), whose blocks have budgets
+  below their size;
 * ``pgm`` and ``apgm``: the same fields, on the same instances;
 * ``omp`` and ``cvx-l1``: x, on the same instances in cons mode; their line
   gives F, ``iters=0`` and nnz, so a moved line shows its drift too;
@@ -103,6 +105,14 @@ def digests(bd):
         for name, solver in (("omp", bd.omp), ("cvx-l1", bd.cvx_l1_sweep)):
             x = solver(A, b, s)
             yield f"{name}/{size}/cons", f"{_digest(x)} {_summary(x, bd.composite_value(prob, x), 0)}"
+    # cons runs from x = 0 fill the support up to s, so the block budgets
+    # fall below k and the block solves pad their systems to widths under k
+    A, b, _ = bd.gen_random(256, 2048, 20, seed=1)
+    prob = bd.CompositeProblem(bd.QuadraticObjective.from_factored(A, b), bd.Cardinality(20))
+    for kr, kg in ((4, 2), (6, 6)):
+        config = bd.DecConfig(n_random=kr, n_greedy=kg, seed=0, max_iters=300, window=1000)
+        x, trace = bd.run_dec(prob, [0.0] * 2048, config)
+        yield f"dec-R{kr}G{kg}/256x2048/cons-from-zero", _run_digest(x, trace)
     for mode in ("cons", "regu"):
         yield f"table1/{mode}", _digest(bd.landscape_table(bd.table1_problem(mode)).row())
     for seed in CENSUS_SEEDS:
