@@ -24,6 +24,9 @@ A benchmark config is a JSON file::
 A solver entry takes only ``name``, ``label``, ``krand`` and ``kgreedy``.
 Its label (by default the name, or ``dec-R<krand>G<kgreedy>`` for dec)
 names its trace files and summary rows, so labels must be distinct.
+Every value is checked before any output exists: a list must be a nonempty
+JSON list, a number a JSON number (an integer where one is counted), and a
+seed an integer >= 0.  Top-level keys not shown above are ignored.
 
 Cells (instance x solver x param x init-seed) run one after another in a
 fixed order, so identical configs yield byte-identical outputs.  Timing
@@ -31,6 +34,7 @@ columns are written as 0 unless ``timing`` is set, for the same reason.
 """
 
 import json
+import numbers
 import os
 import time
 from typing import Callable, NamedTuple
@@ -38,7 +42,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .baselines import apgm, cvx_l1_sweep, omp, pgm
-from .data import FLOAT_FMT, corrupt, gen_random, load_instance
+from .data import FLOAT_FMT, check_seed, corrupt, gen_random, load_instance
 from .dec import DecConfig, check_stopping, init_solution, run_dec
 from .errors import InvalidParameterError
 from .problem import (CompositeProblem, HalfPenalty, L1Penalty, QuadraticObjective,
@@ -132,6 +136,7 @@ def run_solver(name, A, b, mode, param, seed, theta=1e-3, epsilon=1e-5,
     """
     spec = solver_spec(name, mode)
     check_stopping(epsilon, window, max_iters)  # omp ignores them, but bad ones still fail
+    check_seed(seed)
     prob = CompositeProblem(QuadraticObjective(A=A, b=b), spec.term(mode, param))
     stop = dict(max_iters=max_iters, epsilon=epsilon, window=window)
     dec = dict(n_random=krand, n_greedy=kgreedy, theta=theta)
@@ -139,29 +144,50 @@ def run_solver(name, A, b, mode, param, seed, theta=1e-3, epsilon=1e-5,
     return x, trace, composite_value(prob, x)
 
 
+def _number(value, what, kind=float):
+    """``kind(value)`` for a JSON number; an int must be whole, and a bool is no number."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or (kind is int and not isinstance(value, numbers.Integral)
+                and not float(value).is_integer())):
+        raise InvalidParameterError(
+            f"{what} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
+    return kind(value)
+
+
+def _nonempty_list(config, key, default=None):
+    value = config.get(key, default)
+    if not isinstance(value, list) or not value:
+        raise InvalidParameterError(f"config needs a nonempty {key!r} list, got {value!r}")
+    return value
+
+
 def _instance_data(spec):
     """Materialize one config instance entry; returns (name, A, b)."""
+    if not isinstance(spec, dict):
+        raise InvalidParameterError(f"an instance must be a JSON object, got {spec!r}")
     kind = spec.get("kind", "file")
     if kind == "file":
-        path = spec["path"]
+        path = spec.get("path")
+        if not isinstance(path, str):
+            raise InvalidParameterError(f"a file instance needs a 'path' string, got {path!r}")
         name = spec.get("name") or os.path.splitext(os.path.basename(path))[0]
         A, b = load_instance(path)
         return name, A, b
-    m, n = int(spec["m"]), int(spec["n"])
-    support = int(spec["support"])
-    noise = float(spec.get("noise", 10.0))
-    seed = int(spec.get("seed", 0))
+    if kind not in ("random", "random-corrupt"):
+        raise InvalidParameterError(f"unknown instance kind {kind!r}")
+    missing = [key for key in ("m", "n", "support") if key not in spec]
+    if missing:
+        raise InvalidParameterError(f"a {kind} instance needs {missing}")
+    m, n, support, seed = (_number(spec.get(key, 0), f"instance {key!r}", int)
+                           for key in ("m", "n", "support", "seed"))
+    noise = _number(spec.get("noise", 10.0), "instance 'noise'")
     A, b, _ = gen_random(m, n, support, noise_scale=noise, seed=seed)
     if kind == "random":
-        name = f"random-m{m}-n{n}-k{support}-seed{seed}"
-    elif kind == "random-corrupt":
-        fraction = float(spec.get("fraction", 0.02))
-        factor = float(spec.get("factor", 100.0))
-        A = corrupt(A, fraction=fraction, factor=factor, seed=seed + 1)
-        name = f"corrupt-m{m}-n{n}-k{support}-seed{seed}"
-    else:
-        raise InvalidParameterError(f"unknown instance kind {kind!r}")
-    return name, A, b
+        return f"random-m{m}-n{n}-k{support}-seed{seed}", A, b
+    fraction, factor = (_number(spec.get(key, default), f"instance {key!r}")
+                        for key, default in (("fraction", 0.02), ("factor", 100.0)))
+    A = corrupt(A, fraction=fraction, factor=factor, seed=seed + 1)
+    return f"corrupt-m{m}-n{n}-k{support}-seed{seed}", A, b
 
 
 SOLVER_KEYS = frozenset({"name", "label", "krand", "kgreedy"})
@@ -183,39 +209,49 @@ def benchmark(config, out_dir):
     if isinstance(config, str):
         with open(config) as fh:
             config = json.load(fh)
+    if not isinstance(config, dict):
+        raise InvalidParameterError(f"config must be a JSON object, got {type(config).__name__}")
     mode = config.get("mode", "cons")
-    params = config.get("params")
-    if not params:
-        raise InvalidParameterError("config needs a nonempty 'params' list")
-    solvers = config.get("solvers")
-    if not solvers:
-        raise InvalidParameterError("config needs a nonempty 'solvers' list")
-    labels = set()
-    for spec in solvers:
+    params = _nonempty_list(config, "params")
+    for param in params:
+        _number(param, "param")
+    seeds = _nonempty_list(config, "init_seeds", [0])
+    for seed in seeds:
+        check_seed(seed, "init seed")
+    opts = dict(theta=_number(config.get("theta", 1e-3), "theta"),
+                epsilon=_number(config.get("epsilon", 1e-5), "epsilon"),
+                window=_number(config.get("window", 50), "window", int),
+                max_iters=_number(config.get("max_iters", 1000), "max_iters", int))
+    runs = []  # (name, label, krand, kgreedy) per solver entry
+    for spec in _nonempty_list(config, "solvers"):
+        if not isinstance(spec, dict):
+            raise InvalidParameterError(f"a solver entry must be a JSON object, got {spec!r}")
         unknown = set(spec) - SOLVER_KEYS
         if unknown:
             raise InvalidParameterError(
                 f"unknown solver key(s) {sorted(unknown)}; valid keys: {sorted(SOLVER_KEYS)}")
         term = solver_spec(spec.get("name"), mode).term
         for param in params:
-            term(mode, param)  # a bad param fails before any output exists
+            term(mode, param)  # unconverted, so a fractional level fails here
+        krand, kgreedy = (_number(spec.get(key, default), key, int)
+                          for key, default in (("krand", 4), ("kgreedy", 2)))
+        # the sizes are checked as dec's whichever solver the entry names
+        DecConfig(n_random=krand, n_greedy=kgreedy, **opts)
         label = _solver_label(spec)
-        if label in labels:
+        if label in [run[1] for run in runs]:
             # traces and summary rows are keyed by label
             raise InvalidParameterError(
                 f"duplicate solver label {label!r}; give each solver a distinct 'label'")
-        labels.add(label)
-    seeds = config.get("init_seeds", [0])
-    opts = dict(theta=float(config.get("theta", 1e-3)),
-                epsilon=float(config.get("epsilon", 1e-5)),
-                window=int(config.get("window", 50)),
-                max_iters=int(config.get("max_iters", 1000)))
-    DecConfig(**opts)  # bad theta or stopping keys fail before any output exists
+        runs.append((spec["name"], label, krand, kgreedy))
     timing = bool(config.get("timing", False))
 
-    instances = [_instance_data(spec) for spec in config.get("instances", [])]
-    if not instances:
-        raise InvalidParameterError("config needs a nonempty 'instances' list")
+    instances = [_instance_data(spec) for spec in _nonempty_list(config, "instances")]
+    for iname, A, _ in instances:
+        for name, label, krand, kgreedy in runs:
+            if name == "dec" and krand + kgreedy > A.shape[1]:
+                raise InvalidParameterError(
+                    f"{label}: working-set size {krand + kgreedy} exceeds n = {A.shape[1]}"
+                    f" of instance {iname}")
 
     trace_dir = os.path.join(out_dir, "traces")
     os.makedirs(trace_dir, exist_ok=True)
@@ -223,16 +259,13 @@ def benchmark(config, out_dir):
     rows = []
     groups = {}
     for iname, A, b in instances:
-        for sspec in solvers:
-            label = _solver_label(sspec)
+        for name, label, krand, kgreedy in runs:
             for param in params:
                 finals = groups.setdefault((iname, label, param), [])
                 for seed in seeds:
                     tic = time.perf_counter()
-                    x, trace, final = run_solver(
-                        sspec["name"], A, b, mode, param, seed, **opts,
-                        krand=int(sspec.get("krand", 4)),
-                        kgreedy=int(sspec.get("kgreedy", 2)))
+                    x, trace, final = run_solver(name, A, b, mode, param, seed, **opts,
+                                                 krand=krand, kgreedy=kgreedy)
                     wall = time.perf_counter() - tic
                     iters = len(trace) if trace is not None else 0
                     rows.append(",".join([

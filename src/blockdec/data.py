@@ -19,11 +19,19 @@ draw order inside each generator is fixed and documented, so a given seed
 yields the same instance on every platform.
 """
 
+import numbers
+
 import numpy as np
 
 from .errors import DataFormatError, InvalidParameterError
 
 FLOAT_FMT = "%.17g"
+
+
+def check_seed(seed, what="seed"):
+    """Reject a seed that is not an integer >= 0, the seeds numpy's generators take."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise InvalidParameterError(f"{what} must be an integer >= 0, got {seed!r}")
 
 
 def gen_random(m, n, support, noise_scale=10.0, seed=0):
@@ -32,6 +40,7 @@ def gen_random(m, n, support, noise_scale=10.0, seed=0):
     Draw order: A entries (row-major), then the support positions, then the
     support values, then the noise vector.  b = A @ x_true + noise_scale*w.
     """
+    check_seed(seed)
     if m < 1 or n < 1:
         raise InvalidParameterError(f"need positive dimensions, got m={m}, n={n}")
     if not 0 < support <= n:

@@ -9,7 +9,7 @@ per point and hands to both; on a sparse x it is read from the support
 columns of A alone.  A proximal-gradient solve takes its gradients at sparse
 points from a ``GramColumns`` store instead, p + Q[:, S] x_S, with each
 column of Q formed from A once per solve; the store lives in the solve, and
-the objective never changes.
+p = -A'b in the objective, formed once.
 
 The nonsmooth part h is one of four sparsity terms: a hard cardinality cap,
 a count penalty, or one of two separable relaxations (l1 and l1/2) used by
@@ -185,13 +185,13 @@ def make_term(mode, param):
 # smooth quadratic objective
 
 
-# Factored instances at or below this dimension cache the Gram data (n^2
-# doubles) on the first whole or stacked read: gram_matrix, linear_term,
-# matvec, gram_blocks.  A block-k certificate reads thousands of blocks per
-# point, which repays the fill.  gram_submatrix never fills it: one block
-# read from A costs m k^2 multiply-adds against m n^2 / 2 for the fill, so
-# a solver making one block solve per iteration would need n^2 / (2 k^2)
-# of them (58,000 at n = 2048, k = 6) to repay it.
+# Factored instances at or below this dimension cache the Gram matrix (n^2
+# doubles) on the first whole or stacked read, and only its two readers fill
+# it: gram_matrix and gram_blocks.  A block-k certificate reads thousands of
+# blocks per point, which repays the fill.  gram_submatrix never fills it:
+# one block read from A costs m k^2 multiply-adds against m n^2 / 2 for the
+# fill, so a solver making one block solve per iteration would need
+# n^2 / (2 k^2) of them (58,000 at n = 2048, k = 6) to repay it.
 _GRAM_CACHE_LIMIT = 4096
 
 # A point takes the support path -- residual(x) = A[:, S] x_S - b, and its
@@ -223,12 +223,15 @@ class QuadraticObjective:
 
     Use the ``from_gram`` / ``from_factored`` constructors.  Instances are
     immutable after construction and safe to share across threads; the only
-    mutation is a one-time fill of the lazily computed Gram cache, curvature
-    diagonal and the exact largest eigenvalue of Q.  Each is published only
-    once complete.  Factored data fill the Gram cache only on a whole or
-    stacked read and only for n up to ``_GRAM_CACHE_LIMIT``; a single block,
-    ``gram_submatrix``, always reads A, so its value is the same whether or
-    not the cache is filled.
+    mutation is a one-time fill of four lazily computed quantities, each
+    formed in one method and published only once complete: p = -A'b
+    (``linear_term``), diag(Q) (``coordinate_lipschitz``), the exact largest
+    eigenvalue of Q (``lipschitz_global``) and the Gram cache.  No quantity
+    is formed from another, so each has the same bits whichever is formed
+    first.  Factored data fill the Gram cache only on a whole or stacked read
+    (``gram_matrix``, ``gram_blocks``) and only for n up to
+    ``_GRAM_CACHE_LIMIT``; a single block, ``gram_submatrix``, always reads
+    A, so its value is the same whether or not the cache is filled.
 
     In factored form ``value`` and ``gradient`` are computed from the residual
     r = Ax - b, which ``residual`` forms from the support columns of A when x
@@ -355,8 +358,6 @@ class QuadraticObjective:
 
     def _ensure_gram(self):
         if self._Q is None:
-            # p first: a reader that sees Q also sees p
-            self._p = -(self._A.T @ self._b)
             self._Q = self._A.T @ self._A
 
     def gram_matrix(self):
@@ -389,19 +390,16 @@ class QuadraticObjective:
         return self._Q[idx[:, :, None], idx[:, None, :]]
 
     def linear_term(self, idx=None):
-        """p (or p[idx]); for factored data p = -A'b."""
-        if not self._gram_cached:
-            A = self._A if idx is None else self._A[:, idx]
-            return -(A.T @ self._b)
-        self._ensure_gram()
+        """p (or p[idx]); for factored data p = -A'b, formed once and cached."""
+        if self._p is None:
+            self._p = -(self._A.T @ self._b)
         return self._p if idx is None else self._p[idx]
 
     def matvec(self, v):
-        """Q @ v without forming Q when operating column-wise."""
+        """Q @ v; factored data give A'(Av), two passes over A, and never read Q."""
         v = _as_vector(v, self.n, "v")
-        if not self._gram_cached:
+        if self.is_factored:
             return self._A.T @ (self._A @ v)
-        self._ensure_gram()
         return self._Q @ v
 
     # -- curvature ----------------------------------------------------------
@@ -422,12 +420,14 @@ class QuadraticObjective:
         return self._lip
 
     def _spectral_norm(self):
-        # lambda_max(A'A) = lambda_max(AA'): wide data never fill the n x n Gram
+        # lambda_max(A'A) = lambda_max(AA'): the smaller one is formed here, for
+        # this call only, and the Gram cache is neither read nor filled
         wide = self.is_factored and self.m < self.n
         r = self.m if wide else self.n
         with np.errstate(over="ignore", invalid="ignore"):
             if r <= _DENSE_EIG_LIMIT:
-                G = self._A @ self._A.T if wide else self.gram_matrix()
+                G = (self._Q if not self.is_factored
+                     else self._A @ self._A.T if wide else self._A.T @ self._A)
                 try:
                     lam = np.linalg.eigvalsh(G)[-1] if np.isfinite(G).all() else np.inf
                 except np.linalg.LinAlgError as exc:
@@ -455,12 +455,11 @@ class GramColumns:
     At a point x on the support path (see ``QuadraticObjective.residual``)
     ``gradient`` returns grad f(x) = p + Q[:, S] x_S with p = -A'b and
     S = supp(x), at n |T| multiply-adds, where T is every coordinate the
-    store holds; A'(Ax - b) costs m n.  The store holds p, formed at the first
-    such point, and the column Q[:, j] = A'a_j of each j that has been in a
-    support, formed the first time j enters one: one product A[:, new]' A
-    covers each batch of new coordinates, and no column is formed twice.
-    It never fills the objective's n x n Gram cache, and the objective stays
-    unchanged.
+    store holds; A'(Ax - b) costs m n.  p is the objective's own
+    (``linear_term``).  The store holds the column Q[:, j] = A'a_j of each j
+    that has been in a support, formed the first time j enters one: one
+    product A[:, new]' A covers each batch of new coordinates, and no column
+    is formed twice.  It never fills the objective's n x n Gram cache.
 
     Memory: at most m // 2 columns of n doubles, half the size of A; at that
     bound a served gradient still costs at most half of A'r.  A support that
@@ -481,7 +480,6 @@ class GramColumns:
         self._rows = np.empty((0, n))  # row t is the Gram column of slot t
         self._size = 0
         self._limit = objective.m // 2 if objective.is_factored else 0
-        self._p = None
 
     def __len__(self):
         """The number of Gram columns held."""
@@ -498,11 +496,9 @@ class GramColumns:
         slots = None if support is None else self._slots(support)
         if slots is None:
             return obj.gradient(x, r=r)
-        if self._p is None:
-            self._p = -(obj._A.T @ obj._b)
         w = np.zeros(self._size)
         w[slots] = x[support]
-        return self._p + w @ self._rows[:self._size]
+        return obj.linear_term() + w @ self._rows[:self._size]
 
     def _slots(self, support):
         """The rows holding Q[:, support], formed as needed; None past the bound."""

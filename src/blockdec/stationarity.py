@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import check_seed
 from .errors import BlockdecError, BudgetExceededError, InvalidParameterError
 from .problem import (INFEASIBLE, Cardinality, CompositeProblem, QuadraticObjective,
                       composite_value, make_term, require_l0_term)
@@ -139,6 +140,10 @@ def is_block_k(prob, x, k, tol=BLOCK_TOL, mode="exhaustive", trials=1000, seed=0
         raise InvalidParameterError(f"block size {k} outside [1, {prob.n}]")
     if mode not in ("exhaustive", "sampled"):
         raise InvalidParameterError(f"unknown mode {mode!r}")
+    if mode == "sampled":
+        check_seed(seed)
+        if trials < 1:  # no draw would certify every point
+            raise InvalidParameterError(f"sampled mode needs trials >= 1, got {trials}")
 
     x = np.asarray(x, dtype=float)
     f_x = composite_value(prob, x)
@@ -334,9 +339,9 @@ class LandscapeCounts:
     l_stationary: int
     block: dict  # k -> count of block-k optimal points
 
-    def row(self, k_range=None):
-        ks = sorted(self.block) if k_range is None else list(k_range)
-        return [self.basic, self.l_stationary] + [self.block.get(k, 0) for k in ks]
+    def row(self):
+        """basic, l_stationary, then the block-k counts by increasing k."""
+        return [self.basic, self.l_stationary] + [self.block[k] for k in sorted(self.block)]
 
 
 def landscape_table(prob, k_max=None):

@@ -440,6 +440,38 @@ STOPPED_SOLVERS = [("pgm", "cons", 2), ("apgm", "regu", 0.5), ("cvx-l1", "cons",
                    ("pgm-l1", "cons", 0.5), ("pgm-lhalf", "regu", 0.5)]
 
 
+def _instance(config, **changes):
+    """``config`` with its one instance changed; a None value removes the key."""
+    spec = {**config["instances"][0], **changes}
+    return dict(config, instances=[{k: v for k, v in spec.items() if v is not None}])
+
+
+# a config change -> what the one error line names; each is found before
+# any output exists
+BAD_CONFIGS = {
+    "window-0": (lambda c: dict(c, window=0), "window"),
+    "window-str": (lambda c: dict(c, window="x"), "window"),
+    "seeds-empty": (lambda c: dict(c, init_seeds=[]), "init_seeds"),
+    "seeds-str": (lambda c: dict(c, init_seeds="3"), "init_seeds"),
+    "seeds-null": (lambda c: dict(c, init_seeds=None), "init_seeds"),
+    "seed-frac": (lambda c: dict(c, init_seeds=[1.5]), "init seed"),
+    "seed-str": (lambda c: dict(c, init_seeds=["a"]), "init seed"),
+    "seed-neg": (lambda c: dict(c, init_seeds=[-1]), "init seed"),
+    "param-str": (lambda c: dict(c, params=["x"]), "param"),
+    "param-null": (lambda c: dict(c, params=[None]), "param"),
+    "params-int": (lambda c: dict(c, params=3), "params"),
+    "m-str": (lambda c: _instance(c, m="a"), "'m'"),
+    "no-support": (lambda c: _instance(c, support=None), "support"),
+    "instance-seed-neg": (lambda c: _instance(c, seed=-1), "seed"),
+    "krand-str": (lambda c: dict(c, solvers=[{"name": "dec", "krand": "a"}]), "krand"),
+    "krand-neg": (lambda c: dict(c, solvers=[{"name": "dec", "krand": -1}]), "working-set"),
+    "krand-above-n": (lambda c: dict(c, solvers=[{"name": "dec", "krand": 30}]),
+                      "exceeds n = 16"),
+    "solver-str": (lambda c: dict(c, solvers=["pgm"]), "solver entry"),
+    "top-level-list": (lambda c: [c], "JSON object"),
+}
+
+
 class TestStoppingSettings:
     @pytest.mark.parametrize("stop", BAD_STOPS, ids=BAD_STOP_IDS)
     @pytest.mark.parametrize("name, mode, param", STOPPED_SOLVERS,
@@ -488,13 +520,15 @@ class TestStoppingSettings:
         assert "theta" in r.stderr
         assert "Traceback" not in r.stderr and "final_objective" not in r.stdout
 
-    def test_cli_benchmark_exits_1_and_writes_nothing(self, tmp_path):
+    @pytest.mark.parametrize("bad, message", BAD_CONFIGS.values(), ids=BAD_CONFIGS)
+    def test_cli_benchmark_exits_1_and_writes_nothing(self, tmp_path, bad, message):
         import json
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(dict(TestBenchmark.CONFIG, window=0)))
+        cfg_path.write_text(json.dumps(bad(TestBenchmark.CONFIG)))
         r = cli("benchmark", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out"))
         assert r.returncode == 1
-        assert "window" in r.stderr and "Traceback" not in r.stderr
+        (line,) = r.stderr.splitlines()  # one line, no traceback
+        assert line.startswith("error: ") and message in line
         assert not (tmp_path / "out").exists()
 
 
@@ -664,6 +698,9 @@ class TestBenchmark:
         with pytest.raises(InvalidParameterError):
             benchmark({"params": [], "solvers": [{"name": "dec"}]},
                       str(tmp_path / "y"))
+        with pytest.raises(InvalidParameterError, match="init_seeds"):
+            benchmark(dict(self.CONFIG, init_seeds=[]), str(tmp_path / "z"))
+        assert not (tmp_path / "z").exists()
 
     # two specs sharing a label would overwrite each other's traces and be
     # pooled into one summary row
@@ -750,6 +787,21 @@ class TestCli:
                 "--check", "lstat", "--s", "3")
         assert r.returncode == 0, r.stderr
         assert "result=true" in r.stdout
+
+    @pytest.mark.parametrize("command", ["generate", "solve-dec", "solve-omp"])
+    def test_negative_seed_is_usage_error(self, tmp_path, command):
+        # numpy's generators take no negative seed; omp draws none, but a bad one still fails
+        inst, out = tmp_path / "i.txt", tmp_path / "out.txt"
+        save_instance(inst, *gen_random(4, 6, 2, seed=0)[:2])
+        if command == "generate":
+            args = ("generate", "--m", "4", "--n", "6", "--support", "2")
+        else:
+            args = ("solve", "--instance", str(inst), "--solver", command[6:],
+                    "--mode", "cons", "--s", "2")
+        r = cli(*args, "--seed", "-1", "--out", str(out))
+        assert r.returncode == 1
+        assert r.stderr.splitlines() == ["error: seed must be an integer >= 0, got -1"]
+        assert r.stdout == "" and not out.exists()
 
     def test_solve_missing_param_is_usage_error(self, tmp_path):
         inst = tmp_path / "i.txt"

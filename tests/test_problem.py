@@ -116,21 +116,34 @@ class TestQuadraticObjective:
         assert gram.coordinate_lipschitz() is gram.coordinate_lipschitz()
         assert not gram.coordinate_lipschitz().flags.writeable
 
-    def test_gram_fill_publishes_p_before_q(self):
-        # readers take a filled Q to mean a filled p: linear_term() reads p
-        # without a check, so a thread must never see Q set and p still None
-        class Watched(QuadraticObjective):
-            def __setattr__(self, name, value):
-                if name == "_Q" and value is not None:
-                    assert self._p is not None, "Q published before p"
-                super().__setattr__(name, value)
-
+    def test_p_and_q_are_each_formed_by_one_method_each_exact(self):
+        # linear_term forms p alone and the Gram fill Q alone: neither reads
+        # or publishes the other, and the order of the two calls moves no bit
         rng = np.random.default_rng(13)
         A, b = rng.standard_normal((7, 5)), rng.standard_normal(7)
-        obj = Watched.from_factored(A, b)
-        obj._ensure_gram()
-        np.testing.assert_array_equal(obj.linear_term(), -(A.T @ b))
-        np.testing.assert_array_equal(obj.gram_matrix(), A.T @ A)
+        q_first = QuadraticObjective.from_factored(A, b)
+        q_first._ensure_gram()
+        assert q_first._p is None
+        np.testing.assert_array_equal(q_first.gram_matrix(), A.T @ A)
+        p_first = QuadraticObjective.from_factored(A, b)
+        p = p_first.linear_term()
+        assert p_first._Q is None and p_first.linear_term() is p
+        np.testing.assert_array_equal(p, -(A.T @ b))
+        np.testing.assert_array_equal(q_first.linear_term(), p)
+
+    def test_tall_data_form_p_qv_and_l_without_the_gram(self):
+        # 40x12 is under the cache limit, yet p, Qv and L each come from A by
+        # their own expression, and none of them fills the 12 x 12 Gram
+        rng = np.random.default_rng(14)
+        A, b = rng.standard_normal((40, 12)), rng.standard_normal(40)
+        v, idx = rng.standard_normal(12), np.array([1, 5, 7])
+        obj = QuadraticObjective.from_factored(A, b)
+        for got, want in [(obj.linear_term, -(A.T @ b)),
+                          (lambda: obj.linear_term(idx), -(A.T @ b)[idx]),
+                          (lambda: obj.matvec(v), A.T @ (A @ v)),
+                          (obj.lipschitz_global, np.linalg.eigvalsh(A.T @ A)[-1])]:
+            np.testing.assert_array_equal(got(), want)
+            assert obj._Q is None
 
     def test_demo_coordinate_lipschitz(self, demo_cons):
         np.testing.assert_allclose(demo_cons.objective.coordinate_lipschitz(),
@@ -343,8 +356,8 @@ class TestGramColumns:
         assert columns._rows.nbytes <= A.nbytes // 2
 
     def test_pgm_and_apgm_leave_the_gram_cache_unfilled(self):
-        # n = 640 is under the cache limit; p = -A'b must not come from
-        # linear_term(), which fills the n x n Gram
+        # n = 320 is under the cache limit; the stores take p from
+        # linear_term() and their columns from A, and neither fills the Gram
         _, _, obj = self._objective()
         stores = count_calls(obj, "gram_columns")
         for term in (Cardinality(4), L0Penalty(20.0)):

@@ -370,6 +370,14 @@ class TestIsBlockK:
         with pytest.raises(InvalidParameterError):
             is_block_k(demo_cons, CONS_GLOBAL_X, 2, mode="guess")
 
+    @pytest.mark.parametrize("x", [CONS_GLOBAL_X, np.ones(6)], ids=["feasible", "infeasible"])
+    @pytest.mark.parametrize("bad", [dict(seed=-1), dict(seed=0.5), dict(trials=0)],
+                             ids=["seed-neg", "seed-frac", "no-trials"])
+    def test_sampled_mode_rejects_a_bad_seed_or_no_trials(self, demo_cons, x, bad):
+        # zero draws would certify any point; checked before the point is read
+        with pytest.raises(InvalidParameterError, match="seed|trials"):
+            is_block_k(demo_cons, x, 2, mode="sampled", **bad)
+
 
 class TestEnumerateBasicPoints:
     def test_cons_count(self, demo_cons):

@@ -21,11 +21,14 @@ Each digest covers the bytes of a run's output, never its timings:
 
 * ``dec``: x, every trace record (F, step norm, working set), the status and
   the final F; R4G2, R0G6, R6G0, R6G6 and R1G0 in both modes on a corrupted
-  64x256 instance (stopping rule), 256x2048 (300 iterations) and 30x4200
-  (above ``_GRAM_CACHE_LIMIT``, 150 iterations); and R4G2 and R6G6 in cons
-  mode on 256x2048 from x = 0 (300 iterations), whose blocks have budgets
-  below their size;
-* ``pgm`` and ``apgm``: the same fields, on the same instances;
+  64x256 instance (stopping rule), 256x2048 (300 iterations), 30x4200
+  (above ``_GRAM_CACHE_LIMIT``, 150 iterations) and the tall 600x200 (300
+  iterations); and R4G2 and R6G6 in cons mode on 256x2048 from x = 0 (300
+  iterations), whose blocks have budgets below their size;
+* ``pgm`` and ``apgm``: the same fields, on the same instances.  On 600x200
+  L comes from A'A, the only tall case, and their iterates have at most
+  n/32 nonzeros, so their gradients come from the Gram-column store and its
+  p = -A'b;
 * ``omp`` and ``cvx-l1``: x, on the same instances in cons mode; their line
   gives F, ``iters=0`` and nnz, so a moved line shows its drift too;
 * ``table1``: the census row of the six-variable demo, both modes;
@@ -50,6 +53,7 @@ SIZES = {  # label: (m, n, support, corrupted, lambda, max_iters, window)
     "64x256": (64, 256, 10, True, 50.0, 1000, 50),
     "256x2048": (256, 2048, 20, False, 50.0, 300, 1000),
     "30x4200": (30, 4200, 5, False, 5.0, 150, 1000),
+    "600x200": (600, 200, 5, False, 100.0, 300, 1000),
 }
 SPLITS = ((4, 2), (0, 6), (6, 0), (6, 6), (1, 0))  # (n_random, n_greedy)
 CENSUS_SEEDS = (11, 12, 13, 14)
