@@ -221,10 +221,12 @@ _DENSE_EIG_LIMIT = 2048
 class QuadraticObjective:
     """Convex quadratic f in Gram form (Q, p) or factored form (A, b).
 
-    Use the ``from_gram`` / ``from_factored`` constructors.  Instances are
-    immutable after construction and safe to share across threads; the only
-    mutation is a one-time fill of four lazily computed quantities, each
-    formed in one method and published only once complete: p = -A'b
+    Construct it as ``QuadraticObjective(Q=Q, p=p)`` or
+    ``QuadraticObjective(A=A, b=b)``.  Instances are immutable after
+    construction and safe to share across threads.  The arrays they hand out
+    whole, p, Q and diag(Q), are read-only.  The only mutation is a one-time
+    fill of four lazily computed quantities, each formed in one method and
+    published only once complete: p = -A'b
     (``linear_term``), diag(Q) (``coordinate_lipschitz``), the exact largest
     eigenvalue of Q (``lipschitz_global``) and the Gram cache.  No quantity
     is formed from another, so each has the same bits whichever is formed
@@ -260,6 +262,7 @@ class QuadraticObjective:
             self.n = Q.shape[0]
             self._Q = 0.5 * (Q + Q.T)
             self._p = p.copy()
+            self._Q.flags.writeable = self._p.flags.writeable = False
         else:
             A = np.asarray(A, dtype=float)
             if A.ndim != 2:
@@ -273,14 +276,6 @@ class QuadraticObjective:
         # the one "Gram cached or factored" decision; the cache fills lazily
         self._gram_cached = Q is not None or self.n <= _GRAM_CACHE_LIMIT
         self._lip = self._diag = None
-
-    @classmethod
-    def from_gram(cls, Q, p):
-        return cls(Q=Q, p=p)
-
-    @classmethod
-    def from_factored(cls, A, b):
-        return cls(A=A, b=b)
 
     @property
     def is_factored(self):
@@ -358,10 +353,12 @@ class QuadraticObjective:
 
     def _ensure_gram(self):
         if self._Q is None:
-            self._Q = self._A.T @ self._A
+            Q = self._A.T @ self._A
+            Q.flags.writeable = False
+            self._Q = Q  # published only once read-only
 
     def gram_matrix(self):
-        """Full Q (cached for factored instances up to the cache limit)."""
+        """Full Q, read-only (cached for factored instances up to the cache limit)."""
         if not self._gram_cached:
             raise InvalidParameterError(
                 f"dense Gram matrix not materialized for n = {self.n} > {_GRAM_CACHE_LIMIT}")
@@ -390,9 +387,11 @@ class QuadraticObjective:
         return self._Q[idx[:, :, None], idx[:, None, :]]
 
     def linear_term(self, idx=None):
-        """p (or p[idx]); for factored data p = -A'b, formed once and cached."""
+        """p, read-only (or a copy of p[idx]); for factored data p = -A'b, formed once."""
         if self._p is None:
-            self._p = -(self._A.T @ self._b)
+            p = -(self._A.T @ self._b)
+            p.flags.writeable = False
+            self._p = p  # published only once read-only
         return self._p if idx is None else self._p[idx]
 
     def matvec(self, v):

@@ -40,8 +40,8 @@ from .data import check_seed
 from .errors import BlockdecError, BudgetExceededError, InvalidParameterError
 from .problem import (INFEASIBLE, Cardinality, CompositeProblem, QuadraticObjective,
                       composite_value, make_term, require_l0_term)
-from .subproblem import (PATTERN_CHUNK, TIE_TOL, _cholesky, _pattern_chunks, _tiny_pivots,
-                         pattern_deltas, solve_block)
+from .subproblem import (PATTERN_CHUNK, TIE_TOL, _cho_solve, _cholesky, _pattern_chunks,
+                         _tiny_pivots, pattern_deltas, solve_block)
 from .working_set import random_set
 
 ZERO_TOL = 1e-12
@@ -275,10 +275,12 @@ def _block_outcomes(prob, X, G, slack, blocks):
 def enumerate_basic_points(prob):
     """All basic points, one per admissible support.
 
-    Each support S contributes the solution of Q_SS z = -p_S (minimum-norm
-    when the restriction is singular).  Distinct supports occasionally
-    yield the same vector; callers that want geometric counts should
-    deduplicate, e.g. as landscape_table does.
+    Each support S contributes the solution of Q_SS z = -p_S.  The supports
+    of one size are solved as a stack, by the block engine's Cholesky
+    factorization and substitution; a system that does not factor or has a
+    tiny pivot gets the minimum-norm least-squares solution instead.
+    Distinct supports occasionally yield the same vector; callers that want
+    geometric counts should deduplicate, e.g. as landscape_table does.
     """
     term = prob.term
     require_l0_term(term, "enumeration")
@@ -298,32 +300,14 @@ def enumerate_basic_points(prob):
             S = np.array(batch, dtype=int).reshape(len(batch), r)
             X = np.zeros((len(S), n))
             if r:
-                X[np.arange(len(S))[:, None], S] = _restricted_minimizers(
-                    prob.objective.gram_blocks(S), -p[S])
+                M, rhs = prob.objective.gram_blocks(S), -p[S]
+                L, failed = _cholesky(M)
+                Z = _cho_solve(L, rhs[..., None])[..., 0]
+                for i in np.flatnonzero(failed | _tiny_pivots(L, M)):
+                    Z[i] = np.linalg.lstsq(M[i], rhs[i], rcond=None)[0]
+                X[np.arange(len(S))[:, None], S] = Z
             points.extend(zip(batch, X))
     return points
-
-
-def _restricted_minimizers(M, rhs):
-    """Solve the stacked systems M[i] z[i] = rhs[i] of one support size.
-
-    One batched Cholesky factorization serves the whole stack.  A system
-    that does not factor or has a tiny pivot is solved on its own, as the
-    per-support loop solved it: by Cholesky, or by minimum-norm least
-    squares where it is singular.
-    """
-    L, failed = _cholesky(M)
-    # LAPACK's triangular solves, not the engine's substitution, which would
-    # move the last bits of the basic points that the census reports
-    Z = np.linalg.solve(L.swapaxes(-1, -2), np.linalg.solve(L, rhs[..., None]))[..., 0]
-    for i in np.flatnonzero(failed | _tiny_pivots(L, M)):
-        # imported here: scipy.linalg adds about 27 MB to the package's import
-        from scipy.linalg import cho_factor, cho_solve
-        try:
-            Z[i] = cho_solve(cho_factor(M[i]), rhs[i])
-        except np.linalg.LinAlgError:
-            Z[i] = np.linalg.lstsq(M[i], rhs[i], rcond=None)[0]
-    return Z
 
 
 @dataclass

@@ -19,7 +19,8 @@ k = 8 is one stack; wider chunks are cut near their popcount groups
 is its one-block, one-point case, and runs the tie rules in mask order, so
 its result and its errors are those of a mask-by-mask loop.  The block-k
 certificate in ``stationarity`` shares the engine, and the basic-point
-enumeration its Cholesky kernel.
+enumeration its factorization and substitution (``_cholesky``,
+``_cho_solve``).
 """
 
 from dataclasses import dataclass

@@ -188,7 +188,7 @@ class TestSharedResidual:
         A, b, _ = gen_random(40, 640, 4, seed=1)
         term = Cardinality(4)
         x0 = init_solution(640, term, 0)
-        runs = [solver(CompositeProblem(cls.from_factored(A, b), term), x0, max_iters=60)
+        runs = [solver(CompositeProblem(cls(A=A, b=b), term), x0, max_iters=60)
                 for cls in (QuadraticObjective, Unshared)]
         (x, trace), (x_ref, trace_ref) = runs
         np.testing.assert_array_equal(x, x_ref)

@@ -22,10 +22,15 @@ def _rand_gram(n, seed):
     return G.T @ G + 0.5 * np.eye(n), rng.standard_normal(n)
 
 
+def _gram_objective(n, seed):
+    Q, p = _rand_gram(n, seed)
+    return QuadraticObjective(Q=Q, p=p)
+
+
 class TestQuadraticObjective:
     def test_gram_value_matches_formula(self):
         Q, p = _rand_gram(5, 0)
-        obj = QuadraticObjective.from_gram(Q, p)
+        obj = QuadraticObjective(Q=Q, p=p)
         rng = np.random.default_rng(1)
         for _ in range(5):
             x = rng.standard_normal(5)
@@ -36,8 +41,8 @@ class TestQuadraticObjective:
         rng = np.random.default_rng(2)
         A = rng.standard_normal((7, 4))
         b = rng.standard_normal(7)
-        fac = QuadraticObjective.from_factored(A, b)
-        gram = QuadraticObjective.from_gram(A.T @ A, -(A.T @ b))
+        fac = QuadraticObjective(A=A, b=b)
+        gram = QuadraticObjective(Q=A.T @ A, p=-(A.T @ b))
         offset = 0.5 * float(b @ b)
         for _ in range(10):
             x = rng.standard_normal(4)
@@ -47,7 +52,7 @@ class TestQuadraticObjective:
     def test_gradient_matches_finite_differences(self):
         # central differences, step 1e-5, on random points
         Q, p = _rand_gram(5, 3)
-        obj = QuadraticObjective.from_gram(Q, p)
+        obj = QuadraticObjective(Q=Q, p=p)
         rng = np.random.default_rng(4)
         for _ in range(20):
             x = rng.standard_normal(5)
@@ -61,12 +66,12 @@ class TestQuadraticObjective:
     def test_asymmetric_q_rejected(self):
         Q = np.array([[1.0, 2.0], [0.0, 1.0]])
         with pytest.raises(InvalidParameterError):
-            QuadraticObjective.from_gram(Q, np.zeros(2))
+            QuadraticObjective(Q=Q, p=np.zeros(2))
 
     def test_negative_diagonal_rejected(self):
         Q = np.array([[1.0, 0.0], [0.0, -1.0]])
         with pytest.raises(InvalidParameterError):
-            QuadraticObjective.from_gram(Q, np.zeros(2))
+            QuadraticObjective(Q=Q, p=np.zeros(2))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_data_rejected(self, bad):
@@ -74,17 +79,17 @@ class TestQuadraticObjective:
         Q, p = np.eye(2), np.zeros(2)
         A[1, 0] = b[2] = Q[0, 0] = p[1] = bad
         with pytest.raises(DataFormatError, match="non-finite"):
-            QuadraticObjective.from_factored(A, np.ones(3))
+            QuadraticObjective(A=A, b=np.ones(3))
         with pytest.raises(DataFormatError, match="non-finite"):
-            QuadraticObjective.from_factored(np.ones((3, 2)), b)
+            QuadraticObjective(A=np.ones((3, 2)), b=b)
         with pytest.raises(DataFormatError, match="non-finite"):
-            QuadraticObjective.from_gram(Q, np.zeros(2))
+            QuadraticObjective(Q=Q, p=np.zeros(2))
         with pytest.raises(DataFormatError, match="non-finite"):
-            QuadraticObjective.from_gram(np.eye(2), p)
+            QuadraticObjective(Q=np.eye(2), p=p)
 
     def test_shape_mismatches(self):
         Q, p = _rand_gram(3, 5)
-        obj = QuadraticObjective.from_gram(Q, p)
+        obj = QuadraticObjective(Q=Q, p=p)
         with pytest.raises(DimensionMismatchError):
             obj.value(np.zeros(4))
         with pytest.raises(InvalidParameterError):
@@ -94,7 +99,7 @@ class TestQuadraticObjective:
         rng = np.random.default_rng(6)
         A = rng.standard_normal((9, 5))
         b = rng.standard_normal(9)
-        obj = QuadraticObjective.from_factored(A, b)
+        obj = QuadraticObjective(A=A, b=b)
         np.testing.assert_allclose(obj.coordinate_lipschitz(),
                                    np.diag(A.T @ A), rtol=1e-12)
 
@@ -102,17 +107,17 @@ class TestQuadraticObjective:
         # one value per objective: the Gram fill neither triggers nor changes it
         rng = np.random.default_rng(11)
         A, b = rng.standard_normal((7, 5)), rng.standard_normal(7)
-        obj = QuadraticObjective.from_factored(A, b)
+        obj = QuadraticObjective(A=A, b=b)
         q = obj.coordinate_lipschitz()
         assert obj._Q is None
         obj._ensure_gram()
         assert obj.coordinate_lipschitz() is q
-        filled = QuadraticObjective.from_factored(A, b)
+        filled = QuadraticObjective(A=A, b=b)
         filled._ensure_gram()
         assert filled.coordinate_lipschitz().tobytes() == q.tobytes()
         with pytest.raises(ValueError):
             q[0] = 1.0
-        gram = QuadraticObjective.from_gram(*_rand_gram(4, 12))
+        gram = _gram_objective(4, 12)
         assert gram.coordinate_lipschitz() is gram.coordinate_lipschitz()
         assert not gram.coordinate_lipschitz().flags.writeable
 
@@ -121,15 +126,32 @@ class TestQuadraticObjective:
         # or publishes the other, and the order of the two calls moves no bit
         rng = np.random.default_rng(13)
         A, b = rng.standard_normal((7, 5)), rng.standard_normal(7)
-        q_first = QuadraticObjective.from_factored(A, b)
+        q_first = QuadraticObjective(A=A, b=b)
         q_first._ensure_gram()
         assert q_first._p is None
         np.testing.assert_array_equal(q_first.gram_matrix(), A.T @ A)
-        p_first = QuadraticObjective.from_factored(A, b)
+        p_first = QuadraticObjective(A=A, b=b)
         p = p_first.linear_term()
         assert p_first._Q is None and p_first.linear_term() is p
         np.testing.assert_array_equal(p, -(A.T @ b))
         np.testing.assert_array_equal(q_first.linear_term(), p)
+
+    def test_p_and_q_are_read_only(self):
+        # a caller cannot write into the objective through the p or Q it is
+        # handed, so later reads agree with the data it was built from
+        rng = np.random.default_rng(15)
+        A, b = rng.standard_normal((4, 3)), rng.standard_normal(4)
+        for obj in (QuadraticObjective(A=A, b=b),
+                    QuadraticObjective(Q=A.T @ A, p=-(A.T @ b))):
+            p, Q = obj.linear_term(), obj.gram_matrix()
+            with pytest.raises(ValueError):
+                p[0] = 99.0
+            with pytest.raises(ValueError):
+                Q[0, 0] = -1.0
+            np.testing.assert_allclose(obj.linear_term(), -(A.T @ b), rtol=1e-12)
+            np.testing.assert_allclose(obj.gram_matrix(), A.T @ A, rtol=1e-12)
+            np.testing.assert_allclose(obj.gram_blocks([[0, 1]])[0],
+                                       obj.gram_submatrix([0, 1]), rtol=1e-12)
 
     def test_tall_data_form_p_qv_and_l_without_the_gram(self):
         # 40x12 is under the cache limit, yet p, Qv and L each come from A by
@@ -137,7 +159,7 @@ class TestQuadraticObjective:
         rng = np.random.default_rng(14)
         A, b = rng.standard_normal((40, 12)), rng.standard_normal(40)
         v, idx = rng.standard_normal(12), np.array([1, 5, 7])
-        obj = QuadraticObjective.from_factored(A, b)
+        obj = QuadraticObjective(A=A, b=b)
         for got, want in [(obj.linear_term, -(A.T @ b)),
                           (lambda: obj.linear_term(idx), -(A.T @ b)[idx]),
                           (lambda: obj.matvec(v), A.T @ (A @ v)),
@@ -151,7 +173,7 @@ class TestQuadraticObjective:
 
     def test_lipschitz_global_matches_eigvalsh(self):
         Q, p = _rand_gram(8, 7)
-        obj = QuadraticObjective.from_gram(Q, p)
+        obj = QuadraticObjective(Q=Q, p=p)
         expect = float(np.linalg.eigvalsh(Q)[-1])
         assert obj.lipschitz_global() == pytest.approx(expect, rel=1e-9)
 
@@ -163,7 +185,7 @@ class TestQuadraticObjective:
         monkeypatch.setattr(problem_module, "_DENSE_EIG_LIMIT", 10)
         rng = np.random.default_rng(8)
         A = rng.standard_normal((40, 100))
-        obj = QuadraticObjective.from_factored(A, rng.standard_normal(40))
+        obj = QuadraticObjective(A=A, b=rng.standard_normal(40))
         direct = float(np.linalg.eigvalsh(A.T @ A)[-1])
         assert obj.lipschitz_global() == pytest.approx(direct, rel=1e-12)
 
@@ -171,7 +193,7 @@ class TestQuadraticObjective:
         rng = np.random.default_rng(9)
         A = rng.standard_normal((6, 5))
         b = rng.standard_normal(6)
-        obj = QuadraticObjective.from_factored(A, b)
+        obj = QuadraticObjective(A=A, b=b)
         idx = np.array([0, 2, 4])
         np.testing.assert_allclose(obj.gram_submatrix(idx),
                                    (A.T @ A)[np.ix_(idx, idx)], rtol=1e-12)
@@ -186,9 +208,9 @@ class TestQuadraticObjective:
         rng = np.random.default_rng(10)
         A = rng.standard_normal((6, 5))
         b = rng.standard_normal(6)
-        cached = QuadraticObjective.from_factored(A, b)
+        cached = QuadraticObjective(A=A, b=b)
         monkeypatch.setattr(problem_module, "_GRAM_CACHE_LIMIT", 0)
-        factored = QuadraticObjective.from_factored(A, b)
+        factored = QuadraticObjective(A=A, b=b)
         idx = np.array([1, 3])
         v = rng.standard_normal(5)
         with pytest.raises(InvalidParameterError):
@@ -208,7 +230,7 @@ class TestResidual:
 
     def _objective(self):
         A, b, _ = gen_random(self.M, self.N, 4, seed=8)
-        return A, b, QuadraticObjective.from_factored(A, b)
+        return A, b, QuadraticObjective(A=A, b=b)
 
     def _point(self, nnz, seed=3):
         rng = np.random.default_rng(seed)
@@ -239,7 +261,7 @@ class TestResidual:
     def test_fewer_than_32_columns_take_the_dense_product(self):
         # only x = 0 would qualify there, and it gains nothing from the support
         A, b, _ = gen_random(6, 31, 2, seed=8)
-        obj = QuadraticObjective.from_factored(A, b)
+        obj = QuadraticObjective(A=A, b=b)
         obj._A[:, 0] = np.nan
         assert np.isnan(obj.residual(np.zeros(31))).all()
 
@@ -247,7 +269,7 @@ class TestResidual:
     def test_matrices_under_2_16_entries_take_the_dense_product(self, m, support_path):
         # there the dense product is cheaper at any nnz
         A, b, _ = gen_random(m, 256, 2, seed=8)
-        obj = QuadraticObjective.from_factored(A, b)
+        obj = QuadraticObjective(A=A, b=b)
         obj._A[:, 0] = np.nan
         assert np.isfinite(obj.residual(np.zeros(256))).all() == support_path
 
@@ -275,7 +297,7 @@ class TestResidual:
 
     def test_gram_form_has_no_residual(self):
         Q, p = _rand_gram(5, 4)
-        obj = QuadraticObjective.from_gram(Q, p)
+        obj = QuadraticObjective(Q=Q, p=p)
         x = np.array([0.0, 1.0, 0.0, -2.0, 0.0])
         assert obj.residual(x) is None
         assert obj.moved_residual(None, [1], [1.0]) is None
@@ -294,7 +316,7 @@ class TestGramColumns:
 
     def _objective(self):
         A, b, _ = gen_random(self.M, self.N, 4, seed=8)
-        return A, b, QuadraticObjective.from_factored(A, b)
+        return A, b, QuadraticObjective(A=A, b=b)
 
     def _point(self, support, seed=3):
         x = np.zeros(self.N)
@@ -316,8 +338,8 @@ class TestGramColumns:
 
     def test_off_the_support_path_it_is_the_gradient_bit_for_bit(self):
         A, b, obj = self._objective()
-        small = QuadraticObjective.from_factored(A[:64, :256], b[:64])
-        gram = QuadraticObjective.from_gram(*_rand_gram(40, 2))
+        small = QuadraticObjective(A=A[:64, :256], b=b[:64])
+        gram = _gram_objective(40, 2)
         cases = [(obj, self._point(np.arange(21))),  # 21 > n/32 nonzeros
                  (small, self._point(np.arange(2))[:256]),  # 2^14 entries of A
                  (gram, self._point(np.arange(1))[:40])]
@@ -456,8 +478,8 @@ class TestExactLipschitz:
         A = _designs()[design]
         b = np.ones(A.shape[0])
         expect = np.linalg.norm(A, 2) ** 2
-        for obj in (QuadraticObjective.from_factored(A, b),
-                    QuadraticObjective.from_gram(A.T @ A, -(A.T @ b))):
+        for obj in (QuadraticObjective(A=A, b=b),
+                    QuadraticObjective(Q=A.T @ A, p=-(A.T @ b))):
             assert obj.lipschitz_global() == pytest.approx(expect, rel=1e-12, abs=0)
 
     def test_corrupted_benchmark_instance(self):
@@ -465,22 +487,22 @@ class TestExactLipschitz:
         # 2.8e-10 below the true value here, a step longer than 1/L
         A, b, _ = gen_random(64, 256, 10, noise_scale=10.0, seed=1)
         A = corrupt(A, fraction=0.02, factor=100.0, seed=2)
-        L = QuadraticObjective.from_factored(A, b).lipschitz_global()
+        L = QuadraticObjective(A=A, b=b).lipschitz_global()
         assert L == pytest.approx(np.linalg.norm(A, 2) ** 2, rel=1e-12, abs=0)
 
     def test_all_zero_data_give_zero(self, branch):
         for shape in [(8, 12), (12, 8)]:
-            obj = QuadraticObjective.from_factored(np.zeros(shape), np.ones(shape[0]))
+            obj = QuadraticObjective(A=np.zeros(shape), b=np.ones(shape[0]))
             assert obj.lipschitz_global() == 0.0
             with pytest.raises(InvalidParameterError, match="zero quadratic"):
                 pgm(CompositeProblem(obj, Cardinality(2)), np.zeros(shape[1]))
-        assert QuadraticObjective.from_gram(np.zeros((9, 9)), np.ones(9)).lipschitz_global() == 0.0
+        assert QuadraticObjective(Q=np.zeros((9, 9)), p=np.ones(9)).lipschitz_global() == 0.0
 
     def test_cached_gram_takes_the_same_call(self, demo_cons):
         # n <= m and Gram form: eigvalsh of the very Q the solvers read
         A = _designs()["tall"]
-        objs = [QuadraticObjective.from_factored(A, np.ones(90)),
-                QuadraticObjective.from_gram(*_rand_gram(7, 3)),
+        objs = [QuadraticObjective(A=A, b=np.ones(90)),
+                _gram_objective(7, 3),
                 demo_cons.objective, table1_problem("regu").objective]
         for obj in objs:
             assert obj.lipschitz_global() == float(np.linalg.eigvalsh(obj.gram_matrix())[-1])
@@ -489,7 +511,7 @@ class TestExactLipschitz:
         # n = 300 is under the cache limit, yet no solver fills the 300^2 Gram:
         # dec's block solves read their k columns of A
         A, b, _ = gen_random(20, 300, 4, seed=5)
-        obj = QuadraticObjective.from_factored(A, b)
+        obj = QuadraticObjective(A=A, b=b)
         calls = count_calls(obj, "matvec")
         blocks = count_calls(obj, "gram_submatrix")
         assert obj.lipschitz_global() == pytest.approx(np.linalg.norm(A, 2) ** 2, rel=1e-12)
@@ -503,9 +525,9 @@ class TestExactLipschitz:
         assert len(blocks) >= 30  # the block solves did run
 
     @pytest.mark.parametrize("make", [
-        lambda: QuadraticObjective.from_factored(np.full((3, 4), 1e200), np.ones(3)),
-        lambda: QuadraticObjective.from_factored(np.full((4, 3), 1e200), np.ones(4)),
-        lambda: QuadraticObjective.from_gram(np.full((4, 4), 5e307), np.zeros(4)),
+        lambda: QuadraticObjective(A=np.full((3, 4), 1e200), b=np.ones(3)),
+        lambda: QuadraticObjective(A=np.full((4, 3), 1e200), b=np.ones(4)),
+        lambda: QuadraticObjective(Q=np.full((4, 4), 5e307), p=np.zeros(4)),
     ], ids=["wide", "tall", "gram"])
     def test_overflowing_gram_is_numerical_error(self, branch, make):
         # finite data whose Gram, or its largest eigenvalue, overflows
@@ -517,7 +539,7 @@ class TestExactLipschitz:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr(np.linalg, "eigvalsh", fail)
-        obj = QuadraticObjective.from_gram(*_rand_gram(4, 0))
+        obj = _gram_objective(4, 0)
         with pytest.raises(NumericalError, match="did not converge"):
             obj.lipschitz_global()
 
@@ -535,12 +557,12 @@ class TestCompositeProblem:
     def test_cardinality_exceeding_dimension_rejected(self):
         Q, p = _rand_gram(3, 11)
         with pytest.raises(InvalidParameterError):
-            CompositeProblem(QuadraticObjective.from_gram(Q, p), Cardinality(4))
+            CompositeProblem(QuadraticObjective(Q=Q, p=p), Cardinality(4))
 
     def test_term_type_checked(self):
         Q, p = _rand_gram(3, 12)
         with pytest.raises(InvalidParameterError):
-            CompositeProblem(QuadraticObjective.from_gram(Q, p), "l0")
+            CompositeProblem(QuadraticObjective(Q=Q, p=p), "l0")
 
     @given(st.integers(0, 2 ** 6 - 1))
     @settings(max_examples=30, deadline=None)

@@ -14,7 +14,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor, cho_solve
 
 from blockdec import problem as problem_module
 from blockdec import stationarity as stationarity_module
@@ -104,7 +103,7 @@ def reference_is_block_k(prob, x, k, tol=1e-9, mode="exhaustive", trials=1000, s
 
 
 def reference_basic_points(prob):
-    """The per-support loop: one Cholesky solve (least squares if singular) per support."""
+    """The definition: on every support, the minimum-norm least-squares solution."""
     n = prob.n
     sizes = range(prob.term.s + 1) if isinstance(prob.term, Cardinality) else range(n + 1)
     points = []
@@ -112,12 +111,8 @@ def reference_basic_points(prob):
         x = np.zeros(n)
         if S:
             idx = np.asarray(S, dtype=int)
-            Q_SS = prob.objective.gram_submatrix(idx)
-            rhs = -prob.objective.linear_term(idx)
-            try:
-                x[idx] = cho_solve(cho_factor(Q_SS), rhs)
-            except np.linalg.LinAlgError:
-                x[idx] = np.linalg.lstsq(Q_SS, rhs, rcond=None)[0]
+            x[idx] = np.linalg.lstsq(prob.objective.gram_submatrix(idx),
+                                     -prob.objective.linear_term(idx), rcond=None)[0]
         points.append((S, x))
     return points
 
@@ -401,6 +396,15 @@ class TestEnumerateBasicPoints:
         pts = dict(enumerate_basic_points(prob))
         x = pts[(0, 1)]
         np.testing.assert_allclose(x[:2], c[:2] / (c[:2] @ c[:2]), atol=1e-8)
+        # a duplicated column pair a_4 = +-a_1 factors with a tiny pivot; the
+        # minimum-norm point splits a_1'b / a_1'a_1 evenly between the two
+        for seed in (1, 2):
+            A, b = singular_design("duplicate", seed)
+            sign = A[0, 4] / A[0, 1]
+            prob = CompositeProblem(QuadraticObjective(A=A, b=b), L0Penalty(0.1))
+            x = dict(enumerate_basic_points(prob))[(1, 4)]
+            half = 0.5 * (A[:, 1] @ b) / (A[:, 1] @ A[:, 1])
+            np.testing.assert_allclose(x[[1, 4]], [half, sign * half], rtol=1e-10)
 
     def test_budget_error(self):
         rng = np.random.default_rng(1)
@@ -466,15 +470,21 @@ class TestLandscapeTable:
                 for x in reps.values())
 
     def test_census_and_solves_leave_scipy_linalg_unloaded(self):
-        # scipy.linalg serves only near-singular supports, which none of
-        # these runs meets; a fresh interpreter sees what the package loads
+        # the package solves every system with numpy, singular supports
+        # included (the duplicated column pair); a fresh interpreter sees
+        # what it loads
         script = "\n".join([
             "import sys",
+            "import numpy as np",
             "import blockdec as bd",
             "for mode in ('cons', 'regu'):",
             "    bd.landscape_table(bd.table1_problem(mode))",
+            "A = np.random.default_rng(1).standard_normal((8, 7))",
+            "A[:, 4] = A[:, 1]",
+            "bd.enumerate_basic_points(bd.CompositeProblem(",
+            "    bd.QuadraticObjective(A=A, b=np.ones(8)), bd.L0Penalty(0.2)))",
             "A, b, _ = bd.gen_random(20, 40, 4, seed=0)",
-            "prob = bd.CompositeProblem(bd.QuadraticObjective.from_factored(A, b),",
+            "prob = bd.CompositeProblem(bd.QuadraticObjective(A=A, b=b),",
             "                           bd.Cardinality(4))",
             "x0 = bd.init_solution(40, prob.term, 0)",
             "bd.run_dec(prob, x0, bd.DecConfig(max_iters=50))",

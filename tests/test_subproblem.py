@@ -346,8 +346,8 @@ class TestGramCacheIndependence:
         # a factored block is read from A: a Gram cache that another caller
         # filled cannot change a solve, and the solve fills none itself
         A, b, _ = gen_random(30, 40, 5, noise_scale=0.5, seed=k)
-        fresh = QuadraticObjective.from_factored(A, b)
-        filled = QuadraticObjective.from_factored(A, b)
+        fresh = QuadraticObjective(A=A, b=b)
+        filled = QuadraticObjective(A=A, b=b)
         filled.gram_matrix()
         rng = np.random.default_rng(k)
         moved = 0

@@ -9,13 +9,16 @@ the parent checkout's runs and comparing this checkout's runs against them::
 With ``--against`` the script prints each label whose line moved, with its
 old and new line, and exits 1 if any line moved.  A moved solver line also
 gets its drift: |dF|/|F| between the two final objectives, and whether the
-iteration count and nnz are equal.  The last line sums up: ``K/N identical``,
+iteration count and nnz are equal.  A moved census or table1 line gets
+``row equal`` or ``row differs``.  The last line sums up: ``K/N identical``,
 then for the moved solver runs the largest |dF|/|F| and how many kept both
-iters and nnz.
+iters and nnz, and for the moved census and table1 lines how many kept
+their row.
 
 A solver run's line also gives its final F (``%.17g``), iteration count and
-nnz, ``label sha256 F=... iters=... nnz=...``, so a moved digest shows how
-far the run moved.
+nnz, ``label sha256 F=... iters=... nnz=...``, and a census or table1 line
+its row, ``label sha256 row=163,5,1,1``, so a moved digest shows how far the
+run moved.
 
 Each digest covers the bytes of a run's output, never its timings:
 
@@ -77,6 +80,10 @@ def _summary(x, F, iters):
     return f"F={F:.17g} iters={iters} nnz={int((x != 0).sum())}"
 
 
+def _row_digest(row, *parts):
+    return f"{_digest(row, *parts)} row={','.join(map(str, row))}"
+
+
 def _file_digest(out_dir):
     h = hashlib.sha256()
     for base, _, files in sorted(os.walk(out_dir)):
@@ -95,7 +102,7 @@ def digests(bd):
         if corrupted:
             A = bd.corrupt(A, seed=2)
         for mode, term in (("cons", bd.Cardinality(s)), ("regu", bd.L0Penalty(lam))):
-            prob = bd.CompositeProblem(bd.QuadraticObjective.from_factored(A, b), term)
+            prob = bd.CompositeProblem(bd.QuadraticObjective(A=A, b=b), term)
             x0 = bd.init_solution(n, term, 0)
             for kr, kg in SPLITS:
                 config = bd.DecConfig(n_random=kr, n_greedy=kg, seed=0,
@@ -105,27 +112,27 @@ def digests(bd):
             for name, solver in (("pgm", bd.pgm), ("apgm", bd.apgm)):
                 x, trace = solver(prob, x0)
                 yield f"{name}/{size}/{mode}", _run_digest(x, trace)
-        prob = bd.CompositeProblem(bd.QuadraticObjective.from_factored(A, b), bd.Cardinality(s))
+        prob = bd.CompositeProblem(bd.QuadraticObjective(A=A, b=b), bd.Cardinality(s))
         for name, solver in (("omp", bd.omp), ("cvx-l1", bd.cvx_l1_sweep)):
             x = solver(A, b, s)
             yield f"{name}/{size}/cons", f"{_digest(x)} {_summary(x, bd.composite_value(prob, x), 0)}"
     # cons runs from x = 0 fill the support up to s, so the block budgets
     # fall below k and the block solves pad their systems to widths under k
     A, b, _ = bd.gen_random(256, 2048, 20, seed=1)
-    prob = bd.CompositeProblem(bd.QuadraticObjective.from_factored(A, b), bd.Cardinality(20))
+    prob = bd.CompositeProblem(bd.QuadraticObjective(A=A, b=b), bd.Cardinality(20))
     for kr, kg in ((4, 2), (6, 6)):
         config = bd.DecConfig(n_random=kr, n_greedy=kg, seed=0, max_iters=300, window=1000)
         x, trace = bd.run_dec(prob, [0.0] * 2048, config)
         yield f"dec-R{kr}G{kg}/256x2048/cons-from-zero", _run_digest(x, trace)
     for mode in ("cons", "regu"):
-        yield f"table1/{mode}", _digest(bd.landscape_table(bd.table1_problem(mode)).row())
+        yield f"table1/{mode}", _row_digest(bd.landscape_table(bd.table1_problem(mode)).row())
     for seed in CENSUS_SEEDS:
         A, b, _ = bd.gen_random(20, 8, 4, noise_scale=1.0, seed=seed)
         for mode, term in (("cons", bd.Cardinality(4)), ("regu", bd.L0Penalty(0.5))):
-            prob = bd.CompositeProblem(bd.QuadraticObjective.from_factored(A, b), term)
+            prob = bd.CompositeProblem(bd.QuadraticObjective(A=A, b=b), term)
             supports, points = zip(*bd.enumerate_basic_points(prob))
             row = bd.landscape_table(prob, k_max=3).row()
-            yield f"census/{seed}/{mode}", _digest(row, supports, *points)
+            yield f"census/{seed}/{mode}", _row_digest(row, supports, *points)
     with tempfile.TemporaryDirectory() as out_dir:
         bd.benchmark(os.path.join(ROOT, "demos", "bench_corrupt.json"), out_dir)
         yield "benchmark/bench_corrupt", _file_digest(out_dir)
@@ -154,37 +161,44 @@ def main():
     new = dict(digests(bd))
     labels = list(new) + [label for label in old if label not in new]
     moved = [label for label in labels if old.get(label) != new.get(label)]
-    drifts = []
+    drifts, rows = [], []
     for label in moved:
         print(f"{label}\n  old: {old.get(label, '(absent)')}\n  new: {new.get(label, '(absent)')}")
-        drift = _drift(old.get(label), new.get(label))
-        if drift is not None:
+        fields = [_fields(old.get(label)), _fields(new.get(label))]
+        if all({"F", "iters", "nnz"} <= set(f) for f in fields):
+            drift = _drift(*fields)
             drifts.append(drift)
             rel, same_iters, same_nnz = drift
             print(f"  drift: |dF|/|F| = {rel:.3g}, iters {'equal' if same_iters else 'differ'}, "
                   f"nnz {'equal' if same_nnz else 'differ'}")
+        elif all("row" in f for f in fields):
+            rows.append(fields[0]["row"] == fields[1]["row"])
+            print(f"  row {'equal' if rows[-1] else 'differs'}")
     summary = f"{len(labels) - len(moved)}/{len(labels)} identical"
     if drifts:
         kept = sum(same_iters and same_nnz for _, same_iters, same_nnz in drifts)
         summary += (f"; {len(drifts)} solver runs moved, max |dF|/|F| = "
                     f"{max(rel for rel, _, _ in drifts):.3g}, iters and nnz equal in "
                     f"{kept}/{len(drifts)}")
+    if rows:
+        summary += f"; {len(rows)} census/table1 lines moved, row equal in {sum(rows)}/{len(rows)}"
     print(summary)
     if moved:
         sys.exit(1)
 
 
-def _drift(old_line, new_line):
-    """(|dF|/|F|, iters equal, nnz equal) of a moved solver line; else None."""
-    if old_line is None or new_line is None:
-        return None
-    fields = [dict(field.split("=", 1) for field in line.split()[1:] if "=" in field)
-              for line in (old_line, new_line)]
-    if not all({"F", "iters", "nnz"} <= set(f) for f in fields):
-        return None
-    f_old, f_new = (float(f["F"]) for f in fields)
+def _fields(line):
+    """The ``key=value`` fields after a line's digest; none for an absent line."""
+    if line is None:
+        return {}
+    return dict(field.split("=", 1) for field in line.split()[1:] if "=" in field)
+
+
+def _drift(old, new):
+    """(|dF|/|F|, iters equal, nnz equal) between the fields of two solver lines."""
+    f_old, f_new = float(old["F"]), float(new["F"])
     rel = abs(f_new - f_old) / abs(f_old) if f_old else abs(f_new - f_old)
-    return rel, fields[0]["iters"] == fields[1]["iters"], fields[0]["nnz"] == fields[1]["nnz"]
+    return rel, old["iters"] == new["iters"], old["nnz"] == new["nnz"]
 
 
 if __name__ == "__main__":
