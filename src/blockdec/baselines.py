@@ -14,7 +14,7 @@ visits.
 
 import numpy as np
 
-from .dec import iterate
+from .dec import DecConfig, iterate
 from .errors import InvalidParameterError
 from .problem import CompositeProblem, L1Penalty, QuadraticObjective, composite_value
 from .prox import hard_threshold_topk, proximal_step
@@ -57,7 +57,8 @@ def _proximal_gradient_steps(prob, x, r, beta, accelerated):
         yield x, composite_value(prob, x, r=r_new), ()
 
 
-def pgm(prob, x0, max_iters=1000, epsilon=1e-5, window=50):
+def pgm(prob, x0, max_iters=DecConfig.max_iters, epsilon=DecConfig.epsilon,
+        window=DecConfig.window):
     """Proximal-gradient method with fixed step 1/L; returns (x, trace).
 
     On a cardinality term this is iterative hard thresholding.
@@ -65,7 +66,8 @@ def pgm(prob, x0, max_iters=1000, epsilon=1e-5, window=50):
     return _proximal_gradient(prob, x0, max_iters, epsilon, window, accelerated=False)
 
 
-def apgm(prob, x0, max_iters=1000, epsilon=1e-5, window=50):
+def apgm(prob, x0, max_iters=DecConfig.max_iters, epsilon=DecConfig.epsilon,
+         window=DecConfig.window):
     """Accelerated proximal gradient (Nesterov extrapolation, no restarts).
 
     The objective sequence need not be monotone; the stopping rule uses the
@@ -113,7 +115,8 @@ def omp(A, b, s):
 DEFAULT_L1_GRID = tuple(2.0 ** j for j in range(-10, 11, 2))
 
 
-def cvx_l1_sweep(A, b, s, max_iters=1000, epsilon=1e-5, window=50):
+def cvx_l1_sweep(A, b, s, max_iters=DecConfig.max_iters, epsilon=DecConfig.epsilon,
+                 window=DecConfig.window):
     """Convex surrogate: l1 sweep, truncate to s terms, debias by refitting.
 
     For each ``DEFAULT_L1_GRID`` weight, solves the l1-penalized least squares by

@@ -17,16 +17,21 @@ A benchmark config is a JSON file::
         {"name": "pgm"}
       ],
       "init_seeds": [0, 1, 2, 3, 4],
-      "theta": 1e-3, "epsilon": 1e-5, "window": 50, "max_iters": 1000,
+      "theta": 1e-2, "epsilon": 1e-6, "window": 100, "max_iters": 2000,
       "timing": false
     }
 
-A solver entry takes only ``name``, ``label``, ``krand`` and ``kgreedy``.
-Its label (by default the name, or ``dec-R<krand>G<kgreedy>`` for dec)
-names its trace files and summary rows, so labels must be distinct.
-Every value is checked before any output exists: a list must be a nonempty
-JSON list, a number a JSON number (an integer where one is counted), and a
-seed an integer >= 0.  Top-level keys not shown above are ignored.
+A solver entry takes only ``name``, ``label``, ``krand`` and ``kgreedy``,
+and makes one ``DecConfig`` from its sizes and the top-level settings; a key
+left out keeps the field's default.  Every cell of the entry runs it with the
+cell's init seed.  The label (by default the name, or
+``dec-R<n_random>G<n_greedy>`` read from that config for dec) names trace
+files and summary rows, so labels must be distinct.  Labels and instance
+names must be nonempty strings without ``/``, ``,``, a path separator or a
+line break.  Every value is checked before any output exists: a list must be
+a nonempty JSON list, a number a JSON number (an integer where one is
+counted), a seed an integer >= 0, ``timing`` a JSON boolean, and each level
+must fit each instance.  Top-level keys not shown above are ignored.
 
 Cells (instance x solver x param x init-seed) run one after another in a
 fixed order, so identical configs yield byte-identical outputs.  Timing
@@ -37,13 +42,14 @@ import json
 import numbers
 import os
 import time
+from dataclasses import replace
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .baselines import apgm, cvx_l1_sweep, omp, pgm
 from .data import FLOAT_FMT, check_seed, corrupt, gen_random, load_instance
-from .dec import DecConfig, check_stopping, init_solution, run_dec
+from .dec import DecConfig, init_solution, run_dec
 from .errors import InvalidParameterError
 from .problem import (CompositeProblem, HalfPenalty, L1Penalty, QuadraticObjective,
                       composite_value, make_term)
@@ -74,33 +80,36 @@ def write_trace(path, trace, timing=False):
 
 class Solver(NamedTuple):
     term: Callable  # (mode, param) -> the sparsity term solved and scored
-    run: Callable  # (prob, A, b, seed, stop, dec) -> (x, trace or None)
+    run: Callable  # (prob, A, b, config) -> (x, trace or None)
     cons_only: bool = False  # support-based: param is a sparsity level
     lambda_param: bool = False  # param is a penalty weight in either mode
+
+
+def _stopping(config):
+    return dict(max_iters=config.max_iters, epsilon=config.epsilon, window=config.window)
 
 
 # The runners look the solvers and init_solution up in this module's globals
 # when called, not when the table is built, so wrappers installed on those
 # names see every call.
-def _dec(prob, A, b, seed, stop, dec):
-    x0 = init_solution(prob.n, prob.term, seed)
-    return run_dec(prob, x0, DecConfig(seed=seed, **dec, **stop))
+def _dec(prob, A, b, config):
+    return run_dec(prob, init_solution(prob.n, prob.term, config.seed), config)
 
 
-def _pgm(prob, A, b, seed, stop, dec):
-    return pgm(prob, init_solution(prob.n, prob.term, seed), **stop)
+def _pgm(prob, A, b, config):
+    return pgm(prob, init_solution(prob.n, prob.term, config.seed), **_stopping(config))
 
 
-def _apgm(prob, A, b, seed, stop, dec):
-    return apgm(prob, init_solution(prob.n, prob.term, seed), **stop)
+def _apgm(prob, A, b, config):
+    return apgm(prob, init_solution(prob.n, prob.term, config.seed), **_stopping(config))
 
 
-def _omp(prob, A, b, seed, stop, dec):
+def _omp(prob, A, b, config):
     return omp(A, b, prob.term.s), None
 
 
-def _cvx_l1(prob, A, b, seed, stop, dec):
-    return cvx_l1_sweep(A, b, prob.term.s, **stop), None
+def _cvx_l1(prob, A, b, config):
+    return cvx_l1_sweep(A, b, prob.term.s, **_stopping(config)), None
 
 
 SOLVERS = {
@@ -116,7 +125,7 @@ SOLVERS = {
 
 def solver_spec(name, mode):
     """The table entry for ``name``, checked against ``mode``."""
-    if name not in SOLVERS:
+    if not isinstance(name, str) or name not in SOLVERS:
         raise InvalidParameterError(
             f"unknown solver {name!r}; valid names: {', '.join(SOLVERS)}")
     spec = SOLVERS[name]
@@ -125,22 +134,19 @@ def solver_spec(name, mode):
     return spec
 
 
-def run_solver(name, A, b, mode, param, seed, theta=1e-3, epsilon=1e-5,
-               window=50, max_iters=1000, krand=4, kgreedy=2):
+def run_solver(name, A, b, mode, param, config):
     """Run one named solver on factored data; returns (x, trace_or_None, F(x)).
 
     ``param`` is the sparsity level in cons mode and the penalty weight in
     regu mode; the relaxation solvers pgm-l1 / pgm-lhalf use it as their own
-    weight.  omp and cvx-l1 are support-based and require cons mode.  F(x)
-    is the composite objective of the term the solver ran on.
+    weight.  omp and cvx-l1 are support-based and require cons mode.
+    ``config``, a ``DecConfig``, holds the run's settings, already checked
+    when it was made; each solver reads the fields it takes.  F(x) is the
+    composite objective of the term the solver ran on.
     """
     spec = solver_spec(name, mode)
-    check_stopping(epsilon, window, max_iters)  # omp ignores them, but bad ones still fail
-    check_seed(seed)
     prob = CompositeProblem(QuadraticObjective(A=A, b=b), spec.term(mode, param))
-    stop = dict(max_iters=max_iters, epsilon=epsilon, window=window)
-    dec = dict(n_random=krand, n_greedy=kgreedy, theta=theta)
-    x, trace = spec.run(prob, A, b, seed, stop, dec)
+    x, trace = spec.run(prob, A, b, config)
     return x, trace, composite_value(prob, x)
 
 
@@ -170,7 +176,7 @@ def _instance_data(spec):
         path = spec.get("path")
         if not isinstance(path, str):
             raise InvalidParameterError(f"a file instance needs a 'path' string, got {path!r}")
-        name = spec.get("name") or os.path.splitext(os.path.basename(path))[0]
+        name = spec["name"] if "name" in spec else os.path.splitext(os.path.basename(path))[0]
         A, b = load_instance(path)
         return name, A, b
     if kind not in ("random", "random-corrupt"):
@@ -191,13 +197,15 @@ def _instance_data(spec):
 
 
 SOLVER_KEYS = frozenset({"name", "label", "krand", "kgreedy"})
+SETTING_KINDS = {"theta": float, "epsilon": float, "window": int, "max_iters": int}
 
 
-def _solver_label(spec):
-    name = spec["name"]
-    if name == "dec":
-        return spec.get("label", f"dec-R{spec.get('krand', 4)}G{spec.get('kgreedy', 2)}")
-    return spec.get("label", name)
+def _check_name(name, what):
+    """A label or instance name is a trace file name's part and a CSV field."""
+    if (not isinstance(name, str) or name.splitlines() != [name]
+            or any(c in name for c in {"/", ",", os.sep, os.altsep} - {None})):
+        raise InvalidParameterError(
+            f"{what} must be a nonempty string without '/', ',' or a line break, got {name!r}")
 
 
 def benchmark(config, out_dir):
@@ -218,11 +226,9 @@ def benchmark(config, out_dir):
     seeds = _nonempty_list(config, "init_seeds", [0])
     for seed in seeds:
         check_seed(seed, "init seed")
-    opts = dict(theta=_number(config.get("theta", 1e-3), "theta"),
-                epsilon=_number(config.get("epsilon", 1e-5), "epsilon"),
-                window=_number(config.get("window", 50), "window", int),
-                max_iters=_number(config.get("max_iters", 1000), "max_iters", int))
-    runs = []  # (name, label, krand, kgreedy) per solver entry
+    settings = {key: _number(config[key], key, kind)
+                for key, kind in SETTING_KINDS.items() if key in config}
+    runs = []  # (name, label, DecConfig) per solver entry
     for spec in _nonempty_list(config, "solvers"):
         if not isinstance(spec, dict):
             raise InvalidParameterError(f"a solver entry must be a JSON object, got {spec!r}")
@@ -230,28 +236,36 @@ def benchmark(config, out_dir):
         if unknown:
             raise InvalidParameterError(
                 f"unknown solver key(s) {sorted(unknown)}; valid keys: {sorted(SOLVER_KEYS)}")
-        term = solver_spec(spec.get("name"), mode).term
-        for param in params:
-            term(mode, param)  # unconverted, so a fractional level fails here
-        krand, kgreedy = (_number(spec.get(key, default), key, int)
-                          for key, default in (("krand", 4), ("kgreedy", 2)))
+        name = spec.get("name")
+        solver_spec(name, mode)
         # the sizes are checked as dec's whichever solver the entry names
-        DecConfig(n_random=krand, n_greedy=kgreedy, **opts)
-        label = _solver_label(spec)
+        sizes = {field: _number(spec[key], key, int)
+                 for key, field in (("krand", "n_random"), ("kgreedy", "n_greedy")) if key in spec}
+        run_config = DecConfig(**settings, **sizes)
+        default = f"dec-R{run_config.n_random}G{run_config.n_greedy}" if name == "dec" else name
+        label = spec.get("label", default)
+        _check_name(label, "solver label")
         if label in [run[1] for run in runs]:
             # traces and summary rows are keyed by label
             raise InvalidParameterError(
                 f"duplicate solver label {label!r}; give each solver a distinct 'label'")
-        runs.append((spec["name"], label, krand, kgreedy))
-    timing = bool(config.get("timing", False))
+        runs.append((name, label, run_config))
+    timing = config.get("timing", False)
+    if not isinstance(timing, bool):
+        raise InvalidParameterError(f"timing must be true or false, got {timing!r}")
 
     instances = [_instance_data(spec) for spec in _nonempty_list(config, "instances")]
-    for iname, A, _ in instances:
-        for name, label, krand, kgreedy in runs:
-            if name == "dec" and krand + kgreedy > A.shape[1]:
+    for iname, A, b in instances:
+        _check_name(iname, "instance name")
+        objective = QuadraticObjective(A=A, b=b)
+        for name, label, run_config in runs:
+            k = run_config.n_random + run_config.n_greedy
+            if name == "dec" and k > objective.n:
                 raise InvalidParameterError(
-                    f"{label}: working-set size {krand + kgreedy} exceeds n = {A.shape[1]}"
-                    f" of instance {iname}")
+                    f"{label}: working-set size {k} exceeds n = {objective.n} of instance {iname}")
+            for param in params:
+                # unconverted, so a fractional level fails here
+                CompositeProblem(objective, SOLVERS[name].term(mode, param))
 
     trace_dir = os.path.join(out_dir, "traces")
     os.makedirs(trace_dir, exist_ok=True)
@@ -259,13 +273,13 @@ def benchmark(config, out_dir):
     rows = []
     groups = {}
     for iname, A, b in instances:
-        for name, label, krand, kgreedy in runs:
+        for name, label, run_config in runs:
             for param in params:
                 finals = groups.setdefault((iname, label, param), [])
                 for seed in seeds:
+                    cell = replace(run_config, seed=seed)
                     tic = time.perf_counter()
-                    x, trace, final = run_solver(name, A, b, mode, param, seed, **opts,
-                                                 krand=krand, kgreedy=kgreedy)
+                    x, trace, final = run_solver(name, A, b, mode, param, cell)
                     wall = time.perf_counter() - tic
                     iters = len(trace) if trace is not None else 0
                     rows.append(",".join([

@@ -11,10 +11,12 @@ are zero unless --timing is given.
 
 import argparse
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from . import bench, data
+from .dec import DecConfig
 from .errors import (BudgetExceededError, DataFormatError,
                      DegenerateSystemError, DimensionMismatchError,
                      InvalidParameterError, NumericalError)
@@ -59,13 +61,13 @@ def _build_parser():
     s.add_argument("--mode", required=True, choices=["cons", "regu"])
     s.add_argument("--s", type=int, help="sparsity level (cons mode)")
     s.add_argument("--lambda", dest="lam", type=float, help="penalty weight (regu mode)")
-    s.add_argument("--krand", type=int, default=4)
-    s.add_argument("--kgreedy", type=int, default=2)
-    s.add_argument("--theta", type=float, default=1e-3)
-    s.add_argument("--epsilon", type=float, default=1e-5)
-    s.add_argument("--window", type=int, default=50)
-    s.add_argument("--max-iters", type=int, default=1000)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--krand", dest="n_random", type=int, default=DecConfig.n_random)
+    s.add_argument("--kgreedy", dest="n_greedy", type=int, default=DecConfig.n_greedy)
+    s.add_argument("--theta", type=float, default=DecConfig.theta)
+    s.add_argument("--epsilon", type=float, default=DecConfig.epsilon)
+    s.add_argument("--window", type=int, default=DecConfig.window)
+    s.add_argument("--max-iters", type=int, default=DecConfig.max_iters)
+    s.add_argument("--seed", type=int, default=DecConfig.seed)
     s.add_argument("--trace", help="write the per-iteration trace CSV here")
     s.add_argument("--out", help="write the solution point here")
     s.add_argument("--timing", action="store_true",
@@ -113,10 +115,8 @@ def _cmd_solve(args):
     param = args.lam if flag == "--lambda" else args.s
     if param is None:
         raise InvalidParameterError(f"{args.solver} in {args.mode} mode requires {flag}")
-    x, trace, final = bench.run_solver(
-        args.solver, A, b, args.mode, param, args.seed, theta=args.theta,
-        epsilon=args.epsilon, window=args.window, max_iters=args.max_iters,
-        krand=args.krand, kgreedy=args.kgreedy)
+    config = DecConfig(**{f.name: getattr(args, f.name) for f in fields(DecConfig)})
+    x, trace, final = bench.run_solver(args.solver, A, b, args.mode, param, config)
     print(f"solver={args.solver} mode={args.mode} param={bench._fmt(param)} "
           f"seed={args.seed}")
     print(f"final_objective={data.FLOAT_FMT % final} "

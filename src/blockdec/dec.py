@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import check_seed
 from .errors import DimensionMismatchError, InvalidParameterError, NumericalError
 from .problem import INFEASIBLE, Cardinality, composite_value, require_l0_term
 from .prox import hard_threshold_topk
@@ -32,11 +33,15 @@ from .working_set import greedy_picks, select_working_set
 
 @dataclass
 class DecConfig:
-    """Knobs for the decomposition loop.
+    """The settings of any solver run, and the home of their defaults.
 
-    ``n_random``/``n_greedy`` set the mixed working-set strategy; their sum
-    is the block size.  ``window`` is the length of the trailing average
-    used by the stopping rule.
+    ``dec`` reads all of them: ``n_random``/``n_greedy`` set the mixed
+    working-set strategy, and their sum is the block size; ``theta`` is the
+    proximal anchor; ``epsilon``, ``window`` (the length of the trailing
+    average) and ``max_iters`` set the stopping rule; ``seed`` draws the
+    random picks and, in ``run_solver``, the start point.  ``pgm``, ``apgm``
+    and ``cvx-l1`` read the stopping fields, and ``pgm`` and ``apgm`` the
+    seed.  Every field is checked here, whichever solver will read it.
     """
 
     n_random: int = 4
@@ -55,6 +60,7 @@ class DecConfig:
         if not 0 < self.theta < np.inf:
             raise InvalidParameterError(f"theta must be positive and finite, got {self.theta}")
         check_stopping(self.epsilon, self.window, self.max_iters)
+        check_seed(self.seed)
 
 
 @dataclass

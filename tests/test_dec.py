@@ -373,6 +373,12 @@ class TestRunDec:
         with pytest.raises(InvalidParameterError, match="theta"):
             DecConfig(theta=theta)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_seed_must_be_an_integer_at_least_0(self, seed):
+        # numpy's generators would fail on it later, with their own error
+        with pytest.raises(InvalidParameterError, match="seed"):
+            DecConfig(seed=seed)
+
     @pytest.mark.parametrize("stop", [dict(window=0), dict(window=-5), dict(epsilon=-1.0),
                                       dict(epsilon=np.nan), dict(max_iters=0)],
                              ids=["window-0", "window-neg", "epsilon-neg", "epsilon-nan",

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import blockdec
-from blockdec import (Cardinality, CompositeProblem, DataFormatError,
+from blockdec import (Cardinality, CompositeProblem, DataFormatError, DecConfig,
                       HalfPenalty, InvalidParameterError, L0Penalty, L1Penalty,
                       QuadraticObjective, composite_value, corrupt, gen_random,
                       load_instance, load_point, save_instance, save_point)
@@ -398,12 +398,12 @@ class TestRunSolver:
     def test_unknown_name_lists_valid(self):
         A, b, _ = gen_random(5, 8, 2, seed=0)
         with pytest.raises(InvalidParameterError, match="dec"):
-            run_solver("sgd", A, b, "cons", 2, 0)
+            run_solver("sgd", A, b, "cons", 2, DecConfig())
 
     def test_omp_requires_cons(self):
         A, b, _ = gen_random(5, 8, 2, seed=0)
         with pytest.raises(InvalidParameterError):
-            run_solver("omp", A, b, "regu", 0.1, 0)
+            run_solver("omp", A, b, "regu", 0.1, DecConfig())
 
     def test_make_term_validation(self):
         with pytest.raises(InvalidParameterError):
@@ -417,18 +417,18 @@ class TestRunSolver:
 
     def test_dec_trace_objectives_decrease(self):
         A, b, _ = gen_random(10, 16, 4, noise_scale=1.0, seed=2)
-        x, trace, _ = run_solver("dec", A, b, "cons", 4, 0, max_iters=200)
+        x, trace, _ = run_solver("dec", A, b, "cons", 4, DecConfig(max_iters=200))
         objs = trace.objectives()
         assert all(objs[i + 1] <= objs[i] + 1e-12 for i in range(len(objs) - 1))
         assert np.count_nonzero(x) <= 4
 
     def test_cvx_l1_takes_stopping_flags(self):
         A, b, _ = gen_random(20, 40, 4, noise_scale=1.0, seed=3)
-        x, trace, _ = run_solver("cvx-l1", A, b, "cons", 4, 0, max_iters=5)
+        x, trace, _ = run_solver("cvx-l1", A, b, "cons", 4, DecConfig(max_iters=5))
         assert trace is None
         np.testing.assert_array_equal(x, blockdec.cvx_l1_sweep(A, b, 4, max_iters=5))
         # five iterations stop short of the default run on this instance
-        assert not np.array_equal(x, run_solver("cvx-l1", A, b, "cons", 4, 0)[0])
+        assert not np.array_equal(x, run_solver("cvx-l1", A, b, "cons", 4, DecConfig())[0])
 
 
 # stopping settings under which no iterative run is meaningful, and the
@@ -444,6 +444,11 @@ def _instance(config, **changes):
     """``config`` with its one instance changed; a None value removes the key."""
     spec = {**config["instances"][0], **changes}
     return dict(config, instances=[{k: v for k, v in spec.items() if v is not None}])
+
+
+def _file_instance(config, **spec):
+    """``config`` with one file instance, by default the working directory's inst.txt."""
+    return dict(config, instances=[{"kind": "file", "path": "inst.txt", **spec}])
 
 
 # a config change -> what the one error line names; each is found before
@@ -468,7 +473,19 @@ BAD_CONFIGS = {
     "krand-above-n": (lambda c: dict(c, solvers=[{"name": "dec", "krand": 30}]),
                       "exceeds n = 16"),
     "solver-str": (lambda c: dict(c, solvers=["pgm"]), "solver entry"),
+    "solver-name-list": (lambda c: dict(c, solvers=[{"name": ["pgm"]}]), "unknown solver"),
     "top-level-list": (lambda c: [c], "JSON object"),
+    # names become trace file names and CSV fields
+    "name-escapes": (lambda c: _file_instance(c, name="../../escaped"), "instance name"),
+    "name-int": (lambda c: _file_instance(c, name=7), "instance name"),
+    "basename-comma": (lambda c: _file_instance(c, path="a,b.txt"), "instance name"),
+    "label-slash": (lambda c: dict(c, solvers=[{"name": "pgm", "label": "sub/x"}]),
+                    "solver label"),
+    "label-int": (lambda c: dict(c, solvers=[{"name": "pgm", "label": 7}]), "solver label"),
+    "label-comma": (lambda c: dict(c, solvers=[{"name": "pgm", "label": "p,q"}]),
+                    "solver label"),
+    "s-above-n": (lambda c: dict(c, params=[3, 17]), "cardinality bound 17 exceeds dimension 16"),
+    "timing-str": (lambda c: dict(c, timing="false"), "timing"),
 }
 
 
@@ -477,9 +494,15 @@ class TestStoppingSettings:
     @pytest.mark.parametrize("name, mode, param", STOPPED_SOLVERS,
                              ids=[s[0] for s in STOPPED_SOLVERS])
     def test_solvers_reject_bad_stopping_settings(self, name, mode, param, stop):
+        # a run's settings are checked where its DecConfig is made ...
+        with pytest.raises(InvalidParameterError):
+            DecConfig(**stop)
+        # ... and each iterative solver checks them again at its start
+        config = DecConfig()
+        vars(config).update(stop)
         A, b, _ = gen_random(6, 10, 2, seed=0)
         with pytest.raises(InvalidParameterError):
-            run_solver(name, A, b, mode, param, 0, **stop)
+            run_solver(name, A, b, mode, param, config)
 
     @pytest.mark.parametrize("stop", BAD_STOPS, ids=BAD_STOP_IDS)
     def test_benchmark_rejects_them_before_writing(self, tmp_path, stop):
@@ -523,13 +546,29 @@ class TestStoppingSettings:
     @pytest.mark.parametrize("bad, message", BAD_CONFIGS.values(), ids=BAD_CONFIGS)
     def test_cli_benchmark_exits_1_and_writes_nothing(self, tmp_path, bad, message):
         import json
+        A, b, _ = gen_random(10, 16, 3, seed=0)
+        for name in ("inst.txt", "a,b.txt"):  # read by the file instances
+            save_instance(tmp_path / name, A, b)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(bad(TestBenchmark.CONFIG)))
-        r = cli("benchmark", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out"))
+        r = cli("benchmark", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out"),
+                cwd=tmp_path)
         assert r.returncode == 1
         (line,) = r.stderr.splitlines()  # one line, no traceback
         assert line.startswith("error: ") and message in line
-        assert not (tmp_path / "out").exists()
+        assert sorted(os.listdir(tmp_path)) == ["a,b.txt", "cfg.json", "inst.txt"]
+
+    @pytest.mark.parametrize("flag, value, message", [("--theta", "0", "theta"),
+                                                      ("--krand", "-1", "working-set")])
+    def test_cli_checks_every_solvers_settings_as_decs(self, tmp_path, flag, value, message):
+        inst = tmp_path / "i.txt"
+        save_instance(inst, *gen_random(6, 10, 2, seed=0)[:2])
+        r = cli("solve", "--instance", str(inst), "--solver", "pgm", "--mode", "cons",
+                "--s", "2", flag, value)
+        assert r.returncode == 1, r.stderr
+        (line,) = r.stderr.splitlines()  # one line, no traceback
+        assert line.startswith("error: ") and message in line
+        assert r.stdout == ""
 
 
 # every solver name in every mode it allows, with the term that scores it
@@ -635,7 +674,7 @@ class TestBenchHooks:
 class TestWriteTrace:
     def test_schema(self, tmp_path):
         A, b, _ = gen_random(6, 10, 3, noise_scale=1.0, seed=1)
-        _, trace, _ = run_solver("dec", A, b, "cons", 3, 0, max_iters=60)
+        _, trace, _ = run_solver("dec", A, b, "cons", 3, DecConfig(max_iters=60))
         path = tmp_path / "trace.csv"
         write_trace(path, trace)
         lines = path.read_text().strip().split("\n")
@@ -686,8 +725,8 @@ class TestBenchmark:
             parts = row.split(",")
             if not parts[1].startswith("dec"):
                 continue
-            x, _, _ = run_solver("dec", A, b, "cons", 3, int(parts[4]),
-                              max_iters=150, krand=3, kgreedy=1)
+            config = DecConfig(n_random=3, n_greedy=1, max_iters=150, seed=int(parts[4]))
+            x, _, _ = run_solver("dec", A, b, "cons", 3, config)
             resid = 0.5 * np.linalg.norm(A @ x - b) ** 2
             assert abs(float(parts[5]) - resid) < 1e-9
 
@@ -713,6 +752,7 @@ class TestBenchmark:
         LABEL_CLASH[1:],
         [{"name": "pgm"}, {"name": "apgm", "label": "pgm"}],
         [{"name": "dec", "theta": 0.1}],
+        [{"name": "dec", "krand": 4.0}, {"name": "dec"}],  # both dec-R4G2
     ])
     def test_label_clash_and_unknown_solver_key_rejected(self, tmp_path, solvers):
         cfg = dict(self.CONFIG, solvers=solvers)
@@ -723,9 +763,10 @@ class TestBenchmark:
     def test_distinct_labels_and_top_level_workers_accepted(self, tmp_path):
         cfg = dict(self.CONFIG, init_seeds=[0], workers=1, solvers=[
             {"name": "dec"}, {"name": "dec", "krand": 3, "kgreedy": 1},
-            {"name": "pgm", "label": "pgm-from-zero"}])
+            {"name": "pgm", "label": "pgm-from-zero"}, {"name": "dec", "krand": 5.0}])
         rows = benchmark(cfg, str(tmp_path))
-        assert [r.split(",")[1] for r in rows] == ["dec-R4G2", "dec-R3G1", "pgm-from-zero"]
+        assert [r.split(",")[1] for r in rows] == ["dec-R4G2", "dec-R3G1", "pgm-from-zero",
+                                                   "dec-R5G2"]
 
     @pytest.mark.parametrize("param", [2.5, float("nan"), float("inf")])
     def test_cli_benchmark_rejects_a_bad_level_before_writing(self, tmp_path, param):

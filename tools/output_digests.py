@@ -38,7 +38,10 @@ Each digest covers the bytes of a run's output, never its timings:
 * ``census``: the row and every basic point of four 20x8 problems, both
   modes, as the benchmark's census workload builds them;
 * ``benchmark``: results, summary and trace files of
-  ``demos/bench_corrupt.json``.
+  ``demos/bench_corrupt.json``, and of two configs that name every solver,
+  so that each runner behind ``run_solver`` is covered: all seven in cons
+  mode and the five that run in regu mode, on one 30x60
+  ``random-corrupt`` instance, init seeds 0 and 1, 200 iterations at most.
 
 BLAS is pinned to one thread before numpy loads, since the thread count can
 change the last digits of a product.  The run takes about twenty seconds.
@@ -60,6 +63,10 @@ SIZES = {  # label: (m, n, support, corrupted, lambda, max_iters, window)
 }
 SPLITS = ((4, 2), (0, 6), (6, 0), (6, 6), (1, 0))  # (n_random, n_greedy)
 CENSUS_SEEDS = (11, 12, 13, 14)
+EVERY_SOLVER = {  # mode: (params, solver names) of the every-solver benchmark configs
+    "cons": ([5], ["dec", "pgm", "apgm", "omp", "cvx-l1", "pgm-l1", "pgm-lhalf"]),
+    "regu": ([5.0], ["dec", "pgm", "apgm", "pgm-l1", "pgm-lhalf"]),
+}
 
 
 def _digest(*parts):
@@ -136,6 +143,13 @@ def digests(bd):
     with tempfile.TemporaryDirectory() as out_dir:
         bd.benchmark(os.path.join(ROOT, "demos", "bench_corrupt.json"), out_dir)
         yield "benchmark/bench_corrupt", _file_digest(out_dir)
+    for mode, (params, names) in EVERY_SOLVER.items():
+        config = {"mode": mode, "params": params, "init_seeds": [0, 1], "max_iters": 200,
+                  "instances": [{"kind": "random-corrupt", "m": 30, "n": 60, "support": 5}],
+                  "solvers": [{"name": name} for name in names]}
+        with tempfile.TemporaryDirectory() as out_dir:
+            bd.benchmark(config, out_dir)
+            yield f"benchmark/every-solver/{mode}", _file_digest(out_dir)
 
 
 def main():
