@@ -31,7 +31,7 @@ def main():
 
     estimates = {
         "omp": omp(A, b, s),
-        "cvx-l1": cvx_l1_sweep(A, b, s),
+        "cvx-l1": cvx_l1_sweep(prob.objective, s),
         "pgm": pgm(prob, x0)[0],
         "dec-R4G2": run_dec(prob, x0, DecConfig(seed=0))[0],
     }

@@ -16,7 +16,7 @@ import numpy as np
 
 from .dec import DecConfig, iterate
 from .errors import InvalidParameterError
-from .problem import CompositeProblem, L1Penalty, QuadraticObjective, composite_value
+from .problem import CompositeProblem, L1Penalty, composite_value
 from .prox import hard_threshold_topk, proximal_step
 
 
@@ -115,32 +115,31 @@ def omp(A, b, s):
 DEFAULT_L1_GRID = tuple(2.0 ** j for j in range(-10, 11, 2))
 
 
-def cvx_l1_sweep(A, b, s, max_iters=DecConfig.max_iters, epsilon=DecConfig.epsilon,
+def cvx_l1_sweep(objective, s, max_iters=DecConfig.max_iters, epsilon=DecConfig.epsilon,
                  window=DecConfig.window):
     """Convex surrogate: l1 sweep, truncate to s terms, debias by refitting.
 
-    For each ``DEFAULT_L1_GRID`` weight, solves the l1-penalized least squares by
-    proximal gradient from zero, keeps the s largest-magnitude coordinates,
-    refits those by least squares, and returns the refit with the smallest
-    residual objective 1/2||Ax - b||^2 (ties to the earliest grid entry).
+    For each ``DEFAULT_L1_GRID`` weight, solves the l1-penalized least squares on
+    the factored ``objective`` by proximal gradient from zero, keeps the s
+    largest-magnitude coordinates, refits those by least squares, and returns
+    the refit with the smallest residual objective 1/2||Ax - b||^2 (ties to the
+    earliest grid entry).  Every relaxation shares the objective's one L.
     """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    m, n = A.shape
+    if not objective.is_factored:
+        raise InvalidParameterError("cvx-l1 needs factored (A, b) data, not Gram-form data")
+    A, b, n = objective.A, objective.b, objective.n
     if int(s) != s or not 0 <= s <= n:
         raise InvalidParameterError(f"sparsity level {s} outside [0, {n}]")
-    obj = QuadraticObjective(A=A, b=b)
     best_x, best_f = np.zeros(n), 0.5 * float(b @ b)
     for lam in DEFAULT_L1_GRID:
-        relax = CompositeProblem(obj, L1Penalty(lam))
+        relax = CompositeProblem(objective, L1Penalty(lam))
         xr, _ = pgm(relax, np.zeros(n), max_iters=max_iters,
                     epsilon=epsilon, window=window)
         xs = hard_threshold_topk(xr, int(s))
         supp = np.flatnonzero(xs)
         x = np.zeros(n)
         if supp.size:
-            coef = np.linalg.lstsq(A[:, supp], b, rcond=None)[0]
-            x[supp] = coef
+            x[supp] = np.linalg.lstsq(A[:, supp], b, rcond=None)[0]
         r = A @ x - b
         f = 0.5 * float(r @ r)
         if f < best_f - 1e-12:

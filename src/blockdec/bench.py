@@ -25,17 +25,21 @@ A solver entry takes only ``name``, ``label``, ``krand`` and ``kgreedy``,
 and makes one ``DecConfig`` from its sizes and the top-level settings; a key
 left out keeps the field's default.  Every cell of the entry runs it with the
 cell's init seed.  The label (by default the name, or
-``dec-R<n_random>G<n_greedy>`` read from that config for dec) names trace
-files and summary rows, so labels must be distinct.  Labels and instance
-names must be nonempty strings without ``/``, ``,``, a path separator or a
-line break.  Every value is checked before any output exists: a list must be
-a nonempty JSON list, a number a JSON number (an integer where one is
-counted), a seed an integer >= 0, ``timing`` a JSON boolean, and each level
-must fit each instance.  Top-level keys not shown above are ignored.
+``dec-R<n_random>G<n_greedy>`` read from that config for dec) and the
+instance name (a file's base name unless ``name`` is given; a generated
+instance's m, n, support and seed) name trace files and summary rows, so
+labels must be distinct, and so must instance names.  Both must be nonempty
+strings without ``/``, ``,``, a path separator or a line break.  Every value
+is checked before any output exists: a list must be a nonempty JSON list, a
+number a JSON number (an integer where one is counted), a seed an integer
+>= 0, ``timing`` a JSON boolean, and each level must fit each instance.
+Top-level keys not shown above are ignored.
 
-Cells (instance x solver x param x init-seed) run one after another in a
-fixed order, so identical configs yield byte-identical outputs.  Timing
-columns are written as 0 unless ``timing`` is set, for the same reason.
+Each instance becomes one ``QuadraticObjective``, built once; it serves the
+checks and every cell on that instance, which share its p and L.  Cells
+(instance x solver x param x init-seed) run one after another in a fixed
+order, so identical configs yield byte-identical outputs.  Timing columns are
+written as 0 unless ``timing`` is set, for the same reason.
 """
 
 import json
@@ -80,7 +84,7 @@ def write_trace(path, trace, timing=False):
 
 class Solver(NamedTuple):
     term: Callable  # (mode, param) -> the sparsity term solved and scored
-    run: Callable  # (prob, A, b, config) -> (x, trace or None)
+    run: Callable  # (prob, config) -> (x, trace or None)
     cons_only: bool = False  # support-based: param is a sparsity level
     lambda_param: bool = False  # param is a penalty weight in either mode
 
@@ -92,24 +96,26 @@ def _stopping(config):
 # The runners look the solvers and init_solution up in this module's globals
 # when called, not when the table is built, so wrappers installed on those
 # names see every call.
-def _dec(prob, A, b, config):
+def _dec(prob, config):
     return run_dec(prob, init_solution(prob.n, prob.term, config.seed), config)
 
 
-def _pgm(prob, A, b, config):
+def _pgm(prob, config):
     return pgm(prob, init_solution(prob.n, prob.term, config.seed), **_stopping(config))
 
 
-def _apgm(prob, A, b, config):
+def _apgm(prob, config):
     return apgm(prob, init_solution(prob.n, prob.term, config.seed), **_stopping(config))
 
 
-def _omp(prob, A, b, config):
-    return omp(A, b, prob.term.s), None
+def _omp(prob, config):
+    if not prob.objective.is_factored:
+        raise InvalidParameterError("omp needs factored (A, b) data, not Gram-form data")
+    return omp(prob.objective.A, prob.objective.b, prob.term.s), None
 
 
-def _cvx_l1(prob, A, b, config):
-    return cvx_l1_sweep(A, b, prob.term.s, **_stopping(config)), None
+def _cvx_l1(prob, config):
+    return cvx_l1_sweep(prob.objective, prob.term.s, **_stopping(config)), None
 
 
 SOLVERS = {
@@ -134,19 +140,21 @@ def solver_spec(name, mode):
     return spec
 
 
-def run_solver(name, A, b, mode, param, config):
-    """Run one named solver on factored data; returns (x, trace_or_None, F(x)).
+def run_solver(name, objective, mode, param, config):
+    """Run one named solver on a QuadraticObjective; returns (x, trace_or_None, F(x)).
 
-    ``param`` is the sparsity level in cons mode and the penalty weight in
-    regu mode; the relaxation solvers pgm-l1 / pgm-lhalf use it as their own
-    weight.  omp and cvx-l1 are support-based and require cons mode.
-    ``config``, a ``DecConfig``, holds the run's settings, already checked
-    when it was made; each solver reads the fields it takes.  F(x) is the
-    composite objective of the term the solver ran on.
+    The objective is the instance's own, built once and shared by every solve
+    on it: no solver builds another.  ``param`` is the sparsity level in cons
+    mode and the penalty weight in regu mode; the relaxation solvers pgm-l1 /
+    pgm-lhalf use it as their own weight.  omp and cvx-l1 are support-based:
+    they require cons mode and factored data.  ``config``, a ``DecConfig``,
+    holds the run's settings, already checked when it was made; each solver
+    reads the fields it takes.  F(x) is the composite objective of the term
+    the solver ran on.
     """
     spec = solver_spec(name, mode)
-    prob = CompositeProblem(QuadraticObjective(A=A, b=b), spec.term(mode, param))
-    x, trace = spec.run(prob, A, b, config)
+    prob = CompositeProblem(objective, spec.term(mode, param))
+    x, trace = spec.run(prob, config)
     return x, trace, composite_value(prob, x)
 
 
@@ -177,8 +185,7 @@ def _instance_data(spec):
         if not isinstance(path, str):
             raise InvalidParameterError(f"a file instance needs a 'path' string, got {path!r}")
         name = spec["name"] if "name" in spec else os.path.splitext(os.path.basename(path))[0]
-        A, b = load_instance(path)
-        return name, A, b
+        return name, *load_instance(path)
     if kind not in ("random", "random-corrupt"):
         raise InvalidParameterError(f"unknown instance kind {kind!r}")
     missing = [key for key in ("m", "n", "support") if key not in spec]
@@ -254,10 +261,13 @@ def benchmark(config, out_dir):
     if not isinstance(timing, bool):
         raise InvalidParameterError(f"timing must be true or false, got {timing!r}")
 
-    instances = [_instance_data(spec) for spec in _nonempty_list(config, "instances")]
-    for iname, A, b in instances:
+    objectives = {}  # instance name -> the one objective every cell on it solves
+    for iname, A, b in map(_instance_data, _nonempty_list(config, "instances")):
         _check_name(iname, "instance name")
-        objective = QuadraticObjective(A=A, b=b)
+        if iname in objectives:
+            raise InvalidParameterError(
+                f"duplicate instance name {iname!r}: traces and summary rows are keyed by it")
+        objectives[iname] = objective = QuadraticObjective(A=A, b=b)
         for name, label, run_config in runs:
             k = run_config.n_random + run_config.n_greedy
             if name == "dec" and k > objective.n:
@@ -272,14 +282,14 @@ def benchmark(config, out_dir):
 
     rows = []
     groups = {}
-    for iname, A, b in instances:
+    for iname, objective in objectives.items():
         for name, label, run_config in runs:
             for param in params:
                 finals = groups.setdefault((iname, label, param), [])
                 for seed in seeds:
                     cell = replace(run_config, seed=seed)
                     tic = time.perf_counter()
-                    x, trace, final = run_solver(name, A, b, mode, param, cell)
+                    x, trace, final = run_solver(name, objective, mode, param, cell)
                     wall = time.perf_counter() - tic
                     iters = len(trace) if trace is not None else 0
                     rows.append(",".join([

@@ -110,13 +110,14 @@ def _cmd_generate(args):
 
 def _cmd_solve(args):
     A, b = data.load_instance(args.instance)
+    objective = QuadraticObjective(A=A, b=b)
     spec = bench.solver_spec(args.solver, args.mode)
     flag = "--lambda" if spec.lambda_param or args.mode == "regu" else "--s"
     param = args.lam if flag == "--lambda" else args.s
     if param is None:
         raise InvalidParameterError(f"{args.solver} in {args.mode} mode requires {flag}")
     config = DecConfig(**{f.name: getattr(args, f.name) for f in fields(DecConfig)})
-    x, trace, final = bench.run_solver(args.solver, A, b, args.mode, param, config)
+    x, trace, final = bench.run_solver(args.solver, objective, args.mode, param, config)
     print(f"solver={args.solver} mode={args.mode} param={bench._fmt(param)} "
           f"seed={args.seed}")
     print(f"final_objective={data.FLOAT_FMT % final} "

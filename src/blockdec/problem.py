@@ -223,8 +223,10 @@ class QuadraticObjective:
 
     Construct it as ``QuadraticObjective(Q=Q, p=p)`` or
     ``QuadraticObjective(A=A, b=b)``.  Instances are immutable after
-    construction and safe to share across threads.  The arrays they hand out
-    whole, p, Q and diag(Q), are read-only.  The only mutation is a one-time
+    construction and safe to share across threads, so one objective serves
+    every solve on its instance.  The arrays they hand out whole, the factored
+    data ``A`` and ``b`` (both None in Gram form), p, Q and diag(Q), are
+    read-only.  The only mutation is a one-time
     fill of four lazily computed quantities, each formed in one method and
     published only once complete: p = -A'b
     (``linear_term``), diag(Q) (``coordinate_lipschitz``), the exact largest
@@ -246,7 +248,7 @@ class QuadraticObjective:
     def __init__(self, *, Q=None, p=None, A=None, b=None):
         if (Q is None) == (A is None):
             raise InvalidParameterError("provide exactly one of Gram (Q, p) or factored (A, b) data")
-        self.m = self._A = self._b = self._Q = self._p = None
+        self.m = self.A = self.b = self._Q = self._p = None
         if Q is not None:
             Q = np.asarray(Q, dtype=float)
             if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
@@ -271,15 +273,15 @@ class QuadraticObjective:
             if not (np.isfinite(A).all() and np.isfinite(b).all()):
                 raise DataFormatError("A or b has a non-finite entry (nan or inf)")
             self.m, self.n = A.shape
-            self._A = A.copy()
-            self._b = b.copy()
+            self.A, self.b = A.copy(), b.copy()
+            self.A.flags.writeable = self.b.flags.writeable = False
         # the one "Gram cached or factored" decision; the cache fills lazily
         self._gram_cached = Q is not None or self.n <= _GRAM_CACHE_LIMIT
         self._lip = self._diag = None
 
     @property
     def is_factored(self):
-        return self._A is not None
+        return self.A is not None
 
     def __repr__(self):
         form = f"factored {self.m}x{self.n}" if self.is_factored else f"gram {self.n}x{self.n}"
@@ -312,8 +314,8 @@ class QuadraticObjective:
             return None
         support = self._sparse_support(x)
         if support is not None:
-            return self._A[:, support] @ x[support] - self._b
-        return self._A @ x - self._b
+            return self.A[:, support] @ x[support] - self.b
+        return self.A @ x - self.b
 
     def moved_residual(self, r, idx, d):
         """r + A[:, idx] d: the residual once x moves by d on coordinates idx.
@@ -325,7 +327,7 @@ class QuadraticObjective:
         """
         if not self.is_factored:
             return None
-        return r + self._A[:, idx] @ d
+        return r + self.A[:, idx] @ d
 
     def value(self, x, r=None):
         """f(x); ``r``, if given, must be ``residual(x)`` at this same x."""
@@ -341,7 +343,7 @@ class QuadraticObjective:
         if self.is_factored:
             if r is None:
                 r = self.residual(x)
-            return self._A.T @ r
+            return self.A.T @ r
         x = _as_vector(x, self.n)
         return self._Q @ x + self._p
 
@@ -353,7 +355,7 @@ class QuadraticObjective:
 
     def _ensure_gram(self):
         if self._Q is None:
-            Q = self._A.T @ self._A
+            Q = self.A.T @ self.A
             Q.flags.writeable = False
             self._Q = Q  # published only once read-only
 
@@ -373,7 +375,7 @@ class QuadraticObjective:
         """
         idx = np.asarray(idx, dtype=int)
         if self.is_factored:
-            cols = self._A[:, idx]
+            cols = self.A[:, idx]
             return cols.T @ cols
         return self._Q[np.ix_(idx, idx)]
 
@@ -381,7 +383,7 @@ class QuadraticObjective:
         """Q[I, I] for every row I of an (N, k) index array, as an (N, k, k) stack."""
         idx = np.asarray(idx, dtype=int)
         if not self._gram_cached:
-            cols = self._A[:, idx].transpose(1, 0, 2)  # (N, m, k)
+            cols = self.A[:, idx].transpose(1, 0, 2)  # (N, m, k)
             return cols.swapaxes(1, 2) @ cols
         self._ensure_gram()
         return self._Q[idx[:, :, None], idx[:, None, :]]
@@ -389,7 +391,7 @@ class QuadraticObjective:
     def linear_term(self, idx=None):
         """p, read-only (or a copy of p[idx]); for factored data p = -A'b, formed once."""
         if self._p is None:
-            p = -(self._A.T @ self._b)
+            p = -(self.A.T @ self.b)
             p.flags.writeable = False
             self._p = p  # published only once read-only
         return self._p if idx is None else self._p[idx]
@@ -398,7 +400,7 @@ class QuadraticObjective:
         """Q @ v; factored data give A'(Av), two passes over A, and never read Q."""
         v = _as_vector(v, self.n, "v")
         if self.is_factored:
-            return self._A.T @ (self._A @ v)
+            return self.A.T @ (self.A @ v)
         return self._Q @ v
 
     # -- curvature ----------------------------------------------------------
@@ -406,7 +408,7 @@ class QuadraticObjective:
     def coordinate_lipschitz(self):
         """Per-coordinate gradient Lipschitz constants diag(Q): cached, read-only."""
         if self._diag is None:  # factored data read A: no Gram fill, one rounding
-            diag = (np.einsum("ij,ij->j", self._A, self._A) if self.is_factored
+            diag = (np.einsum("ij,ij->j", self.A, self.A) if self.is_factored
                     else np.diag(self._Q).copy())
             diag.flags.writeable = False
             self._diag = diag  # published only once read-only
@@ -426,7 +428,7 @@ class QuadraticObjective:
         with np.errstate(over="ignore", invalid="ignore"):
             if r <= _DENSE_EIG_LIMIT:
                 G = (self._Q if not self.is_factored
-                     else self._A @ self._A.T if wide else self._A.T @ self._A)
+                     else self.A @ self.A.T if wide else self.A.T @ self.A)
                 try:
                     lam = np.linalg.eigvalsh(G)[-1] if np.isfinite(G).all() else np.inf
                 except np.linalg.LinAlgError as exc:
@@ -436,7 +438,7 @@ class QuadraticObjective:
             else:  # imported here: scipy.sparse adds 0.3 s and 4 MB to import
                 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
-                mv = (lambda v: self._A @ (self._A.T @ v)) if wide else self.matvec
+                mv = (lambda v: self.A @ (self.A.T @ v)) if wide else self.matvec
                 v0 = np.random.Generator(np.random.PCG64(0)).standard_normal(r)
                 try:
                     lam = eigsh(LinearOperator((r, r), matvec=mv, dtype=float), k=1,
@@ -511,7 +513,7 @@ class GramColumns:
             rows[:self._size] = self._rows[:self._size]
             self._rows = rows
         if new.size:
-            A = self.objective._A
+            A = self.objective.A
             self._rows[self._size:size] = A[:, new].T @ A
             self._slot[new] = np.arange(self._size, size)
             self._size = size

@@ -70,8 +70,15 @@ def _support(x):
     return np.flatnonzero(np.abs(x) > ZERO_TOL)
 
 
+def _check_tol(tol):
+    """A check's tolerance must be nonnegative and finite: under NaN every test passes."""
+    if not 0 <= tol < np.inf:
+        raise InvalidParameterError(f"tol must be nonnegative and finite, got {tol}")
+
+
 def is_basic(prob, x, tol=1e-8):
     """Gradient vanishes on the support; constrained case also feasible."""
+    _check_tol(tol)
     x = np.asarray(x, dtype=float)
     supp = _support(x)
     if isinstance(prob.term, Cardinality) and supp.size > prob.term.s:
@@ -92,6 +99,7 @@ def is_l_stationary(prob, x, l_const=None, tol=LSTAT_TOL):
     re-running the projection, which keeps ties well defined.
     """
     require_l0_term(prob.term, "L-stationarity")
+    _check_tol(tol)
     x = np.asarray(x, dtype=float)
     L = prob.objective.lipschitz_global() if l_const is None else float(l_const)
     verdict, = _l_stationary_at(prob, x[None], prob.objective.gradient(x)[None], L, tol)
@@ -133,6 +141,7 @@ def is_block_k(prob, x, k, tol=BLOCK_TOL, mode="exhaustive", trials=1000, seed=0
     """
     term = prob.term
     require_l0_term(term, "block stationarity")
+    _check_tol(tol)
     if isinstance(term, Cardinality) and k < 2:
         raise InvalidParameterError(
             "block size 1 is degenerate under a cardinality constraint; use k >= 2")

@@ -278,15 +278,21 @@ class TestCvxL1Sweep:
         x_true = np.zeros(8)
         x_true[[1, 4, 6]] = [2.0, -3.0, 1.5]
         b = A @ x_true
-        x = cvx_l1_sweep(A, b, 3)
+        x = cvx_l1_sweep(QuadraticObjective(A=A, b=b), 3)
         np.testing.assert_allclose(x, x_true, atol=1e-6)
 
     def test_output_sparsity_bound(self):
         A, b, _ = gen_random(15, 30, 5, noise_scale=2.0, seed=10)
-        x = cvx_l1_sweep(A, b, 5)
+        x = cvx_l1_sweep(QuadraticObjective(A=A, b=b), 5)
         assert np.count_nonzero(x) <= 5
 
     def test_never_worse_than_zero_vector(self):
         A, b, _ = gen_random(10, 20, 3, noise_scale=5.0, seed=11)
-        x = cvx_l1_sweep(A, b, 3)
+        x = cvx_l1_sweep(QuadraticObjective(A=A, b=b), 3)
         assert 0.5 * np.sum((A @ x - b) ** 2) <= 0.5 * float(b @ b) + 1e-12
+
+    def test_gram_form_objective_rejected(self):
+        # the debiasing refit and its score need A and b, which Gram data lack
+        A, b, _ = gen_random(10, 20, 3, seed=11)
+        with pytest.raises(InvalidParameterError, match="Gram-form"):
+            cvx_l1_sweep(QuadraticObjective(Q=A.T @ A, p=-A.T @ b), 3)

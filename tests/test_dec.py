@@ -172,7 +172,7 @@ class TestRunDec:
         # from x0, which agrees with the fresh A'(Ax - b) at its own x within
         # the carry's rounding bound
         prob, _ = random_factored_problem(10, 16, 4, term)
-        A, b = prob.objective._A, prob.objective._b
+        A, b = prob.objective.A, prob.objective.b
         handed = []
 
         def checked_solve(prob, x, g, B, theta):
@@ -231,7 +231,7 @@ class TestRunDec:
         # iterations; its carried residual stays within the rounding bound
         # of Ax - b, and F accumulated from the block changes matches a fresh F
         prob, _ = random_factored_problem(40, 120, 3, L0Penalty(0.05))
-        A, b = prob.objective._A, prob.objective._b
+        A, b = prob.objective.A, prob.objective.b
         points, carried = [], []
         move = prob.objective.moved_residual
 

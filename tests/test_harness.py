@@ -398,12 +398,20 @@ class TestRunSolver:
     def test_unknown_name_lists_valid(self):
         A, b, _ = gen_random(5, 8, 2, seed=0)
         with pytest.raises(InvalidParameterError, match="dec"):
-            run_solver("sgd", A, b, "cons", 2, DecConfig())
+            run_solver("sgd", QuadraticObjective(A=A, b=b), "cons", 2, DecConfig())
 
     def test_omp_requires_cons(self):
         A, b, _ = gen_random(5, 8, 2, seed=0)
         with pytest.raises(InvalidParameterError):
-            run_solver("omp", A, b, "regu", 0.1, DecConfig())
+            run_solver("omp", QuadraticObjective(A=A, b=b), "regu", 0.1, DecConfig())
+
+    @pytest.mark.parametrize("name", ["omp", "cvx-l1"])
+    def test_support_based_solvers_need_factored_data(self, name):
+        # their refits read A and b, which a Gram-form objective does not have
+        A, b, _ = gen_random(5, 8, 2, seed=0)
+        gram = QuadraticObjective(Q=A.T @ A, p=-A.T @ b)
+        with pytest.raises(InvalidParameterError, match="Gram-form"):
+            run_solver(name, gram, "cons", 2, DecConfig())
 
     def test_make_term_validation(self):
         with pytest.raises(InvalidParameterError):
@@ -417,18 +425,22 @@ class TestRunSolver:
 
     def test_dec_trace_objectives_decrease(self):
         A, b, _ = gen_random(10, 16, 4, noise_scale=1.0, seed=2)
-        x, trace, _ = run_solver("dec", A, b, "cons", 4, DecConfig(max_iters=200))
+        x, trace, _ = run_solver("dec", QuadraticObjective(A=A, b=b), "cons", 4,
+                                 DecConfig(max_iters=200))
         objs = trace.objectives()
         assert all(objs[i + 1] <= objs[i] + 1e-12 for i in range(len(objs) - 1))
         assert np.count_nonzero(x) <= 4
 
     def test_cvx_l1_takes_stopping_flags(self):
         A, b, _ = gen_random(20, 40, 4, noise_scale=1.0, seed=3)
-        x, trace, _ = run_solver("cvx-l1", A, b, "cons", 4, DecConfig(max_iters=5))
+        obj = QuadraticObjective(A=A, b=b)
+        x, trace, _ = run_solver("cvx-l1", obj, "cons", 4, DecConfig(max_iters=5))
         assert trace is None
-        np.testing.assert_array_equal(x, blockdec.cvx_l1_sweep(A, b, 4, max_iters=5))
+        # a fresh objective gives the same bits as the shared one
+        fresh = QuadraticObjective(A=A, b=b)
+        np.testing.assert_array_equal(x, blockdec.cvx_l1_sweep(fresh, 4, max_iters=5))
         # five iterations stop short of the default run on this instance
-        assert not np.array_equal(x, run_solver("cvx-l1", A, b, "cons", 4, DecConfig())[0])
+        assert not np.array_equal(x, run_solver("cvx-l1", obj, "cons", 4, DecConfig())[0])
 
 
 # stopping settings under which no iterative run is meaningful, and the
@@ -486,6 +498,13 @@ BAD_CONFIGS = {
                     "solver label"),
     "s-above-n": (lambda c: dict(c, params=[3, 17]), "cardinality bound 17 exceeds dimension 16"),
     "timing-str": (lambda c: dict(c, timing="false"), "timing"),
+    # two instances under one name would share trace files and summary rows
+    "name-dup-generated": (lambda c: dict(c, instances=[
+        {"kind": "random", "m": 8, "n": 12, "support": 2, "seed": 1, "noise": noise}
+        for noise in (10.0, 0.5)]), "duplicate instance name 'random-m8-n12-k2-seed1'"),
+    "name-dup-basename": (lambda c: dict(c, instances=[
+        {"kind": "file", "path": path} for path in ("inst.txt", os.path.join("sub", "inst.txt"))]),
+        "duplicate instance name 'inst'"),
 }
 
 
@@ -502,7 +521,7 @@ class TestStoppingSettings:
         vars(config).update(stop)
         A, b, _ = gen_random(6, 10, 2, seed=0)
         with pytest.raises(InvalidParameterError):
-            run_solver(name, A, b, mode, param, config)
+            run_solver(name, QuadraticObjective(A=A, b=b), mode, param, config)
 
     @pytest.mark.parametrize("stop", BAD_STOPS, ids=BAD_STOP_IDS)
     def test_benchmark_rejects_them_before_writing(self, tmp_path, stop):
@@ -547,7 +566,8 @@ class TestStoppingSettings:
     def test_cli_benchmark_exits_1_and_writes_nothing(self, tmp_path, bad, message):
         import json
         A, b, _ = gen_random(10, 16, 3, seed=0)
-        for name in ("inst.txt", "a,b.txt"):  # read by the file instances
+        (tmp_path / "sub").mkdir()
+        for name in ("inst.txt", "a,b.txt", os.path.join("sub", "inst.txt")):  # file instances
             save_instance(tmp_path / name, A, b)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(bad(TestBenchmark.CONFIG)))
@@ -556,7 +576,8 @@ class TestStoppingSettings:
         assert r.returncode == 1
         (line,) = r.stderr.splitlines()  # one line, no traceback
         assert line.startswith("error: ") and message in line
-        assert sorted(os.listdir(tmp_path)) == ["a,b.txt", "cfg.json", "inst.txt"]
+        assert sorted(os.listdir(tmp_path)) == ["a,b.txt", "cfg.json", "inst.txt", "sub"]
+        assert os.listdir(tmp_path / "sub") == ["inst.txt"]
 
     @pytest.mark.parametrize("flag, value, message", [("--theta", "0", "theta"),
                                                       ("--krand", "-1", "working-set")])
@@ -648,6 +669,31 @@ class TestBenchHooks:
         assert blockdec.bench.pgm is blockdec.baselines.pgm  # restored on exit
         assert isinstance(blockdec.problem._GRAM_CACHE_LIMIT, int)
 
+    @pytest.mark.parametrize("solvers, formed", [
+        (["dec", "pgm", "apgm", "omp", "cvx-l1"], 2), (["dec", "omp"], 0)],
+        ids=["gradient-solvers", "no-gradient-solver"])
+    def test_one_objective_per_instance(self, tmp_path, monkeypatch, solvers, formed):
+        # every cell and check on an instance reads its one objective: two
+        # instances build two, and L = lambda_max is formed once on each that
+        # a gradient solver runs on, however many cells run there
+        monkeypatch.syspath_prepend(BENCH_DIR)
+        import tracing
+
+        norms = []
+        spectral_norm = QuadraticObjective._spectral_norm
+        monkeypatch.setattr(QuadraticObjective, "_spectral_norm",
+                            lambda obj: norms.append(obj) or spectral_norm(obj))
+        config = {"params": [2, 3], "init_seeds": [0, 1], "max_iters": 20,
+                  "solvers": [{"name": n} for n in solvers],
+                  "instances": [{"kind": "random", "m": 8, "n": 12, "support": 2, "seed": seed}
+                                for seed in (1, 2)]}
+        tracer = tracing.Tracer()
+        with tracing.installed(tracer):
+            rows = blockdec.bench.benchmark(config, str(tmp_path))
+        assert len(rows) == 2 * len(solvers) * 2 * 2
+        assert tracer.summary()["problem.init"][0] == 2
+        assert len(norms) == len({id(obj) for obj in norms}) == formed
+
     def test_dec_cell_fires_selection_and_block_spans(self, tmp_path, monkeypatch):
         # the benchmark's per-layer working_set and subproblem metrics read
         # these span and counter names
@@ -674,7 +720,8 @@ class TestBenchHooks:
 class TestWriteTrace:
     def test_schema(self, tmp_path):
         A, b, _ = gen_random(6, 10, 3, noise_scale=1.0, seed=1)
-        _, trace, _ = run_solver("dec", A, b, "cons", 3, DecConfig(max_iters=60))
+        _, trace, _ = run_solver("dec", QuadraticObjective(A=A, b=b), "cons", 3,
+                                 DecConfig(max_iters=60))
         path = tmp_path / "trace.csv"
         write_trace(path, trace)
         lines = path.read_text().strip().split("\n")
@@ -721,12 +768,13 @@ class TestBenchmark:
         out = tmp_path / "chk"
         rows = benchmark(dict(self.CONFIG), str(out))
         A, b, _ = gen_random(10, 16, 3, noise_scale=1.0, seed=0)
+        obj = QuadraticObjective(A=A, b=b)
         for row in rows:
             parts = row.split(",")
             if not parts[1].startswith("dec"):
                 continue
             config = DecConfig(n_random=3, n_greedy=1, max_iters=150, seed=int(parts[4]))
-            x, _, _ = run_solver("dec", A, b, "cons", 3, config)
+            x, _, _ = run_solver("dec", obj, "cons", 3, config)
             resid = 0.5 * np.linalg.norm(A @ x - b) ** 2
             assert abs(float(parts[5]) - resid) < 1e-9
 
@@ -828,6 +876,21 @@ class TestCli:
                 "--check", "lstat", "--s", "3")
         assert r.returncode == 0, r.stderr
         assert "result=true" in r.stdout
+
+    def test_verify_rejects_a_nan_tolerance(self, tmp_path):
+        # x = 5 e_0 is no block-2 point here; a NaN slack used to certify it
+        inst, point = tmp_path / "i.txt", tmp_path / "x.txt"
+        r = cli("generate", "--m", "10", "--n", "6", "--support", "2", "--seed", "1",
+                "--out", str(inst))
+        assert r.returncode == 0, r.stderr
+        save_point(point, 5.0 * np.eye(6)[0])
+        args = ("verify", "--instance", str(inst), "--point", str(point), "--s", "2")
+        r = cli(*args, "--check", "blockk", "--k", "2")
+        assert r.returncode == 0 and "result=false" in r.stdout, r.stderr
+        for check in (["basic"], ["lstat"], ["blockk", "--k", "2"]):
+            r = cli(*args, "--check", *check, "--tol", "nan")
+            assert r.returncode == 1 and "result=" not in r.stdout
+            assert r.stderr.splitlines() == ["error: tol must be nonnegative and finite, got nan"]
 
     @pytest.mark.parametrize("command", ["generate", "solve-dec", "solve-omp"])
     def test_negative_seed_is_usage_error(self, tmp_path, command):

@@ -153,6 +153,20 @@ class TestQuadraticObjective:
             np.testing.assert_allclose(obj.gram_blocks([[0, 1]])[0],
                                        obj.gram_submatrix([0, 1]), rtol=1e-12)
 
+    def test_a_and_b_are_own_read_only_copies(self):
+        # the factored data every solve on an instance reads; Gram data have none
+        rng = np.random.default_rng(16)
+        A, b = rng.standard_normal((4, 3)), rng.standard_normal(4)
+        obj = QuadraticObjective(A=A, b=b)
+        A[0, 0] = b[0] = 99.0  # the caller's arrays stay the caller's
+        with pytest.raises(ValueError):
+            obj.A[0, 0] = 99.0
+        with pytest.raises(ValueError):
+            obj.b[0] = 99.0
+        assert obj.A[0, 0] != 99.0 and obj.b[0] != 99.0
+        gram = QuadraticObjective(Q=np.eye(3), p=np.zeros(3))
+        assert gram.A is None and gram.b is None
+
     def test_tall_data_form_p_qv_and_l_without_the_gram(self):
         # 40x12 is under the cache limit, yet p, Qv and L each come from A by
         # their own expression, and none of them fills the 12 x 12 Gram
@@ -255,14 +269,16 @@ class TestResidual:
         # then never read, while the dense product carries it into r
         _, _, obj = self._objective()
         x = self._point(nnz)
-        obj._A[:, np.flatnonzero(x == 0)[0]] = np.nan
+        obj.A.flags.writeable = True  # published read-only: unlock it to plant a NaN
+        obj.A[:, np.flatnonzero(x == 0)[0]] = np.nan
         assert np.isfinite(obj.residual(x)).all() == support_path
 
     def test_fewer_than_32_columns_take_the_dense_product(self):
         # only x = 0 would qualify there, and it gains nothing from the support
         A, b, _ = gen_random(6, 31, 2, seed=8)
         obj = QuadraticObjective(A=A, b=b)
-        obj._A[:, 0] = np.nan
+        obj.A.flags.writeable = True
+        obj.A[:, 0] = np.nan
         assert np.isnan(obj.residual(np.zeros(31))).all()
 
     @pytest.mark.parametrize("m, support_path", [(64, False), (255, False), (256, True)])
@@ -270,7 +286,8 @@ class TestResidual:
         # there the dense product is cheaper at any nnz
         A, b, _ = gen_random(m, 256, 2, seed=8)
         obj = QuadraticObjective(A=A, b=b)
-        obj._A[:, 0] = np.nan
+        obj.A.flags.writeable = True
+        obj.A[:, 0] = np.nan
         assert np.isfinite(obj.residual(np.zeros(256))).all() == support_path
 
     @pytest.mark.parametrize("nnz", [0, 10, 11, 320])

@@ -154,6 +154,18 @@ def demo_basic_point(S):
     return x
 
 
+@pytest.mark.parametrize("tol", [float("nan"), -1e-8, float("inf")])
+@pytest.mark.parametrize("check", [
+    lambda prob, tol: is_basic(prob, np.zeros(6), tol=tol),
+    lambda prob, tol: is_l_stationary(prob, np.zeros(6), tol=tol),
+    lambda prob, tol: is_block_k(prob, np.zeros(6), 2, tol=tol),
+], ids=["basic", "lstat", "blockk"])
+def test_checks_reject_a_tolerance_that_is_not_nonnegative_and_finite(demo_cons, check, tol):
+    # every comparison with a NaN slack is false, so a NaN tol certified any point
+    with pytest.raises(InvalidParameterError, match="tol"):
+        check(demo_cons, tol)
+
+
 class TestIsBasic:
     def test_global_point_is_basic(self, demo_cons):
         assert is_basic(demo_cons, CONS_GLOBAL_X)

@@ -6,6 +6,9 @@ the parent checkout's runs and comparing this checkout's runs against them::
     python3 tools/output_digests.py --src ../parent/src > old.txt
     python3 tools/output_digests.py --against old.txt
 
+Where the change alters a signature this script calls, make ``old.txt`` with
+the parent's own copy of the script, run from the parent checkout.
+
 With ``--against`` the script prints each label whose line moved, with its
 old and new line, and exits 1 if any line moved.  A moved solver line also
 gets its drift: |dF|/|F| between the two final objectives, and whether the
@@ -120,8 +123,7 @@ def digests(bd):
                 x, trace = solver(prob, x0)
                 yield f"{name}/{size}/{mode}", _run_digest(x, trace)
         prob = bd.CompositeProblem(bd.QuadraticObjective(A=A, b=b), bd.Cardinality(s))
-        for name, solver in (("omp", bd.omp), ("cvx-l1", bd.cvx_l1_sweep)):
-            x = solver(A, b, s)
+        for name, x in (("omp", bd.omp(A, b, s)), ("cvx-l1", bd.cvx_l1_sweep(prob.objective, s))):
             yield f"{name}/{size}/cons", f"{_digest(x)} {_summary(x, bd.composite_value(prob, x), 0)}"
     # cons runs from x = 0 fill the support up to s, so the block budgets
     # fall below k and the block solves pad their systems to widths under k
