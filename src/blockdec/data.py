@@ -28,9 +28,14 @@ from .errors import DataFormatError, InvalidParameterError
 FLOAT_FMT = "%.17g"
 
 
+def is_integer(value):
+    """True for an integer of any kind (int, np.int64, ...) but a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def check_seed(seed, what="seed"):
     """Reject a seed that is not an integer >= 0, the seeds numpy's generators take."""
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+    if not is_integer(seed) or seed < 0:
         raise InvalidParameterError(f"{what} must be an integer >= 0, got {seed!r}")
 
 

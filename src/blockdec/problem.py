@@ -347,6 +347,34 @@ class QuadraticObjective:
         x = _as_vector(x, self.n)
         return self._Q @ x + self._p
 
+    def values_and_gradients(self, X):
+        """(f, G) at every row of X (R, n): f[i] = value(X[i]), G[i] = gradient(X[i]).
+
+        Bit for bit, since each row gets the products its own calls make,
+        stacked: one gemv per row for Qx, Ax and A'r and one dot for x'Qx,
+        p'x and r'r.  A row on the support path gets its own ``residual``
+        call.  One gemm over the rows, X @ A.T, would round differently.
+        """
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.n:
+            raise DimensionMismatchError(f"X has shape {X.shape}, expected (R, {self.n})")
+        if not self.is_factored:
+            QX = (self._Q @ X[..., None])[..., 0]
+            xQx = (X[:, None, :] @ QX[..., None])[:, 0, 0]
+            return 0.5 * xQx + (self._p @ X[..., None])[:, 0], QX + self._p
+        R = self._residuals(X)
+        return 0.5 * (R[:, None, :] @ R[..., None])[:, 0, 0], (self.A.T @ R[..., None])[..., 0]
+
+    def _residuals(self, X):
+        """residual(X[i]) for every row of X, each on its own path."""
+        nnz = np.count_nonzero(X, axis=1)  # the rule of _sparse_support, row by row
+        sparse = (self.m * self.n >= _SUPPORT_MIN_SIZE) & (_SUPPORT_PRODUCT_RATIO * nnz <= self.n)
+        R = np.empty((len(X), self.m))
+        R[~sparse] = (self.A @ X[~sparse, :, None])[..., 0] - self.b
+        for i in np.flatnonzero(sparse):
+            R[i] = self.residual(X[i])
+        return R
+
     def gram_columns(self):
         """A new, empty ``GramColumns`` store: gradients for one solve."""
         return GramColumns(self)
@@ -557,3 +585,17 @@ def composite_value(prob, x, r=None):
     if h is INFEASIBLE:
         return INFEASIBLE
     return prob.objective.value(x, r=r) + h
+
+
+def composite_values(prob, X):
+    """(F, G) at every row of X (R, n) under an l0 term, as the per-point calls give them.
+
+    G[i] = ``prob.objective.gradient(X[i])`` and F[i] = ``composite_value(prob,
+    X[i])``, bit for bit, with inf where that is INFEASIBLE.
+    """
+    require_l0_term(prob.term, "composite_values")
+    f, G = prob.objective.values_and_gradients(X)
+    nnz = np.count_nonzero(X, axis=1)
+    if isinstance(prob.term, Cardinality):  # h = 0 where feasible
+        return np.where(nnz <= prob.term.s, f + 0.0, np.inf), G
+    return f + prob.term.lam * nnz, G

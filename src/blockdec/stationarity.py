@@ -24,10 +24,13 @@ has a residual near the solver's bound -- is handed to ``solve_block``, so
 the verdicts and the errors are that loop's.
 
 For problems small enough to enumerate, ``landscape_table`` counts the
-points in each class, deciding L-stationarity for every point in one
-stacked check and certifying block size k for all the points that passed
-k - 1 at once.  Support classification treats entries below
-``ZERO_TOL`` as zeros so that solver round-off cannot flip a verdict.
+points in each class.  It deduplicates the basic points in one rounded
+array, forms every kept point's F and gradient in one stacked call that
+keeps each point's own digits (``composite_values``), decides
+L-stationarity for every point in one stacked check, and certifies block
+size k for all the points that passed k - 1 at once.  Support
+classification treats entries below ``ZERO_TOL`` as zeros so that solver
+round-off cannot flip a verdict.
 """
 
 import itertools
@@ -36,10 +39,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import check_seed
+from .data import check_seed, is_integer
 from .errors import BlockdecError, BudgetExceededError, InvalidParameterError
 from .problem import (INFEASIBLE, Cardinality, CompositeProblem, QuadraticObjective,
-                      composite_value, make_term, require_l0_term)
+                      composite_value, composite_values, make_term, require_l0_term)
 from .subproblem import (PATTERN_CHUNK, TIE_TOL, _cho_solve, _cholesky, _pattern_chunks,
                          _tiny_pivots, pattern_deltas, solve_block)
 from .working_set import random_set
@@ -108,8 +111,8 @@ def is_l_stationary(prob, x, l_const=None, tol=LSTAT_TOL):
 
 def _l_stationary_at(prob, X, G, L, tol):
     """is_l_stationary at every row of X (R, n), given G[i] = grad f(X[i])."""
-    if not L > 0:
-        raise InvalidParameterError(f"L must be positive, got {L}")
+    if not 0 < L < np.inf:  # at L = inf every x is its own proximal step
+        raise InvalidParameterError(f"L must be positive and finite, got {L}")
     term = prob.term
     on = np.abs(X) > ZERO_TOL
     nnz = np.count_nonzero(on, axis=1)
@@ -142,17 +145,17 @@ def is_block_k(prob, x, k, tol=BLOCK_TOL, mode="exhaustive", trials=1000, seed=0
     term = prob.term
     require_l0_term(term, "block stationarity")
     _check_tol(tol)
-    if isinstance(term, Cardinality) and k < 2:
+    _check_block_size(k, 1, prob.n, "block size")
+    if isinstance(term, Cardinality) and k == 1:
         raise InvalidParameterError(
             "block size 1 is degenerate under a cardinality constraint; use k >= 2")
-    if not 1 <= k <= prob.n:
-        raise InvalidParameterError(f"block size {k} outside [1, {prob.n}]")
     if mode not in ("exhaustive", "sampled"):
         raise InvalidParameterError(f"unknown mode {mode!r}")
     if mode == "sampled":
         check_seed(seed)
-        if trials < 1:  # no draw would certify every point
-            raise InvalidParameterError(f"sampled mode needs trials >= 1, got {trials}")
+        if not is_integer(trials) or trials < 1:  # no draw would certify every point
+            raise InvalidParameterError(
+                f"sampled mode needs an integer trials >= 1, got {trials!r}")
 
     x = np.asarray(x, dtype=float)
     f_x = composite_value(prob, x)
@@ -168,6 +171,12 @@ def is_block_k(prob, x, k, tol=BLOCK_TOL, mode="exhaustive", trials=1000, seed=0
     if isinstance(verdict, Exception):
         raise verdict
     return verdict
+
+
+def _check_block_size(k, k_min, n, what):
+    """Reject a block size that is not an integer in [k_min, n] (a bool is not one)."""
+    if not is_integer(k) or not k_min <= k <= n:
+        raise InvalidParameterError(f"{what} must be an integer in [{k_min}, {n}], got {k!r}")
 
 
 def _all_blocks(n, k):
@@ -340,48 +349,47 @@ class LandscapeCounts:
 def landscape_table(prob, k_max=None):
     """Count basic / L-stationary / block-k optimal points by enumeration.
 
-    Exploits the containment chain (block-(k+1) optimal implies block-k
-    optimal) to stop probing larger blocks once a point fails at some k;
-    the hierarchy itself is exercised independently by the test suite.
+    Block sizes run from the least the term allows (2 under a cardinality
+    constraint, else 1) to ``k_max`` (default n); a ``k_max`` given is an
+    integer checked before any point is enumerated.  Of the points equal to
+    8 decimals the first is kept, and every check on it shares its F and
+    gradient, formed for all kept points in one ``composite_values`` call.  Exploits the
+    containment chain (block-(k+1) optimal implies block-k optimal) to stop
+    probing larger blocks once a point fails at some k; the hierarchy itself
+    is exercised independently by the test suite.
     """
     n = prob.n
+    k_min = 2 if isinstance(prob.term, Cardinality) else 1
     if k_max is None:
-        k_max = n
+        k_max = n  # no block columns where n < k_min
+    else:
+        _check_block_size(k_max, k_min, n, "k_max")
     entries = enumerate_basic_points(prob)
-    seen = set()
-    reps = []
-    for _, x in entries:
-        key = tuple(np.round(x, 8))
-        if key not in seen:
-            seen.add(key)
-            reps.append(x)
+    points = np.array([x for _, x in entries])
+    first = {}  # rounded point -> index of the first point of its class
+    for i, key in enumerate(map(tuple, np.round(points, 8).tolist())):
+        first.setdefault(key, i)
+    X = points[list(first.values())]
 
     L = prob.objective.lipschitz_global()
-    k_min = 2 if isinstance(prob.term, Cardinality) else 1
-    if k_max > n:
-        raise InvalidParameterError(f"block size {k_max} outside [1, {n}]")
-    # one gradient and one F per point, shared by every check on it
-    X = np.array(reps)
-    G = np.array([prob.objective.gradient(x) for x in X])
+    F, G = composite_values(prob, X)
     l_count = int(np.count_nonzero(_l_stationary_at(prob, X, G, L, LSTAT_TOL)))
-    F = [composite_value(prob, x) for x in X]
 
     block_counts = {k: 0 for k in range(k_min, k_max + 1)}
-    alive = [i for i, f in enumerate(F) if f is not INFEASIBLE]
+    alive = np.flatnonzero(F < np.inf)
     failures = {}  # point -> the error a point-by-point loop meets there
     for k in block_counts:
-        if not alive:
+        if not alive.size:
             break
         try:
             blocks = _all_blocks(n, k)
         except BudgetExceededError as exc:
             failures[alive[0]] = exc
             break
-        verdicts = _certify(prob, X[alive], G[alive], np.array([F[i] for i in alive]),
-                            k, blocks, BLOCK_TOL)
+        verdicts = _certify(prob, X[alive], G[alive], F[alive], k, blocks, BLOCK_TOL)
         failures.update((i, v) for i, v in zip(alive, verdicts) if isinstance(v, Exception))
-        alive = [i for i, v in zip(alive, verdicts) if v is True]
-        block_counts[k] = len(alive)
+        alive = alive[[v is True for v in verdicts]]
+        block_counts[k] = alive.size
     if failures:
         # the loop over points in order stops at the first one that fails
         raise failures[min(failures)]

@@ -19,12 +19,13 @@ from blockdec import problem as problem_module
 from blockdec import stationarity as stationarity_module
 from blockdec import subproblem as subproblem_module
 from blockdec import (BudgetExceededError, Cardinality, CompositeProblem,
-                      DegenerateSystemError, InvalidParameterError, L0Penalty,
+                      DegenerateSystemError, DimensionMismatchError,
+                      InvalidParameterError, L0Penalty,
                       L1Penalty, NumericalError, QuadraticObjective,
-                      composite_value, enumerate_basic_points, is_basic,
+                      composite_value, enumerate_basic_points, gen_random, is_basic,
                       is_block_k, is_l_stationary, landscape_table, solve_block,
                       table1_problem)
-from blockdec.problem import INFEASIBLE
+from blockdec.problem import INFEASIBLE, composite_values
 from blockdec.stationarity import ROUND_REL, ZERO_TOL
 from blockdec.subproblem import OK, TIE_TOL, pattern_deltas
 from blockdec.working_set import random_set
@@ -206,6 +207,13 @@ class TestIsLStationaryCons:
         x = demo_basic_point((0, 1, 2, 5))
         assert is_l_stationary(demo_cons, x, l_const=92.0)
 
+    def test_infinite_l_constant_rejected(self, demo_cons):
+        # at L = inf the proximal step leaves every point where it is
+        x = 5.0 * np.eye(6)[0]
+        assert not is_l_stationary(demo_cons, x)
+        with pytest.raises(InvalidParameterError, match="finite"):
+            is_l_stationary(demo_cons, x, l_const=np.inf)
+
     def test_rejects_relaxation_terms(self):
         prob = CompositeProblem(
             QuadraticObjective(Q=np.eye(2), p=np.zeros(2)), L1Penalty(0.1))
@@ -377,6 +385,18 @@ class TestIsBlockK:
         with pytest.raises(InvalidParameterError):
             is_block_k(demo_cons, CONS_GLOBAL_X, 2, mode="guess")
 
+    @pytest.mark.parametrize("mode, k", [("cons", 2.5), ("regu", 2.5), ("regu", True),
+                                         ("regu", np.float64(2.0))])
+    def test_block_size_must_be_an_integer(self, demo_cons, demo_regu, mode, k):
+        prob = demo_cons if mode == "cons" else demo_regu
+        with pytest.raises(InvalidParameterError, match="block size"):
+            is_block_k(prob, CONS_GLOBAL_X, k)
+
+    @pytest.mark.parametrize("trials", [1.5, True])
+    def test_sampled_trials_must_be_an_integer(self, demo_regu, trials):
+        with pytest.raises(InvalidParameterError, match="trials"):
+            is_block_k(demo_regu, demo_basic_point((3,)), 1, mode="sampled", trials=trials)
+
     @pytest.mark.parametrize("x", [CONS_GLOBAL_X, np.ones(6)], ids=["feasible", "infeasible"])
     @pytest.mark.parametrize("bad", [dict(seed=-1), dict(seed=0.5), dict(trials=0)],
                              ids=["seed-neg", "seed-frac", "no-trials"])
@@ -453,15 +473,43 @@ class TestLandscapeTable:
     @pytest.mark.parametrize("mode, points", [("cons", 55), ("regu", 62)])
     def test_one_gradient_and_value_per_point(self, mode, points):
         # the L-stationarity check and every block-k check on a point share
-        # one gradient and one F
+        # one gradient and one F, all formed in one stacked call
         prob = table1_problem(mode)
         distinct = {tuple(np.round(x, 8)) for _, x in enumerate_basic_points(prob)}
         assert len(distinct) == points
+        stacked = count_calls(prob.objective, "values_and_gradients")
         gradients = count_calls(prob.objective, "gradient")
         values = count_calls(prob.objective, "value")
         landscape_table(prob)
-        assert len(gradients) == points
-        assert len(values) == points
+        assert [len(X) for X, in stacked] == [points]
+        assert not gradients and not values
+
+    @pytest.mark.parametrize("mode, k_max", [
+        ("cons", 1), ("cons", 0), ("cons", -3), ("cons", True), ("cons", 2.5), ("cons", 31),
+        ("regu", 0), ("regu", True), ("regu", 2.5), ("regu", np.float64(3.0)), ("regu", 31)])
+    def test_bad_k_max_rejected_before_enumeration(self, mode, k_max):
+        # k_max must be an integer from the least block size (2 under the
+        # cap, 1 under the penalty) to n = 30; the problem has too many
+        # supports to enumerate, so only a check made first can name k_max
+        rng = np.random.default_rng(1)
+        G = rng.standard_normal((32, 30))
+        term = Cardinality(7) if mode == "cons" else L0Penalty(0.1)
+        prob = CompositeProblem(
+            QuadraticObjective(Q=G.T @ G + np.eye(30), p=rng.standard_normal(30)), term)
+        with pytest.raises(InvalidParameterError, match="k_max"):
+            landscape_table(prob, k_max=k_max)
+
+    def test_integer_k_max_of_any_kind(self, demo_cons):
+        assert landscape_table(demo_cons, k_max=np.int64(3)).row() == [57, 14, 2, 1]
+
+    def test_default_k_max_below_least_block_size(self):
+        # n = 1 under a cap admits no block size (k >= 2): the default k_max
+        # gives the basic and L counts with no block columns
+        prob = CompositeProblem(QuadraticObjective(Q=np.eye(1), p=-np.ones(1)), Cardinality(1))
+        counts = landscape_table(prob)
+        assert (counts.basic, counts.l_stationary, counts.block) == (2, 1, {})
+        with pytest.raises(InvalidParameterError, match="k_max"):
+            landscape_table(prob, k_max=1)
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("mode", ["cons", "regu"])
@@ -509,6 +557,63 @@ class TestLandscapeTable:
                            text=True, env=env)
         assert r.returncode == 0, r.stderr
         assert r.stdout.strip() == "False"
+
+
+class TestStackedValues:
+    """landscape_table's stacked f, gradient and F against the per-point calls.
+
+    Bit for bit: a last-digit change in a gradient can move a verdict near a
+    tie, so values_and_gradients must make each row's own products.
+    """
+
+    @staticmethod
+    def _check(prob, X):
+        obj = prob.objective
+        f, G = obj.values_and_gradients(X)
+        assert np.array_equal(f, [obj.value(x) for x in X])
+        assert np.array_equal(G, [obj.gradient(x) for x in X])
+        F, G_F = composite_values(prob, X)
+        want = [composite_value(prob, x) for x in X]
+        assert np.array_equal(G_F, G)
+        assert np.array_equal(F, [np.inf if v is INFEASIBLE else v for v in want])
+        return F < np.inf
+
+    @pytest.mark.parametrize("mode", ["cons", "regu"])
+    def test_table1_gram_form(self, mode):
+        prob = table1_problem(mode)
+        feasible = self._check(prob, np.array(random_points(prob, np.random.default_rng(0), 20)))
+        assert (not feasible.all()) == (mode == "cons")  # random points overfill the cap
+
+    @pytest.mark.parametrize("seed", [11, 12, 13, 14])
+    @pytest.mark.parametrize("mode", ["cons", "regu"])
+    def test_census_problems(self, mode, seed):
+        A, b, _ = gen_random(20, 8, 4, noise_scale=1.0, seed=seed)
+        term = Cardinality(4) if mode == "cons" else L0Penalty(0.5)
+        prob = CompositeProblem(QuadraticObjective(A=A, b=b), term)
+        self._check(prob, np.array([x for _, x in enumerate_basic_points(prob)]))
+
+    @pytest.mark.parametrize("mode", ["cons", "regu"])
+    def test_near_duplicated_columns(self, mode):
+        A, b = singular_design("near", 0)
+        term = Cardinality(3) if mode == "cons" else L0Penalty(0.2)
+        prob = CompositeProblem(QuadraticObjective(A=A, b=b), term)
+        self._check(prob, np.array(random_points(prob, np.random.default_rng(1), 20)))
+
+    def test_support_path_rows(self):
+        # at 1024x64 a point with nnz <= 2 takes residual's support path,
+        # A[:, S] x_S - b; the denser random points take the dense product
+        rng = np.random.default_rng(2)
+        A, b = rng.standard_normal((1024, 64)), rng.standard_normal(1024)
+        prob = CompositeProblem(QuadraticObjective(A=A, b=b), Cardinality(2))
+        basic = np.array([x for _, x in enumerate_basic_points(prob)])
+        assert all(prob.objective._sparse_support(x) is not None for x in basic)
+        dense = rng.standard_normal((20, 64)) * (rng.random((20, 64)) < 0.2)
+        assert all(prob.objective._sparse_support(x) is None for x in dense)
+        self._check(prob, np.vstack([dense[:10], basic, dense[10:]]))
+
+    def test_shape_checked(self, demo_cons):
+        with pytest.raises(DimensionMismatchError):
+            demo_cons.objective.values_and_gradients(np.zeros(6))
 
 
 class TestHierarchy:

@@ -37,9 +37,14 @@ Each digest covers the bytes of a run's output, never its timings:
   p = -A'b;
 * ``omp`` and ``cvx-l1``: x, on the same instances in cons mode; their line
   gives F, ``iters=0`` and nnz, so a moved line shows its drift too;
-* ``table1``: the census row of the six-variable demo, both modes;
-* ``census``: the row and every basic point of four 20x8 problems, both
-  modes, as the benchmark's census workload builds them;
+* ``table1``: the census line of the six-variable demo, both modes: its
+  row, every basic point, and the points, gradients and F values that
+  the census's block-k certificates receive;
+* ``census``: the census line of each of the sixteen 20x8 problems the
+  benchmark's census workload builds at ``--seed 1``, both modes, and of
+  ``census-near``, the 20x8 problem of instance seed 13 with column 4 set
+  to column 1 plus a 1e-6 perturbation, whose block systems are nearly
+  singular;
 * ``benchmark``: results, summary and trace files of
   ``demos/bench_corrupt.json``, and of two configs that name every solver,
   so that each runner behind ``run_solver`` is covered: all seven in cons
@@ -65,7 +70,8 @@ SIZES = {  # label: (m, n, support, corrupted, lambda, max_iters, window)
     "600x200": (600, 200, 5, False, 100.0, 300, 1000),
 }
 SPLITS = ((4, 2), (0, 6), (6, 0), (6, 6), (1, 0))  # (n_random, n_greedy)
-CENSUS_SEEDS = (11, 12, 13, 14)
+CENSUS_RUN_SEED = 1  # the benchmark --seed whose census problems are listed
+NEAR_SEED, NEAR_GAP = 13, 1e-6  # census-near: the instance seed and column gap
 EVERY_SOLVER = {  # mode: (params, solver names) of the every-solver benchmark configs
     "cons": ([5], ["dec", "pgm", "apgm", "omp", "cvx-l1", "pgm-l1", "pgm-lhalf"]),
     "regu": ([5.0], ["dec", "pgm", "apgm", "pgm-l1", "pgm-lhalf"]),
@@ -92,6 +98,30 @@ def _summary(x, F, iters):
 
 def _row_digest(row, *parts):
     return f"{_digest(row, *parts)} row={','.join(map(str, row))}"
+
+
+def _census_digest(bd, prob, k_max):
+    """The line of one census: its row, its basic points and what it certified.
+
+    The digest also covers the points, gradients and F values that each of
+    the census's calls of ``stationarity._certify`` receives, so a change
+    in the last digit of one of them moves the line even where no count
+    moves.
+    """
+    from blockdec import stationarity
+    certify, args = stationarity._certify, []
+
+    def recording(prob, X, G, F, *rest):
+        args.extend((X, G, F))
+        return certify(prob, X, G, F, *rest)
+
+    stationarity._certify = recording
+    try:
+        row = bd.landscape_table(prob, k_max=k_max).row()
+    finally:
+        stationarity._certify = certify
+    supports, points = zip(*bd.enumerate_basic_points(prob))
+    return _row_digest(row, supports, *points, *args)
 
 
 def _file_digest(out_dir):
@@ -134,14 +164,24 @@ def digests(bd):
         x, trace = bd.run_dec(prob, [0.0] * 2048, config)
         yield f"dec-R{kr}G{kg}/256x2048/cons-from-zero", _run_digest(x, trace)
     for mode in ("cons", "regu"):
-        yield f"table1/{mode}", _row_digest(bd.landscape_table(bd.table1_problem(mode)).row())
-    for seed in CENSUS_SEEDS:
-        A, b, _ = bd.gen_random(20, 8, 4, noise_scale=1.0, seed=seed)
-        for mode, term in (("cons", bd.Cardinality(4)), ("regu", bd.L0Penalty(0.5))):
+        yield f"table1/{mode}", _census_digest(bd, bd.table1_problem(mode), None)
+    import numpy as np  # loaded by now, after BLAS was pinned
+    sys.path.insert(0, os.path.join(ROOT, "bench"))
+    from workloads import WORKLOADS, seeds
+    census = WORKLOADS["census"]
+    designs = []
+    for seed in seeds(census, CENSUS_RUN_SEED)[0]:
+        A, b, _ = bd.gen_random(census.m, census.n, census.support,
+                                noise_scale=census.noise, seed=seed)
+        designs.append((f"census/{seed}", A, b))
+    A, b, _ = bd.gen_random(census.m, census.n, census.support, noise_scale=census.noise,
+                            seed=NEAR_SEED)
+    A[:, 4] = A[:, 1] + NEAR_GAP * np.random.default_rng(NEAR_SEED).standard_normal(census.m)
+    designs.append((f"census-near/{NEAR_SEED}", A, b))
+    for label, A, b in designs:
+        for mode, term in (("cons", bd.Cardinality(census.s)), ("regu", bd.L0Penalty(census.lam))):
             prob = bd.CompositeProblem(bd.QuadraticObjective(A=A, b=b), term)
-            supports, points = zip(*bd.enumerate_basic_points(prob))
-            row = bd.landscape_table(prob, k_max=3).row()
-            yield f"census/{seed}/{mode}", _row_digest(row, supports, *points)
+            yield f"{label}/{mode}", _census_digest(bd, prob, census.k_max)
     with tempfile.TemporaryDirectory() as out_dir:
         bd.benchmark(os.path.join(ROOT, "demos", "bench_corrupt.json"), out_dir)
         yield "benchmark/bench_corrupt", _file_digest(out_dir)
