@@ -9,10 +9,20 @@ descent property
 
 holds exactly for the recorded trace, because objectives are accumulated
 from the subproblem's own improvement deltas rather than recomputed.  One
-gradient per point feeds both working-set selection and the block solve, and
-the greedy part of the working set is ranked once per point.  On factored
-data the residual r = Ax - b is formed once, at x0, and carried across
-moves: a move by d on block B costs r + A[:, B] d, and the gradient A'r.
+gradient per point feeds both working-set selection and the block solve.
+An iteration pays only for the work it does:
+
+* the greedy picks and the pool of the random part are built once per point
+  (``point_picks``), so an iteration draws, gathers and sorts;
+* under a cap at s, a point with nnz(x) = s pins every block on which x is
+  zero (``is_pinned``): z_B = x_B = 0 is its only admissible pattern, so the
+  block solve is skipped and the iteration yields x itself;
+* a step that leaves x unchanged yields the same x object, and ``iterate``
+  records its step norm as 0.0 without forming x_next - x.
+
+On factored data the residual r = Ax - b is formed once, at x0, and carried
+across moves: a move by d on block B costs r + A[:, B] d, and the gradient
+A'r.
 
 ``iterate`` is the one loop of every iterative solver: it checks x0, times and
 records the steps a solver's generator yields, and applies the stopping rule.
@@ -27,8 +37,8 @@ from .data import check_seed
 from .errors import DimensionMismatchError, InvalidParameterError, NumericalError
 from .problem import INFEASIBLE, Cardinality, composite_value, require_l0_term
 from .prox import hard_threshold_topk
-from .subproblem import solve_block
-from .working_set import greedy_picks, select_working_set
+from .subproblem import is_pinned, solve_block
+from .working_set import point_picks, select_working_set
 
 
 @dataclass
@@ -112,7 +122,8 @@ def stopping_rule(relative_drops, window, epsilon):
     t = len(relative_drops)
     if t < window:
         return False
-    return float(np.mean(relative_drops[-window:])) <= epsilon
+    # np.mean's own sum and division, without its dispatch
+    return float(np.add.reduce(relative_drops[-window:])) / window <= epsilon
 
 
 def relative_drop(f_old, f_new):
@@ -143,7 +154,9 @@ def iterate(prob, x0, steps, max_iters, epsilon, window):
     its residual r and F(x0) = f are formed once.  The generator
     ``steps(x, r, f)`` yields ``(x_next, F(x_next), working_set)`` at most
     ``max_iters`` times.  A record holds F at the start, the step
-    norm ||x_next - x||, the working set and the time the step took.
+    norm ||x_next - x||, the working set and the time the step took.  A
+    generator that yields x itself (the same object) has not moved, and its
+    step is recorded as 0.0 without forming x_next - x.
     """
     check_stopping(epsilon, window, max_iters)
     x = np.array(x0, dtype=float)
@@ -164,8 +177,9 @@ def iterate(prob, x0, steps, max_iters, epsilon, window):
     for t in range(max_iters):
         tic = time.perf_counter()
         x_next, f_next, working_set = next(moves)
+        step = 0.0 if x_next is x else float(np.linalg.norm(x_next - x))
         trace.records.append(IterationRecord(
-            iteration=t, objective=f, step_norm=float(np.linalg.norm(x_next - x)),
+            iteration=t, objective=f, step_norm=step,
             working_set=working_set, elapsed=time.perf_counter() - tic))
         if t == drops.size:
             drops = np.concatenate((drops, np.empty(drops.size)))
@@ -190,38 +204,44 @@ def run_dec(prob, x0, config):
     order in eps, after t moves on blocks of k coordinates each entry is
     within (n + 1 + 3 (k + 1) t) eps S of the exact residual, with S the
     largest entry of |A| |x| + |b| over the run's points.  F is accumulated
-    from the block changes, so the drift touches only g.  Once a full-size
-    working set leaves x unchanged the point is a global minimizer of the
-    anchored problem over every block, so later iterations skip the
-    subproblem solve and only advance the trace until the stopping rule
-    fires.
+    from the block changes, so the drift touches only g.
+
+    Every iteration selects its working set, and g, the picks and pool of
+    ``point_picks`` and nnz(x) are renewed only when x moves.  Two cases
+    skip the subproblem solve and yield x unchanged.  A block that
+    ``is_pinned`` (a cap at s, nnz(x) = s and x_B = 0) has z_B = x_B as its
+    only admissible pattern; the solve would return a copy of x.  And once a
+    full-size working set leaves x unchanged, the point is a global
+    minimizer of the anchored problem over every block, so later iterations
+    only advance the trace until the stopping rule fires.
     """
     require_l0_term(prob.term, "decomposition")
-    objective = prob.objective
-    # the greedy picks depend only on x and g, so they are ranked once per point
-    ranked = 0 < config.n_greedy and config.n_random + config.n_greedy < prob.n
+    objective, term = prob.objective, prob.term
+    # the picks depend only on x and g, so they are built once per point
+    partial = config.n_random + config.n_greedy < prob.n
 
     def renew(x, r):
         g = objective.gradient(x, r=r)
-        return g, greedy_picks(prob, x, g, config.n_greedy) if ranked else None
+        picks = point_picks(prob, x, g, config.n_greedy) if partial else None
+        return g, picks, np.count_nonzero(x)
 
     def dec_steps(x, r, f):
-        g, greedy = renew(x, r)  # g and the picks are renewed only when x moves
+        g, picks, nnz = renew(x, r)  # renewed only when x moves
         rng = np.random.default_rng(config.seed)
         settled = False  # full block solved exactly; nothing left to improve
         while True:
             B = select_working_set(prob, x, g, config.n_random, config.n_greedy, rng,
-                                   greedy=greedy)
-            if not settled:
+                                   picks=picks)
+            if not settled and not is_pinned(term, nnz, np.count_nonzero(x[B]), B.size):
                 result = solve_block(prob, x, g, B, config.theta)
                 f = f + result.composite_delta
                 # a move of entries below ~1e-162 has step 0.0 but is still a move
                 if not np.array_equal(result.x_next, x):
                     r = objective.moved_residual(r, B, result.x_next[B] - x[B])
-                    g, greedy = renew(result.x_next, r)
-                elif len(B) == prob.n:
+                    x = result.x_next
+                    g, picks, nnz = renew(x, r)
+                elif B.size == prob.n:
                     settled = True
-                x = result.x_next
             yield x, f, tuple(B.tolist())
 
     return iterate(prob, x0, dec_steps, config.max_iters, config.epsilon, config.window)

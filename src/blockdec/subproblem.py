@@ -258,23 +258,48 @@ def _tiny_pivots(L, M):
     return (pivots <= PIVOT_FLOOR * np.diagonal(M, axis1=-2, axis2=-1)).any(axis=-1)
 
 
+def block_budget(term, nnz_x, nnz_x_B, k):
+    """The most nonzeros a pattern on block B (k coordinates) may hold at x.
+
+    Under a cardinality cap it is s less the nonzeros of x outside B, and
+    negative when x is infeasible; under the count penalty it is k.
+    """
+    if isinstance(term, Cardinality):
+        return term.s - (nnz_x - nnz_x_B)
+    return k
+
+
+def is_pinned(term, nnz_x, nnz_x_B, k):
+    """True when x is the one admissible point of block B: x_B = 0 and a budget of 0.
+
+    Then z_B = x_B = 0 is the block's only pattern, and its solve returns x
+    unchanged.  Only a cap at s with nnz(x) = s pins a block.
+    """
+    return nnz_x_B == 0 and block_budget(term, nnz_x, nnz_x_B, k) == 0
+
+
 def solve_block(prob, x, g, B, theta):
     """Globally solve the block subproblem on working set B; g is grad f(x).
 
-    B is any sequence of distinct nonnegative coordinate indices; it is
-    sorted once here.  Enumerates every support pattern inside B (pruned to
-    the remaining cardinality budget under a Cardinality term), solves the
-    restricted quadratics in batches, and returns the best candidate.  Ties
-    within ``TIE_TOL`` go to the candidate with fewer nonzeros, then to the
-    lexicographically smaller pattern mask (bit j of the mask corresponds to
-    B's j-th smallest index).
+    B is a 1-D sequence of distinct nonnegative integer indices (not bools);
+    it is sorted here unless it is strictly increasing already.  Enumerates
+    every support pattern inside B (pruned to the remaining cardinality
+    budget under a Cardinality term), solves the restricted quadratics in
+    batches, and returns the best candidate.  Ties within ``TIE_TOL`` go to
+    the candidate with fewer nonzeros, then to the lexicographically smaller
+    pattern mask (bit j of the mask corresponds to B's j-th smallest index).
+    A block that ``is_pinned`` costs no enumeration: x comes back unchanged,
+    with one pattern evaluated.
     """
     require_l0_term(prob.term, "block decomposition")
-    given = np.asarray(B, dtype=int)
-    idx = np.unique(given)
-    k = idx.size
-    if k == 0:
+    given = np.asarray(B)
+    if given.size == 0:
         raise InvalidParameterError("working set must be nonempty")
+    if given.ndim != 1 or given.dtype.kind not in "iu":
+        raise InvalidParameterError(
+            f"working set must be a 1-D sequence of integer indices, got {given.tolist()}")
+    idx = given if (given[1:] > given[:-1]).all() else np.unique(given)
+    k = idx.size
     if idx[0] < 0:
         raise InvalidParameterError("working set indices must be nonnegative")
     if k < given.size:
@@ -292,16 +317,13 @@ def solve_block(prob, x, g, B, theta):
 
     x_B = x[idx]
     nnz_x_B = int(np.count_nonzero(x_B))
-    nnz_out = int(np.count_nonzero(x)) - nnz_x_B
-    if isinstance(prob.term, Cardinality):
-        budget, lam = prob.term.s - nnz_out, 0.0
-        if budget < 0:
-            raise InvalidParameterError("x is infeasible for the cardinality bound")
-    else:
-        budget, lam = k, prob.term.lam
-    if budget == 0 and nnz_x_B == 0:
-        # the one admissible pattern, z_B = 0, is x_B itself
+    nnz_x = int(np.count_nonzero(x))
+    budget = block_budget(prob.term, nnz_x, nnz_x_B, k)
+    if budget < 0:
+        raise InvalidParameterError("x is infeasible for the cardinality bound")
+    if is_pinned(prob.term, nnz_x, nnz_x_B, k):
         return BlockSolveResult(x_next=x.copy(), patterns_evaluated=1)
+    lam = 0.0 if isinstance(prob.term, Cardinality) else prob.term.lam
 
     # block-local data: g and Q on B; every pattern's system is a principal
     # submatrix of Q_BB + theta I

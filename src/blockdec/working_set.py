@@ -4,9 +4,10 @@ The mixed strategy ("R i G j" in the command-line naming) takes the j
 coordinates with the best one-coordinate improvement scores and fills the
 rest of the block with i coordinates drawn uniformly from the remainder.
 Ranking is O(n) (a partition, then a sort of the j best keys and any that
-tie with the j-th), and the decomposition loop ranks once per point it visits: the
-greedy picks depend only on x and its gradient, so iterations that leave x
-unchanged reuse them and only draw the random part afresh.
+tie with the j-th), and the decomposition loop ranks once per point it
+visits: the greedy picks, and the pool of coordinates the random part draws
+from, depend only on x and its gradient (``point_picks``).  Iterations that
+leave x unchanged reuse both and only draw the random part afresh.
 """
 
 import numpy as np
@@ -51,23 +52,34 @@ def greedy_scores(prob, x, g):
     return np.where(x == 0.0, drop, change)
 
 
-def greedy_picks(prob, x, g, n_greedy):
-    """The n_greedy coordinates with the smallest greedy scores, ties to the lower index.
+def point_picks(prob, x, g, n_greedy):
+    """The greedy picks at x and the pool of the random part: ``(greedy, pool)``.
 
-    Returned in rank order; g is grad f(x) and 1 <= n_greedy <= n.
+    ``greedy`` holds the n_greedy coordinates with the smallest greedy
+    scores in rank order, ties to the lower index (none when n_greedy = 0),
+    and ``pool`` every other coordinate, ascending.  Both depend only on x
+    and g = grad f(x), so the decomposition loop builds them once per point;
+    0 <= n_greedy < n.
     """
-    return smallest_k(greedy_scores(prob, x, g), n_greedy)
+    if n_greedy:
+        greedy = smallest_k(greedy_scores(prob, x, g), n_greedy)
+    else:
+        greedy = np.empty(0, dtype=np.intp)
+    rest = np.ones(prob.n, dtype=bool)
+    rest[greedy] = False
+    return greedy, np.flatnonzero(rest)
 
 
-def select_working_set(prob, x, g, n_random, n_greedy, rng, greedy=None):
+def select_working_set(prob, x, g, n_random, n_greedy, rng, picks=None):
     """Pick n_greedy coordinates by greedy score, n_random uniformly; g is grad f(x).
 
     The n_greedy coordinates with the smallest ``greedy_scores`` win (ties
-    by lower index); ``greedy`` may carry them, as ``greedy_picks`` returned
-    them for this x, to skip the ranking.  The random part is drawn without
-    replacement from the remaining coordinates in ascending order.  Returns
-    a sorted int array.  A full-size request short-circuits to the complete
-    index set without consuming randomness.
+    by lower index), and the random part is drawn without replacement from
+    the remaining coordinates in ascending order.  ``picks`` may carry both,
+    as ``point_picks`` returned them for this x, so that a call only draws
+    from the pool, gathers and sorts.  Returns a sorted int array.  A
+    full-size request short-circuits to the complete index set without
+    consuming randomness.
     """
     n = prob.n
     if n_random < 0 or n_greedy < 0:
@@ -78,10 +90,7 @@ def select_working_set(prob, x, g, n_random, n_greedy, rng, greedy=None):
     if k == n:
         return np.arange(n)
 
-    taken = np.zeros(n, dtype=bool)
-    if n_greedy > 0:
-        taken[greedy_picks(prob, x, g, n_greedy) if greedy is None else greedy] = True
+    B, pool = point_picks(prob, x, g, n_greedy) if picks is None else picks
     if n_random > 0:
-        pool = np.flatnonzero(~taken)
-        taken[pool[rng.choice(pool.size, size=n_random, replace=False)]] = True
-    return np.flatnonzero(taken)
+        B = np.concatenate((B, pool[rng.choice(pool.size, size=n_random, replace=False)]))
+    return np.sort(B)

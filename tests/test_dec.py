@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from blockdec import (Cardinality, CompositeProblem, DecConfig, DimensionMismatchError,
                       InvalidParameterError, L0Penalty, QuadraticObjective, apgm,
                       composite_value, greedy_scores, init_solution, pgm, relative_drop,
-                      run_dec, solve_block, stopping_rule)
+                      run_dec, select_working_set, solve_block, stopping_rule)
 from blockdec import dec as dec_module
 from blockdec.dec import check_stopping
 from blockdec import working_set as working_set_module
@@ -421,10 +421,11 @@ class TestStartContract:
             assert trace.records[0].objective == composite_value(prob, np.ones(8))
 
 
-def reranking_select(prob, x, g, n_random, n_greedy, rng, greedy=None):
+def reranking_select(prob, x, g, n_random, n_greedy, rng, picks=None):
     """The selection rule with a full lexsort of the scores on every call.
 
-    Ignores any cached picks, so a run through it ranks on every iteration.
+    Ignores the picks and pool that the loop builds once per point, so a run
+    through it ranks, and builds its pool, on every iteration.
     """
     n = prob.n
     if n_random + n_greedy == n:
@@ -458,3 +459,86 @@ class TestRankedOncePerPoint:
         # zero steps reuse the picks; moves rank afresh
         moves = sum(r.step_norm > 0.0 for r in trace.records)
         assert 0 < moves < len(trace)
+
+
+def reference_dec(prob, x0, config):
+    """``run_dec`` as a plain loop; returns (x, records, status, final F, pinned).
+
+    It selects through the public ``select_working_set`` with no pool,
+    calls ``solve_block`` on every iteration (a pinned block and a settled
+    full block included), forms every step norm and stops on ``np.mean``.
+    It carries the residual as ``run_dec`` does, so the gradients agree to
+    the bit.  ``pinned`` counts the iterations whose block had z_B = x_B = 0
+    as its only pattern: a cap at s, nnz(x) = s and x_B = 0.
+    """
+    objective = prob.objective
+    x = np.array(x0, dtype=float)
+    r = objective.residual(x)
+    f = composite_value(prob, x, r=r)
+    g = objective.gradient(x, r=r)
+    rng = np.random.default_rng(config.seed)
+    records, drops, status, pinned = [], [], "max_iters", 0
+    for _ in range(config.max_iters):
+        B = select_working_set(prob, x, g, config.n_random, config.n_greedy, rng)
+        pinned += (isinstance(prob.term, Cardinality) and np.count_nonzero(x) == prob.term.s
+                   and not x[B].any())
+        result = solve_block(prob, x, g, B, config.theta)
+        f_next = f + result.composite_delta
+        records.append((f, float(np.linalg.norm(result.x_next - x)), tuple(B.tolist())))
+        if not np.array_equal(result.x_next, x):
+            r = objective.moved_residual(r, B, result.x_next[B] - x[B])
+            g = objective.gradient(result.x_next, r=r)
+        drops.append(relative_drop(f, f_next))
+        x, f = result.x_next, f_next
+        if len(drops) >= config.window and np.mean(drops[-config.window:]) <= config.epsilon:
+            status = "converged"
+            break
+    return x, records, status, f, pinned
+
+
+class TestIdenticalToSolvingEveryBlock:
+    # label: (n, term, start, (n_random, n_greedy)); the starts are "full"
+    # (init_solution: s nonzeros under a cap, so most blocks are pinned) and
+    # "zero"; the n = 8 full block settles after its first zero step
+    CASES = {
+        "cons-full-R4G2": (60, Cardinality(5), "full", (4, 2)),
+        "cons-full-R0G6": (60, Cardinality(5), "full", (0, 6)),
+        "cons-full-R6G0": (60, Cardinality(5), "full", (6, 0)),
+        "cons-zero-R4G2": (60, Cardinality(5), "zero", (4, 2)),
+        "regu-R4G2": (60, L0Penalty(0.5), "full", (4, 2)),
+        "regu-R0G6": (60, L0Penalty(0.5), "full", (0, 6)),
+        "regu-R6G0": (60, L0Penalty(0.5), "full", (6, 0)),
+        "cons-full-block": (8, Cardinality(3), "full", (8, 0)),
+        "regu-full-block": (8, L0Penalty(0.5), "full", (8, 0)),
+    }
+
+    @pytest.mark.parametrize("form", ["factored", "gram"])
+    @pytest.mark.parametrize("label", list(CASES))
+    def test_byte_identical(self, label, form, monkeypatch):
+        n, term, start, (n_random, n_greedy) = self.CASES[label]
+        prob, _ = random_factored_problem(20, n, 3, term)
+        if form == "gram":  # the same problem as Q = A'A and p = -A'b
+            A, b = prob.objective.A, prob.objective.b
+            prob = CompositeProblem(QuadraticObjective(Q=A.T @ A, p=-(A.T @ b)), term)
+        x0 = init_solution(n, term, 3) if start == "full" else np.zeros(n)
+        config = DecConfig(n_random=n_random, n_greedy=n_greedy, seed=3, max_iters=300)
+        solves = []
+
+        def counted_solve(*args):
+            solves.append(args)
+            return solve_block(*args)
+
+        monkeypatch.setattr(dec_module, "solve_block", counted_solve)
+        x, trace = run_dec(prob, x0, config)
+        x_ref, records, status, f_ref, pinned = reference_dec(prob, x0, config)
+        assert x.tobytes() == x_ref.tobytes()
+        assert [(r.objective, r.step_norm, r.working_set) for r in trace.records] == records
+        assert (trace.status, trace.final_objective) == (status, f_ref)
+        # every run has zero steps; cons-full-R0G6 has nothing else, since
+        # its six picks are always zero coordinates of a full support
+        assert sum(r.step_norm > 0.0 for r in trace.records) < len(trace)
+        if label.endswith("full-block"):
+            assert len(solves) < len(trace)  # no solve once settled
+        else:
+            assert len(solves) == len(trace) - pinned  # exactly the pinned blocks skipped
+            assert (pinned > 0) == label.startswith("cons")

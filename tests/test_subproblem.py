@@ -264,6 +264,51 @@ class TestValidation:
             with pytest.raises(InvalidParameterError):
                 solve_block(prob, x, prob.objective.gradient(x), empty, 1.0)
 
+    def test_indices_must_be_a_flat_integer_sequence(self):
+        # a 2-D block is not flattened into a 4-block, fractional indices are
+        # not truncated, and bools are not read as 0 and 1
+        prob = random_gram_problem(4, 7, Cardinality(4))
+        x = np.zeros(4)
+        for bad in ([[0, 1], [2, 3]], [0.5, 1.7, 2.2], [0.0, 1.0], [False, True],
+                    np.array([[2]])):
+            with pytest.raises(InvalidParameterError, match="1-D sequence of integer"):
+                solve_block(prob, x, prob.objective.gradient(x), bad, 1e-3)
+
+    def test_increasing_indices_skip_the_sort(self, monkeypatch):
+        # strictly increasing input is used as given; any other is sorted
+        # once, and both solve alike
+        prob = random_gram_problem(5, 7, Cardinality(2))
+        x = np.zeros(5)
+        g = prob.objective.gradient(x)
+        sorts = []
+        unique = np.unique
+
+        def counted(a, *args, **kw):
+            sorts.append(a)
+            return unique(a, *args, **kw)
+
+        monkeypatch.setattr(np, "unique", counted)
+        want = solve_block(prob, x, g, np.array([0, 2, 3]), 1e-3)
+        assert sorts == []
+        got = solve_block(prob, x, g, [3, 0, 2], 1e-3)
+        assert len(sorts) == 1
+        assert got.x_next.tobytes() == want.x_next.tobytes()
+        assert got.composite_delta == want.composite_delta
+
+    def test_pinned_block_skips_the_enumeration(self):
+        # nnz(x) = s and x_B = 0: z_B = 0 is the only pattern, x comes back
+        # as a copy, and only a zero block of a full support is pinned
+        prob = random_gram_problem(6, 7, Cardinality(2))
+        x = np.array([1.0, 0.0, 0.0, -2.0, 0.0, 0.0])
+        g = prob.objective.gradient(x)
+        result = solve_block(prob, x, g, [1, 2, 4], 1e-3)
+        assert result.x_next is not x and result.x_next.tobytes() == x.tobytes()
+        assert (result.patterns_evaluated, result.composite_delta) == (1, 0.0)
+        assert subproblem_module.is_pinned(prob.term, 2, 0, 3)
+        assert not subproblem_module.is_pinned(prob.term, 2, 1, 3)  # x_B != 0
+        assert not subproblem_module.is_pinned(prob.term, 1, 0, 3)  # budget 1
+        assert not subproblem_module.is_pinned(L0Penalty(0.1), 6, 0, 3)
+
     def test_unsorted_indices_match_sorted(self):
         # bit j of the pattern mask is the j-th smallest index whatever the
         # input order, so tie-breaking and the result do not depend on it

@@ -30,7 +30,9 @@ Each digest covers the bytes of a run's output, never its timings:
   64x256 instance (stopping rule), 256x2048 (300 iterations), 30x4200
   (above ``_GRAM_CACHE_LIMIT``, 150 iterations) and the tall 600x200 (300
   iterations); and R4G2 and R6G6 in cons mode on 256x2048 from x = 0 (300
-  iterations), whose blocks have budgets below their size;
+  iterations), whose blocks have budgets below their size; and R4G2 in both
+  modes on the Gram form of the corrupted 64x256 instance, Q = A'A and
+  p = -A'b, whose gradients are Qx + p;
 * ``pgm`` and ``apgm``: the same fields, on the same instances.  On 600x200
   L comes from A'A, the only tall case, and their iterates have at most
   n/32 nonzeros, so their gradients come from the Gram-column store and its
@@ -163,6 +165,16 @@ def digests(bd):
         config = bd.DecConfig(n_random=kr, n_greedy=kg, seed=0, max_iters=300, window=1000)
         x, trace = bd.run_dec(prob, [0.0] * 2048, config)
         yield f"dec-R{kr}G{kg}/256x2048/cons-from-zero", _run_digest(x, trace)
+    # Gram form: g = Qx + p, with no residual to carry
+    m, n, s, _, lam, max_iters, window = SIZES["64x256"]
+    A, b, _ = bd.gen_random(m, n, s, seed=1)
+    A = bd.corrupt(A, seed=2)
+    objective = bd.QuadraticObjective(Q=A.T @ A, p=-(A.T @ b))
+    config = bd.DecConfig(n_random=4, n_greedy=2, seed=0, max_iters=max_iters, window=window)
+    for mode, term in (("cons", bd.Cardinality(s)), ("regu", bd.L0Penalty(lam))):
+        prob = bd.CompositeProblem(objective, term)
+        x, trace = bd.run_dec(prob, bd.init_solution(n, term, 0), config)
+        yield f"dec-R4G2/64x256-gram/{mode}", _run_digest(x, trace)
     for mode in ("cons", "regu"):
         yield f"table1/{mode}", _census_digest(bd, bd.table1_problem(mode), None)
     import numpy as np  # loaded by now, after BLAS was pinned
