@@ -9,17 +9,23 @@ Two on-disk formats are supported:
   1-based strictly ascending indices, the common SVM-light style.
 
 Files are UTF-8 text; a byte that is not UTF-8 is reported at its line.
-Readers take one nonblank line at a time; dense and point files parse each
-line into one float array, and sparse text each row into one index and one
-value array, so memory grows with the numbers read, not with the tokens or
-with the header's claim.  All floats are written with %.17g, so
-write-then-read round trips are exact.
+Readers take one nonblank line at a time.  Dense and point files parse each
+line's floats into the next slice of one array, allocated once at the
+header's m*n + m (dense) and at most at the tokens the file's size can
+hold, so a load holds A once plus one line, and a header that claims more
+than the file holds allocates nothing beyond the file.  Sparse text parses
+each row into one index and one value array.  Finiteness is checked with
+no mask the size of A (``all_finite``).  All floats are written with %.17g,
+so write-then-read round trips are exact.
 All randomness flows through numpy's PCG64 generator seeded explicitly; the
 draw order inside each generator is fixed and documented, so a given seed
 yields the same instance on every platform.
 """
 
+import math
 import numbers
+import os
+import stat
 
 import numpy as np
 
@@ -31,6 +37,22 @@ FLOAT_FMT = "%.17g"
 def is_integer(value):
     """True for an integer of any kind (int, np.int64, ...) but a bool."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def all_finite(a, axis=None):
+    """True where every entry of ``a`` (along ``axis``) is finite.
+
+    Read with no bool mask the size of ``a``.  A nan or +-inf entry makes
+    its sum non-finite, so a finite sum settles it in one pass.  Only where
+    a sum is not finite, which finite entries can also give by overflow,
+    are min and max read: nan propagates through both, and +-inf is one of
+    them.  An empty array or row is finite.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # inf + -inf is nan, no warning
+        finite = np.isfinite(a.sum(axis))
+    if np.all(finite):
+        return finite
+    return np.isfinite(a.min(axis, initial=0.0)) & np.isfinite(a.max(axis, initial=0.0))
 
 
 def check_seed(seed, what="seed"):
@@ -134,9 +156,39 @@ def _floats(ln, toks):
         raise
 
 
+_GROW_FROM = 1 << 16  # first size of the array where the OS reports no file size
+
+
+def _read_floats(path, lines, cap=math.inf, ln=1):
+    """Parse the floats of ``lines`` from ``path`` into one array; returns (values, line).
+
+    ``line`` is the number of the last line read, or ``ln`` if there was
+    none.  The array is allocated once, at ``cap`` entries or at the tokens
+    the file can hold (each takes a byte and a separator), whichever is
+    less, and each line is parsed into its next slice.  Where the OS reports
+    no file size (a pipe) it starts at ``_GROW_FROM`` entries and doubles,
+    up to ``cap``, as numbers arrive.  More than ``cap`` numbers raise
+    "trailing data after b" at the line that holds the first extra one.
+    """
+    st = os.stat(path)
+    bound = st.st_size // 2 + 1 if stat.S_ISREG(st.st_mode) else _GROW_FROM
+    vals, found = np.empty(min(cap, bound)), 0
+    for ln, toks in lines:
+        end = found + len(toks)
+        if end > cap:
+            raise DataFormatError("trailing data after b", line=ln)
+        if end > vals.size:  # vals is this function's own, with no view on it
+            vals.resize(min(max(end, 2 * vals.size), cap), refcheck=False)
+        vals[found:end] = _floats(ln, toks)
+        found = end
+    if found < vals.size:
+        vals.resize(found, refcheck=False)
+    return vals, ln
+
+
 def _finite(vals, path):
     """vals if every entry is finite; else raise at the file's first non-finite token."""
-    if not np.isfinite(vals).all():  # once per file: per line it outweighs short lines' parse
+    if not all_finite(vals):  # once per file: per line it outweighs short lines' parse
         for ln, toks in _lines(path):
             finite = np.isfinite(_floats(ln, toks))
             if not finite.all():
@@ -146,7 +198,7 @@ def _finite(vals, path):
 
 
 def load_dense_instance(path):
-    """Read the header-A-b dense format; returns (A, b)."""
+    """Read the header-A-b dense format; returns (A, b), views of one array."""
     lines = _lines(path)
     ln, head = next(lines, (1, []))
     if len(head) < 2:
@@ -163,16 +215,11 @@ def load_dense_instance(path):
     if m < 1 or n < 1:
         raise DataFormatError(f"header dimensions must be positive, got {m} {n}", line=ln)
     need = m * n + m
-    parts, found = [], 0
-    for ln, toks in lines:
-        found += len(toks)
-        if found > need:
-            raise DataFormatError("trailing data after b", line=ln)
-        parts.append(_floats(ln, toks))
-    if found < need:  # counts include the two header entries
+    vals, ln = _read_floats(path, lines, need, ln)
+    if vals.size < need:  # counts include the two header entries
         raise DataFormatError(
-            f"file ends early: expected {need + 2} numbers, found {found + 2}", line=ln)
-    vals = _finite(np.concatenate(parts), path)  # the header's two integers are finite
+            f"file ends early: expected {need + 2} numbers, found {vals.size + 2}", line=ln)
+    vals = _finite(vals, path)  # the header's two integers are finite
     return vals[:m * n].reshape(m, n), vals[m * n:]
 
 
@@ -247,7 +294,7 @@ def load_sparse_text(path, rows=None, cols=None, seed=0):
     for i, (_, idxs, vals) in enumerate(rows_data):
         A[i, idxs] = vals
     b = np.asarray(labels)
-    finite = np.isfinite(A).all(axis=1) & np.isfinite(b)
+    finite = all_finite(A, axis=1) & np.isfinite(b)
     if not finite.all():
         raise DataFormatError("non-finite number (nan or inf)",
                               line=rows_data[int(np.argmin(finite))][0])
@@ -296,8 +343,7 @@ def save_point(path, x):
 
 
 def load_point(path, n=None):
-    parts = [_floats(ln, toks) for ln, toks in _lines(path)]
-    vals = _finite(np.concatenate(parts) if parts else np.empty(0), path)
+    vals = _finite(_read_floats(path, _lines(path))[0], path)
     if n is not None and vals.size != n:
         raise DataFormatError(f"point has {vals.size} entries, expected {n}")
     return vals

@@ -19,6 +19,7 @@ the gradient-type baseline solvers.
 import numpy as np
 
 from . import prox
+from .data import all_finite
 from .errors import (DataFormatError, DimensionMismatchError, InvalidParameterError,
                      NumericalError)
 
@@ -254,7 +255,7 @@ class QuadraticObjective:
             if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
                 raise DimensionMismatchError(f"Q must be square, got shape {Q.shape}")
             p = _as_vector(p, Q.shape[0], "p")
-            if not (np.isfinite(Q).all() and np.isfinite(p).all()):
+            if not (all_finite(Q) and all_finite(p)):
                 raise DataFormatError("Q or p has a non-finite entry (nan or inf)")
             scale = np.max(np.abs(Q)) if Q.size else 0.0
             if scale > 0 and np.max(np.abs(Q - Q.T)) > 1e-12 * scale:
@@ -270,7 +271,7 @@ class QuadraticObjective:
             if A.ndim != 2:
                 raise DimensionMismatchError(f"A must be a matrix, got shape {A.shape}")
             b = _as_vector(b, A.shape[0], "b")
-            if not (np.isfinite(A).all() and np.isfinite(b).all()):
+            if not (all_finite(A) and all_finite(b)):
                 raise DataFormatError("A or b has a non-finite entry (nan or inf)")
             self.m, self.n = A.shape
             self.A, self.b = A.copy(), b.copy()

@@ -41,17 +41,25 @@ def run_cli(*args, **kw):
                           capture_output=True, text=True, env=env, **kw)
 
 
-def count_calls(obj, name):
-    """Record every call of ``obj.name`` from now on; returns the record list."""
-    calls = []
-    method = getattr(obj, name)
+@pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls(obj, name)`` records every call of ``obj.name``; returns the record list.
 
-    def counted(*args, **kw):
-        calls.append(args)
-        return method(*args, **kw)
+    The counter is installed through ``monkeypatch``, so ``obj.name`` is the
+    original again once the test ends.
+    """
+    def install(obj, name):
+        calls = []
+        method = getattr(obj, name)
 
-    setattr(obj, name, counted)
-    return calls
+        def counted(*args, **kw):
+            calls.append(args)
+            return method(*args, **kw)
+
+        monkeypatch.setattr(obj, name, counted)
+        return calls
+
+    return install
 
 
 @pytest.fixture

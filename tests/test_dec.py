@@ -13,7 +13,7 @@ from blockdec import dec as dec_module
 from blockdec.dec import check_stopping
 from blockdec import working_set as working_set_module
 
-from conftest import (CONS_GLOBAL_F, CONS_GLOBAL_X, REGU_GLOBAL_F, count_calls,
+from conftest import (CONS_GLOBAL_F, CONS_GLOBAL_X, REGU_GLOBAL_F,
                       random_factored_problem, random_gram_problem)
 
 EPS = np.finfo(float).eps
@@ -166,7 +166,7 @@ class TestRunDec:
         assert np.count_nonzero(x) <= 3
 
     @pytest.mark.parametrize("term", [Cardinality(3), L0Penalty(0.5)], ids=["cons", "regu"])
-    def test_one_gradient_per_point(self, term, monkeypatch):
+    def test_one_gradient_per_point(self, term, monkeypatch, count_calls):
         # g is computed at the start and after each move, never on a zero
         # step.  Every block solve receives A'r for the residual r carried
         # from x0, which agrees with the fresh A'(Ax - b) at its own x within
@@ -210,7 +210,7 @@ class TestRunDec:
         assert fresh and all(fresh)
 
     @pytest.mark.parametrize("term", [Cardinality(3), L0Penalty(0.5)], ids=["cons", "regu"])
-    def test_one_residual_per_point(self, term):
+    def test_one_residual_per_point(self, term, count_calls):
         # F(x0) and the first gradient share the one residual formed at x0;
         # after each move the residual is carried, never formed afresh
         prob, _ = random_factored_problem(10, 16, 4, term)
@@ -261,7 +261,7 @@ class TestRunDec:
                                          (8, (6, 2)), (16, (5, 0))],
                              ids=["R3G2", "R0G3", "full", "R6G2-full", "R5G0"])
     @pytest.mark.parametrize("term", [Cardinality(3), L0Penalty(0.5)], ids=["cons", "regu"])
-    def test_greedy_ranked_once_per_point(self, term, n, split):
+    def test_greedy_ranked_once_per_point(self, term, n, split, count_calls):
         # the scores are ranked at the start and after each move, never on a
         # zero step, and never when no greedy pick is asked for; the loop
         # still selects through dec's binding once per iteration
@@ -280,7 +280,13 @@ class TestRunDec:
         else:
             assert ranked == []
 
-    def test_gradient_renewed_after_an_underflowing_step(self):
+    def test_counters_are_undone_after_the_test(self):
+        # runs after test_greedy_ranked_once_per_point, which counted both
+        # names: each is the original function again
+        assert dec_module.select_working_set is select_working_set
+        assert working_set_module.greedy_scores is greedy_scores
+
+    def test_gradient_renewed_after_an_underflowing_step(self, count_calls):
         # clearing entries of 1e-170 is a move whose step_norm squares to
         # 0.0; the gradient must still follow x
         prob = CompositeProblem(QuadraticObjective(Q=np.eye(4), p=np.zeros(4)),

@@ -13,7 +13,7 @@ from blockdec import (INFEASIBLE, Cardinality, CompositeProblem, DecConfig,
                       corrupt, gen_random, init_solution, pgm, run_dec,
                       table1_problem)
 
-from conftest import DEMO_L, count_calls
+from conftest import DEMO_L
 
 
 def _rand_gram(n, seed):
@@ -86,6 +86,24 @@ class TestQuadraticObjective:
             QuadraticObjective(Q=Q, p=np.zeros(2))
         with pytest.raises(DataFormatError, match="non-finite"):
             QuadraticObjective(Q=np.eye(2), p=p)
+
+    def test_finiteness_check_builds_no_mask_the_size_of_the_data(self, monkeypatch):
+        # A, b, Q and p are each checked from their min and max
+        sizes, isfinite = [], np.isfinite
+
+        def recording(x, *args, **kw):
+            sizes.append(np.size(x))
+            return isfinite(x, *args, **kw)
+
+        monkeypatch.setattr(np, "isfinite", recording)
+        A, b = np.ones((30, 40)), np.ones(30)
+        QuadraticObjective(A=A, b=b)
+        QuadraticObjective(Q=A.T @ A, p=-(A.T @ b))
+        assert sizes and max(sizes) == 1
+        # finite entries whose sum overflows are accepted
+        big = np.full(3, 1.7976931348623157e308)
+        QuadraticObjective(A=np.diag(big), b=big)
+        QuadraticObjective(Q=np.diag(big / 2), p=big)  # Q + Q' stays finite
 
     def test_shape_mismatches(self):
         Q, p = _rand_gram(3, 5)
@@ -367,7 +385,7 @@ class TestGramColumns:
             np.testing.assert_array_equal(columns.gradient(x), objective.gradient(x))
             assert len(columns) == 0
 
-    def test_each_column_is_formed_once(self):
+    def test_each_column_is_formed_once(self, count_calls):
         A, b, obj = self._objective()
         columns = obj.gram_columns()
         first = self._point(np.arange(0, 20))
@@ -379,7 +397,7 @@ class TestGramColumns:
         columns.gradient(self._point(np.arange(5, 25)))
         assert len(columns) == 30 and calls == []
 
-    def test_a_support_past_the_bound_falls_back_and_does_not_grow_the_store(self):
+    def test_a_support_past_the_bound_falls_back_and_does_not_grow_the_store(self, count_calls):
         A, b, obj = self._objective()
         columns = obj.gram_columns()
         for start in range(0, 120, 20):  # 120 of the 128 columns
@@ -394,7 +412,7 @@ class TestGramColumns:
         assert len(columns) == 120 and len(calls) == 2
         assert columns._rows.nbytes <= A.nbytes // 2
 
-    def test_pgm_and_apgm_leave_the_gram_cache_unfilled(self):
+    def test_pgm_and_apgm_leave_the_gram_cache_unfilled(self, count_calls):
         # n = 320 is under the cache limit; the stores take p from
         # linear_term() and their columns from A, and neither fills the Gram
         _, _, obj = self._objective()
@@ -524,7 +542,7 @@ class TestExactLipschitz:
         for obj in objs:
             assert obj.lipschitz_global() == float(np.linalg.eigvalsh(obj.gram_matrix())[-1])
 
-    def test_wide_data_fill_no_gram_and_call_no_matvec(self, branch):
+    def test_wide_data_fill_no_gram_and_call_no_matvec(self, branch, count_calls):
         # n = 300 is under the cache limit, yet no solver fills the 300^2 Gram:
         # dec's block solves read their k columns of A
         A, b, _ = gen_random(20, 300, 4, seed=5)

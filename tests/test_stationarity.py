@@ -30,7 +30,7 @@ from blockdec.stationarity import ROUND_REL, ZERO_TOL
 from blockdec.subproblem import OK, TIE_TOL, pattern_deltas
 from blockdec.working_set import random_set
 
-from conftest import CONS_GLOBAL_X, REGU_GLOBAL_F, SRC, count_calls, random_gram_problem
+from conftest import CONS_GLOBAL_X, REGU_GLOBAL_F, SRC, random_gram_problem
 
 # Frozen reference sets for the demo problem (independently derived from the
 # closed form x_i = -1 + c_i * sigma_S / (1 + q_S) on each support S):
@@ -362,7 +362,7 @@ class TestIsBlockK:
         assert not is_block_k(demo_regu, x, 1, mode="sampled", trials=60, seed=0)
 
     @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
-    def test_one_gradient_per_call(self, demo_regu, mode):
+    def test_one_gradient_per_call(self, demo_regu, mode, count_calls):
         # all 15 (or 60 sampled) blocks read the one gradient at x
         calls = count_calls(demo_regu.objective, "gradient")
         x = demo_basic_point((0, 1, 2, 4, 5))
@@ -471,7 +471,7 @@ class TestLandscapeTable:
             landscape_table(demo_cons, k_max=7)
 
     @pytest.mark.parametrize("mode, points", [("cons", 55), ("regu", 62)])
-    def test_one_gradient_and_value_per_point(self, mode, points):
+    def test_one_gradient_and_value_per_point(self, mode, points, count_calls):
         # the L-stationarity check and every block-k check on a point share
         # one gradient and one F, all formed in one stacked call
         prob = table1_problem(mode)
@@ -914,7 +914,7 @@ class TestCertificateChunks:
         assert [landscape_table(prob).row() for prob in probs] == want
         assert [is_block_k(probs[1], x, k) for k in range(1, 7)] == single
 
-    def test_an_early_failure_reads_few_blocks(self, monkeypatch):
+    def test_an_early_failure_reads_few_blocks(self, monkeypatch, count_calls):
         # x = 0 improves on its first pair, so the first batch of 64 blocks
         # decides it, out of 4950
         rng = np.random.default_rng(1)

@@ -51,7 +51,12 @@ Each digest covers the bytes of a run's output, never its timings:
   ``demos/bench_corrupt.json``, and of two configs that name every solver,
   so that each runner behind ``run_solver`` is covered: all seven in cons
   mode and the five that run in regu mode, on one 30x60
-  ``random-corrupt`` instance, init seeds 0 and 1, 200 iterations at most.
+  ``random-corrupt`` instance, init seeds 0 and 1, 200 iterations at most;
+* ``data``: the bytes that ``save_instance``, ``save_sparse_text`` and
+  ``save_point`` write for the corrupted 64x256 instance with -0.0, 5e-324
+  and 1.7976931348623157e308 planted in A's first row and in b (the point
+  is that row), and the bytes of the arrays that ``load_instance`` (from the
+  dense and the sparse file) and ``load_point`` read back.
 
 BLAS is pinned to one thread before numpy loads, since the thread count can
 change the last digits of a product.  The run takes about twenty seconds.
@@ -74,6 +79,7 @@ SIZES = {  # label: (m, n, support, corrupted, lambda, max_iters, window)
 SPLITS = ((4, 2), (0, 6), (6, 0), (6, 6), (1, 0))  # (n_random, n_greedy)
 CENSUS_RUN_SEED = 1  # the benchmark --seed whose census problems are listed
 NEAR_SEED, NEAR_GAP = 13, 1e-6  # census-near: the instance seed and column gap
+SPECIAL = (-0.0, 5e-324, 1.7976931348623157e308)  # planted in the data/ lines' instance
 EVERY_SOLVER = {  # mode: (params, solver names) of the every-solver benchmark configs
     "cons": ([5], ["dec", "pgm", "apgm", "omp", "cvx-l1", "pgm-l1", "pgm-lhalf"]),
     "regu": ([5.0], ["dec", "pgm", "apgm", "pgm-l1", "pgm-lhalf"]),
@@ -204,6 +210,23 @@ def digests(bd):
         with tempfile.TemporaryDirectory() as out_dir:
             bd.benchmark(config, out_dir)
             yield f"benchmark/every-solver/{mode}", _file_digest(out_dir)
+    m, n, s, *_ = SIZES["64x256"]
+    A, b, _ = bd.gen_random(m, n, s, seed=1)
+    A = bd.corrupt(A, seed=2)
+    A[0, :len(SPECIAL)] = b[:len(SPECIAL)] = SPECIAL
+    with tempfile.TemporaryDirectory() as out_dir:
+        dense, sparse, point = (os.path.join(out_dir, name) for name in ("dense", "sparse", "x"))
+        bd.save_instance(dense, A, b)
+        bd.save_sparse_text(sparse, A, b)
+        bd.save_point(point, A[0])
+        for label, path in (("save_instance", dense), ("save_sparse_text", sparse),
+                            ("save_point", point)):
+            with open(path, "rb") as fh:
+                yield f"data/{label}/64x256", hashlib.sha256(fh.read()).hexdigest()
+        for label, path in (("dense", dense), ("sparse", sparse)):
+            A, b = bd.load_instance(path)
+            yield f"data/load_instance/64x256-{label}", _digest(A, b, A.shape)
+        yield "data/load_point/64x256", _digest(bd.load_point(point, n=n))
 
 
 def main():
