@@ -120,13 +120,11 @@ def cvx_l1_sweep(objective, s, max_iters=DecConfig.max_iters, epsilon=DecConfig.
     """Convex surrogate: l1 sweep, truncate to s terms, debias by refitting.
 
     For each ``DEFAULT_L1_GRID`` weight, solves the l1-penalized least squares on
-    the factored ``objective`` by proximal gradient from zero, keeps the s
+    ``objective`` by proximal gradient from zero, keeps the s
     largest-magnitude coordinates, refits those by least squares, and returns
     the refit with the smallest residual objective 1/2||Ax - b||^2 (ties to the
     earliest grid entry).  Every relaxation shares the objective's one L.
     """
-    if not objective.is_factored:
-        raise InvalidParameterError("cvx-l1 needs factored (A, b) data, not Gram-form data")
     A, b, n = objective.A, objective.b, objective.n
     if int(s) != s or not 0 <= s <= n:
         raise InvalidParameterError(f"sparsity level {s} outside [0, {n}]")

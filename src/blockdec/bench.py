@@ -109,8 +109,6 @@ def _apgm(prob, config):
 
 
 def _omp(prob, config):
-    if not prob.objective.is_factored:
-        raise InvalidParameterError("omp needs factored (A, b) data, not Gram-form data")
     return omp(prob.objective.A, prob.objective.b, prob.term.s), None
 
 
@@ -147,7 +145,7 @@ def run_solver(name, objective, mode, param, config):
     on it: no solver builds another.  ``param`` is the sparsity level in cons
     mode and the penalty weight in regu mode; the relaxation solvers pgm-l1 /
     pgm-lhalf use it as their own weight.  omp and cvx-l1 are support-based:
-    they require cons mode and factored data.  ``config``, a ``DecConfig``,
+    they require cons mode.  ``config``, a ``DecConfig``,
     holds the run's settings, already checked when it was made; each solver
     reads the fields it takes.  F(x) is the composite objective of the term
     the solver ran on.

@@ -9,7 +9,8 @@ Two on-disk formats are supported:
   1-based strictly ascending indices, the common SVM-light style.
 
 Files are UTF-8 text; a byte that is not UTF-8 is reported at its line.
-Readers take one nonblank line at a time.  Dense and point files parse each
+Every loader opens its file once and takes one nonblank line at a time, so
+a pipe loads as a file does.  Dense and point files parse each
 line's floats into the next slice of one array, allocated once at the
 header's m*n + m (dense) and at most at the tokens the file's size can
 hold, so a load holds A once plus one line, and a header that claims more
@@ -22,6 +23,7 @@ draw order inside each generator is fixed and documented, so a given seed
 yields the same instance on every platform.
 """
 
+import itertools
 import math
 import numbers
 import os
@@ -129,18 +131,22 @@ def _row_format(count):
     return " ".join([FLOAT_FMT] * count) + "\n"
 
 
-def _lines(path):
-    """Yield (1-based line number, whitespace tokens) for each nonblank line."""
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for ln, line in enumerate(fh, start=1):
-            if not line.isascii():  # a byte that is not UTF-8 is read as a lone surrogate
-                try:
-                    line.encode()
-                except UnicodeEncodeError:
-                    raise DataFormatError("text is not UTF-8", line=ln) from None
-            toks = line.split()
-            if toks:
-                yield ln, toks
+def _open(path):
+    """The file at ``path`` as text; a byte that is not UTF-8 reads as a lone surrogate."""
+    return open(path, encoding="utf-8", errors="surrogateescape")
+
+
+def _lines(fh):
+    """Yield (1-based line number, whitespace tokens) for each nonblank line of ``fh``."""
+    for ln, line in enumerate(fh, start=1):
+        if not line.isascii():
+            try:
+                line.encode()
+            except UnicodeEncodeError:
+                raise DataFormatError("text is not UTF-8", line=ln) from None
+        toks = line.split()
+        if toks:
+            yield ln, toks
 
 
 def _floats(ln, toks):
@@ -158,21 +164,30 @@ def _floats(ln, toks):
 
 _GROW_FROM = 1 << 16  # first size of the array where the OS reports no file size
 
+# Parsed numbers are checked for finiteness once this many have gathered, or
+# at the end of a line that holds more, so the tokens kept for the error
+# message hold about 80 kB beyond the current line; one check per short line
+# would outweigh its parse.
+_CHECK_EVERY = 1 << 10
 
-def _read_floats(path, lines, cap=math.inf, ln=1):
-    """Parse the floats of ``lines`` from ``path`` into one array; returns (values, line).
+
+def _read_floats(fh, lines, cap=math.inf, ln=1):
+    """Parse the floats of ``lines`` from ``fh`` into one array; returns (values, line, bad).
 
     ``line`` is the number of the last line read, or ``ln`` if there was
-    none.  The array is allocated once, at ``cap`` entries or at the tokens
+    none; ``bad`` is (line, token) of the first number that is not finite,
+    or None.  Every number is parsed before the caller reports ``bad``.
+    The array is allocated once, at ``cap`` entries or at the tokens
     the file can hold (each takes a byte and a separator), whichever is
     less, and each line is parsed into its next slice.  Where the OS reports
     no file size (a pipe) it starts at ``_GROW_FROM`` entries and doubles,
     up to ``cap``, as numbers arrive.  More than ``cap`` numbers raise
     "trailing data after b" at the line that holds the first extra one.
     """
-    st = os.stat(path)
+    st = os.fstat(fh.fileno())
     bound = st.st_size // 2 + 1 if stat.S_ISREG(st.st_mode) else _GROW_FROM
     vals, found = np.empty(min(cap, bound)), 0
+    bad, checked, pending = None, 0, []  # pending: the lines parsed since `checked`
     for ln, toks in lines:
         end = found + len(toks)
         if end > cap:
@@ -181,26 +196,44 @@ def _read_floats(path, lines, cap=math.inf, ln=1):
             vals.resize(min(max(end, 2 * vals.size), cap), refcheck=False)
         vals[found:end] = _floats(ln, toks)
         found = end
+        if bad is None:
+            pending.append((ln, toks))
+            if found - checked >= _CHECK_EVERY:
+                bad, checked, pending = _first_non_finite(vals, checked, pending), found, []
+    if bad is None:
+        bad = _first_non_finite(vals, checked, pending)
     if found < vals.size:
         vals.resize(found, refcheck=False)
-    return vals, ln
+    return vals, ln, bad
 
 
-def _finite(vals, path):
-    """vals if every entry is finite; else raise at the file's first non-finite token."""
-    if not all_finite(vals):  # once per file: per line it outweighs short lines' parse
-        for ln, toks in _lines(path):
-            finite = np.isfinite(_floats(ln, toks))
-            if not finite.all():
-                tok = toks[int(np.argmin(finite))]
-                raise DataFormatError(f"{tok!r} is not a finite number", line=ln)
-    return vals
+def _first_non_finite(vals, start, lines):
+    """(line, token) of the first non-finite number of ``lines``, parsed into vals from start."""
+    end = start + sum(len(toks) for _, toks in lines)
+    if all_finite(vals[start:end]):
+        return None
+    for ln, toks in lines:
+        finite = np.isfinite(vals[start:start + len(toks)])
+        if not finite.all():
+            return ln, toks[int(np.argmin(finite))]
+        start += len(toks)
+
+
+def _require_finite(bad):
+    if bad is not None:
+        ln, tok = bad
+        raise DataFormatError(f"{tok!r} is not a finite number", line=ln)
 
 
 def load_dense_instance(path):
     """Read the header-A-b dense format; returns (A, b), views of one array."""
-    lines = _lines(path)
-    ln, head = next(lines, (1, []))
+    with _open(path) as fh:
+        lines = _lines(fh)
+        return _read_dense(fh, lines, *next(lines, (1, [])))
+
+
+def _read_dense(fh, lines, ln, head):
+    """(A, b) of a dense file from its header line ``head`` at ``ln``; ``lines`` holds the rest."""
     if len(head) < 2:
         raise DataFormatError("missing 'm n' header", line=ln)
     if len(head) > 2:
@@ -215,11 +248,11 @@ def load_dense_instance(path):
     if m < 1 or n < 1:
         raise DataFormatError(f"header dimensions must be positive, got {m} {n}", line=ln)
     need = m * n + m
-    vals, ln = _read_floats(path, lines, need, ln)
+    vals, ln, bad = _read_floats(fh, lines, need, ln)
     if vals.size < need:  # counts include the two header entries
         raise DataFormatError(
             f"file ends early: expected {need + 2} numbers, found {vals.size + 2}", line=ln)
-    vals = _finite(vals, path)  # the header's two integers are finite
+    _require_finite(bad)  # the header's two integers are finite
     return vals[:m * n].reshape(m, n), vals[m * n:]
 
 
@@ -247,10 +280,16 @@ def load_sparse_text(path, rows=None, cols=None, seed=0):
     columns), seeded.  Malformed input raises DataFormatError with the
     offending 1-based line number; blank lines are skipped.
     """
+    with _open(path) as fh:
+        return _read_sparse(_lines(fh), rows, cols, seed)
+
+
+def _read_sparse(lines, rows=None, cols=None, seed=0):
+    """``load_sparse_text`` on the file's nonblank ``lines``."""
     labels = []
     rows_data = []  # (line, indices, values) per example: 0-based index and float arrays
     n_cols = widest = 0  # the largest index seen, and its line
-    for ln, toks in _lines(path):
+    for ln, toks in lines:
         try:
             labels.append(float(toks[0]))
         except ValueError:
@@ -318,18 +357,22 @@ def load_instance(path):
     """Load either supported instance format, sniffing by the first line.
 
     A first line consisting of exactly two integer tokens is the dense
-    header; anything else is treated as sparse text.
+    header; anything else is treated as sparse text.  The file is opened
+    once: the reader goes on from the sniffed line.
     """
-    _, first = next(_lines(path), (1, []))
-    if not first:
-        raise DataFormatError("empty instance file", line=1)
-    if len(first) == 2:
-        try:
-            int(first[0]), int(first[1])
-            return load_dense_instance(path)
-        except ValueError:
-            pass
-    return load_sparse_text(path)
+    with _open(path) as fh:
+        lines = _lines(fh)
+        ln, first = next(lines, (1, []))
+        if not first:
+            raise DataFormatError("empty instance file", line=1)
+        if len(first) == 2:
+            try:
+                int(first[0]), int(first[1])
+            except ValueError:
+                pass
+            else:
+                return _read_dense(fh, lines, ln, first)
+        return _read_sparse(itertools.chain([(ln, first)], lines))
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +386,9 @@ def save_point(path, x):
 
 
 def load_point(path, n=None):
-    vals = _finite(_read_floats(path, _lines(path))[0], path)
+    with _open(path) as fh:
+        vals, _, bad = _read_floats(fh, _lines(fh))
+    _require_finite(bad)
     if n is not None and vals.size != n:
         raise DataFormatError(f"point has {vals.size} entries, expected {n}")
     return vals

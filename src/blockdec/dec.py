@@ -20,9 +20,8 @@ An iteration pays only for the work it does:
 * a step that leaves x unchanged yields the same x object, and ``iterate``
   records its step norm as 0.0 without forming x_next - x.
 
-On factored data the residual r = Ax - b is formed once, at x0, and carried
-across moves: a move by d on block B costs r + A[:, B] d, and the gradient
-A'r.
+The residual r = Ax - b is formed once, at x0, and carried across moves: a
+move by d on block B costs r + A[:, B] d, and the gradient A'r.
 
 ``iterate`` is the one loop of every iterative solver: it checks x0, times and
 records the steps a solver's generator yields, and applies the stopping rule.
@@ -199,8 +198,7 @@ def run_dec(prob, x0, config):
 
     ``iterate`` rejects an over-budget start, and its residual at x0 feeds
     the first gradient.  Each move carries that residual, r + A[:, B] d
-    (``moved_residual``), and renews g = A'r; a Gram-form objective takes
-    g = Qx + p.  The carried r drifts from Ax - b by rounding only: to first
+    (``moved_residual``), and renews g = A'r.  The carried r drifts from Ax - b by rounding only: to first
     order in eps, after t moves on blocks of k coordinates each entry is
     within (n + 1 + 3 (k + 1) t) eps S of the exact residual, with S the
     largest entry of |A| |x| + |b| over the run's points.  F is accumulated

@@ -1,9 +1,7 @@
 """Quadratic objectives, sparsity terms, and the composite objective F = f + h.
 
-The smooth part f is a convex quadratic given either directly by its Gram data
-(Q, p), meaning f(x) = 1/2 x'Qx + p'x, or in factored least-squares form
-(A, b), meaning f(x) = 1/2 ||Ax - b||^2.  The two forms agree up to the
-constant 1/2 ||b||^2 when Q = A'A and p = -A'b.  In factored form f and its
+The smooth part f is the least-squares objective f(x) = 1/2 ||Ax - b||^2 of
+factored data (A, b); its Gram data are Q = A'A and p = -A'b.  f and its
 gradient both start from the residual r = Ax - b, which a solver forms once
 per point and hands to both; on a sparse x it is read from the support
 columns of A alone.  A proximal-gradient solve takes its gradients at sparse
@@ -186,7 +184,7 @@ def make_term(mode, param):
 # smooth quadratic objective
 
 
-# Factored instances at or below this dimension cache the Gram matrix (n^2
+# Instances at or below this dimension cache the Gram matrix (n^2
 # doubles) on the first whole or stacked read, and only its two readers fill
 # it: gram_matrix and gram_blocks.  A block-k certificate reads thousands of
 # blocks per point, which repays the fill.  gram_submatrix never fills it:
@@ -220,83 +218,59 @@ _DENSE_EIG_LIMIT = 2048
 
 
 class QuadraticObjective:
-    """Convex quadratic f in Gram form (Q, p) or factored form (A, b).
+    """Least-squares objective f(x) = 1/2 ||Ax - b||^2 of factored data (A, b).
 
-    Construct it as ``QuadraticObjective(Q=Q, p=p)`` or
-    ``QuadraticObjective(A=A, b=b)``.  Instances are immutable after
-    construction and safe to share across threads, so one objective serves
-    every solve on its instance.  The arrays they hand out whole, the factored
-    data ``A`` and ``b`` (both None in Gram form), p, Q and diag(Q), are
-    read-only.  The only mutation is a one-time
+    Construct it as ``QuadraticObjective(A=A, b=b)``.  Its Gram data are
+    Q = A'A and p = -A'b.  Instances are immutable after construction and
+    safe to share across threads, so one objective serves every solve on its
+    instance.  The arrays they hand out whole, ``A``, ``b``, p, Q and
+    diag(Q), are read-only.  The only mutation is a one-time
     fill of four lazily computed quantities, each formed in one method and
     published only once complete: p = -A'b
     (``linear_term``), diag(Q) (``coordinate_lipschitz``), the exact largest
     eigenvalue of Q (``lipschitz_global``) and the Gram cache.  No quantity
     is formed from another, so each has the same bits whichever is formed
-    first.  Factored data fill the Gram cache only on a whole or stacked read
+    first.  The Gram cache fills only on a whole or stacked read
     (``gram_matrix``, ``gram_blocks``) and only for n up to
     ``_GRAM_CACHE_LIMIT``; a single block, ``gram_submatrix``, always reads
     A, so its value is the same whether or not the cache is filled.
 
-    In factored form ``value`` and ``gradient`` are computed from the residual
-    r = Ax - b, which ``residual`` forms from the support columns of A when x
-    is sparse.  Callers that need both at one point form r once and pass it
-    to each; it must be the residual of that same x.  Gram-form objectives
-    ignore r.  ``gram_columns`` gives a solve its own store of Gram columns,
-    from which it takes gradients at sparse points.
+    ``value`` and ``gradient`` are computed from the residual r = Ax - b,
+    which ``residual`` forms from the support columns of A when x is sparse.
+    Callers that need both at one point form r once and pass it to each; it
+    must be the residual of that same x.  ``gram_columns`` gives a solve its
+    own store of Gram columns, from which it takes gradients at sparse points.
     """
 
-    def __init__(self, *, Q=None, p=None, A=None, b=None):
-        if (Q is None) == (A is None):
-            raise InvalidParameterError("provide exactly one of Gram (Q, p) or factored (A, b) data")
-        self.m = self.A = self.b = self._Q = self._p = None
-        if Q is not None:
-            Q = np.asarray(Q, dtype=float)
-            if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
-                raise DimensionMismatchError(f"Q must be square, got shape {Q.shape}")
-            p = _as_vector(p, Q.shape[0], "p")
-            if not (all_finite(Q) and all_finite(p)):
-                raise DataFormatError("Q or p has a non-finite entry (nan or inf)")
-            scale = np.max(np.abs(Q)) if Q.size else 0.0
-            if scale > 0 and np.max(np.abs(Q - Q.T)) > 1e-12 * scale:
-                raise InvalidParameterError("Q must be symmetric (1e-12 relative)")
-            if np.any(np.diag(Q) < 0):
-                raise InvalidParameterError("Q has a negative diagonal entry")
-            self.n = Q.shape[0]
-            self._Q = 0.5 * (Q + Q.T)
-            self._p = p.copy()
-            self._Q.flags.writeable = self._p.flags.writeable = False
-        else:
-            A = np.asarray(A, dtype=float)
-            if A.ndim != 2:
-                raise DimensionMismatchError(f"A must be a matrix, got shape {A.shape}")
-            b = _as_vector(b, A.shape[0], "b")
-            if not (all_finite(A) and all_finite(b)):
-                raise DataFormatError("A or b has a non-finite entry (nan or inf)")
-            self.m, self.n = A.shape
-            self.A, self.b = A.copy(), b.copy()
-            self.A.flags.writeable = self.b.flags.writeable = False
-        # the one "Gram cached or factored" decision; the cache fills lazily
-        self._gram_cached = Q is not None or self.n <= _GRAM_CACHE_LIMIT
-        self._lip = self._diag = None
+    # every objective holds A; the benchmark tracer reads this flag (ROADMAP item 14)
+    is_factored = True
 
-    @property
-    def is_factored(self):
-        return self.A is not None
+    def __init__(self, *, A, b):
+        A = np.asarray(A, dtype=float)
+        if A.ndim != 2:
+            raise DimensionMismatchError(f"A must be a matrix, got shape {A.shape}")
+        b = _as_vector(b, A.shape[0], "b")
+        if not (all_finite(A) and all_finite(b)):
+            raise DataFormatError("A or b has a non-finite entry (nan or inf)")
+        self.m, self.n = A.shape
+        self.A, self.b = A.copy(), b.copy()
+        self.A.flags.writeable = self.b.flags.writeable = False
+        # the one "Gram cached or not" decision; the cache fills lazily
+        self._gram_cached = self.n <= _GRAM_CACHE_LIMIT
+        self._Q = self._p = self._lip = self._diag = None
 
     def __repr__(self):
-        form = f"factored {self.m}x{self.n}" if self.is_factored else f"gram {self.n}x{self.n}"
-        return f"QuadraticObjective({form})"
+        return f"QuadraticObjective({self.m}x{self.n})"
 
     # -- evaluation ---------------------------------------------------------
 
     def _sparse_support(self, x):
         """supp(x) if x takes the support path, else None.
 
-        The path is taken by factored data with m n >= 2^16 at a point with
+        The path is taken where A has m n >= 2^16 entries, at a point with
         at most n/32 nonzeros: see ``_SUPPORT_MIN_SIZE``.
         """
-        if not self.is_factored or self.m * self.n < _SUPPORT_MIN_SIZE:
+        if self.m * self.n < _SUPPORT_MIN_SIZE:
             return None
         nonzero = x != 0  # one float scan; counting and indexing bools is cheap
         if _SUPPORT_PRODUCT_RATIO * np.count_nonzero(nonzero) <= self.n:
@@ -304,15 +278,13 @@ class QuadraticObjective:
         return None
 
     def residual(self, x):
-        """r = Ax - b for factored data; None for Gram-form data, which have no A.
+        """r = Ax - b.
 
         A point on the support path (``_sparse_support``) is multiplied by its
         support columns only, A[:, S] @ x[S]; any other by all of A.  Every
         call forms r from x itself, so r never depends on an earlier point.
         """
         x = _as_vector(x, self.n)
-        if not self.is_factored:
-            return None
         support = self._sparse_support(x)
         if support is not None:
             return self.A[:, support] @ x[support] - self.b
@@ -322,47 +294,35 @@ class QuadraticObjective:
         """r + A[:, idx] d: the residual once x moves by d on coordinates idx.
 
         ``r`` must be the residual of the point before the move, formed by
-        ``residual`` or carried by this method; None for Gram-form data.  Each
-        carried move adds rounding of about (|idx| + 1) eps (|r| + |A[:, idx]| |d|)
-        per entry, so r drifts from Ax - b in its last bits.
+        ``residual`` or carried by this method.  Each carried move adds
+        rounding of about (|idx| + 1) eps (|r| + |A[:, idx]| |d|) per entry, so
+        r drifts from Ax - b in its last bits.
         """
-        if not self.is_factored:
-            return None
         return r + self.A[:, idx] @ d
 
     def value(self, x, r=None):
         """f(x); ``r``, if given, must be ``residual(x)`` at this same x."""
-        if self.is_factored:
-            if r is None:
-                r = self.residual(x)
-            return 0.5 * float(r @ r)
-        x = _as_vector(x, self.n)
-        return 0.5 * float(x @ (self._Q @ x)) + float(self._p @ x)
+        if r is None:
+            r = self.residual(x)
+        return 0.5 * float(r @ r)
 
     def gradient(self, x, r=None):
-        """grad f(x) = A'r, or Qx + p; ``r``, if given, must be ``residual(x)``."""
-        if self.is_factored:
-            if r is None:
-                r = self.residual(x)
-            return self.A.T @ r
-        x = _as_vector(x, self.n)
-        return self._Q @ x + self._p
+        """grad f(x) = A'r; ``r``, if given, must be ``residual(x)``."""
+        if r is None:
+            r = self.residual(x)
+        return self.A.T @ r
 
     def values_and_gradients(self, X):
         """(f, G) at every row of X (R, n): f[i] = value(X[i]), G[i] = gradient(X[i]).
 
         Bit for bit, since each row gets the products its own calls make,
-        stacked: one gemv per row for Qx, Ax and A'r and one dot for x'Qx,
-        p'x and r'r.  A row on the support path gets its own ``residual``
-        call.  One gemm over the rows, X @ A.T, would round differently.
+        stacked: one gemv per row for Ax and A'r and one dot for r'r.  A row
+        on the support path gets its own ``residual`` call.  One gemm over the
+        rows, X @ A.T, would round differently.
         """
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.n:
             raise DimensionMismatchError(f"X has shape {X.shape}, expected (R, {self.n})")
-        if not self.is_factored:
-            QX = (self._Q @ X[..., None])[..., 0]
-            xQx = (X[:, None, :] @ QX[..., None])[:, 0, 0]
-            return 0.5 * xQx + (self._p @ X[..., None])[:, 0], QX + self._p
         R = self._residuals(X)
         return 0.5 * (R[:, None, :] @ R[..., None])[:, 0, 0], (self.A.T @ R[..., None])[..., 0]
 
@@ -389,7 +349,7 @@ class QuadraticObjective:
             self._Q = Q  # published only once read-only
 
     def gram_matrix(self):
-        """Full Q, read-only (cached for factored instances up to the cache limit)."""
+        """Full Q, read-only (cached for instances up to the cache limit)."""
         if not self._gram_cached:
             raise InvalidParameterError(
                 f"dense Gram matrix not materialized for n = {self.n} > {_GRAM_CACHE_LIMIT}")
@@ -399,14 +359,10 @@ class QuadraticObjective:
     def gram_submatrix(self, idx):
         """Q[idx, idx] as a dense square block.
 
-        Factored data give A[:, idx]' A[:, idx] (m k^2 multiply-adds) and
-        never fill the Gram cache; Gram-form data slice Q.
+        A[:, idx]' A[:, idx] (m k^2 multiply-adds); it never fills the Gram cache.
         """
-        idx = np.asarray(idx, dtype=int)
-        if self.is_factored:
-            cols = self.A[:, idx]
-            return cols.T @ cols
-        return self._Q[np.ix_(idx, idx)]
+        cols = self.A[:, np.asarray(idx, dtype=int)]
+        return cols.T @ cols
 
     def gram_blocks(self, idx):
         """Q[I, I] for every row I of an (N, k) index array, as an (N, k, k) stack."""
@@ -418,7 +374,7 @@ class QuadraticObjective:
         return self._Q[idx[:, :, None], idx[:, None, :]]
 
     def linear_term(self, idx=None):
-        """p, read-only (or a copy of p[idx]); for factored data p = -A'b, formed once."""
+        """p = -A'b, read-only and formed once (or a copy of p[idx])."""
         if self._p is None:
             p = -(self.A.T @ self.b)
             p.flags.writeable = False
@@ -426,19 +382,16 @@ class QuadraticObjective:
         return self._p if idx is None else self._p[idx]
 
     def matvec(self, v):
-        """Q @ v; factored data give A'(Av), two passes over A, and never read Q."""
+        """Q @ v as A'(Av), two passes over A; it never reads Q."""
         v = _as_vector(v, self.n, "v")
-        if self.is_factored:
-            return self.A.T @ (self.A @ v)
-        return self._Q @ v
+        return self.A.T @ (self.A @ v)
 
     # -- curvature ----------------------------------------------------------
 
     def coordinate_lipschitz(self):
         """Per-coordinate gradient Lipschitz constants diag(Q): cached, read-only."""
-        if self._diag is None:  # factored data read A: no Gram fill, one rounding
-            diag = (np.einsum("ij,ij->j", self.A, self.A) if self.is_factored
-                    else np.diag(self._Q).copy())
+        if self._diag is None:  # read from A: no Gram fill, one rounding
+            diag = np.einsum("ij,ij->j", self.A, self.A)
             diag.flags.writeable = False
             self._diag = diag  # published only once read-only
         return self._diag
@@ -452,12 +405,11 @@ class QuadraticObjective:
     def _spectral_norm(self):
         # lambda_max(A'A) = lambda_max(AA'): the smaller one is formed here, for
         # this call only, and the Gram cache is neither read nor filled
-        wide = self.is_factored and self.m < self.n
+        wide = self.m < self.n
         r = self.m if wide else self.n
         with np.errstate(over="ignore", invalid="ignore"):
             if r <= _DENSE_EIG_LIMIT:
-                G = (self._Q if not self.is_factored
-                     else self.A @ self.A.T if wide else self.A.T @ self.A)
+                G = self.A @ self.A.T if wide else self.A.T @ self.A
                 try:
                     lam = np.linalg.eigvalsh(G)[-1] if np.isfinite(G).all() else np.inf
                 except np.linalg.LinAlgError as exc:
@@ -480,7 +432,7 @@ class QuadraticObjective:
 
 
 class GramColumns:
-    """Gradients of a factored objective from Gram columns, for one solve.
+    """Gradients of an objective from its Gram columns, for one solve.
 
     At a point x on the support path (see ``QuadraticObjective.residual``)
     ``gradient`` returns grad f(x) = p + Q[:, S] x_S with p = -A'b and
@@ -494,8 +446,8 @@ class GramColumns:
     Memory: at most m // 2 columns of n doubles, half the size of A; at that
     bound a served gradient still costs at most half of A'r.  A support that
     would take the store past its bound is not served and does not grow it.
-    That point, any point off the support path and every point of a Gram-form
-    objective get ``objective.gradient(x, r)`` itself, bit for bit.
+    That point and any point off the support path get
+    ``objective.gradient(x, r)`` itself, bit for bit.
 
     A served gradient agrees with A'(Ax - b) to rounding, not bit for bit:
     its last bits depend on the order in which the run filled the columns
@@ -509,7 +461,7 @@ class GramColumns:
         self._slot = np.full(n, -1, dtype=np.intp)  # coordinate -> row of _rows
         self._rows = np.empty((0, n))  # row t is the Gram column of slot t
         self._size = 0
-        self._limit = objective.m // 2 if objective.is_factored else 0
+        self._limit = objective.m // 2
 
     def __len__(self):
         """The number of Gram columns held."""

@@ -400,11 +400,12 @@ def landscape_table(prob, k_max=None):
 def table1_problem(mode):
     """The six-variable rank-one-plus-identity demo problem.
 
-    Q = cc^T + I with c = (1, ..., 6), p = (1, ..., 1); "cons" pairs it
-    with a 4-sparsity constraint, "regu" with a 0.01 count penalty.
+    Q = cc^T + I with c = (1, ..., 6), p = (1, ..., 1), given by its exact
+    factor A = [c^T; I] (7x6) and b = (0, -1, ..., -1): A'A = Q and -A'b = p
+    hold bit for bit, and f = 1/2 x'Qx + p'x + 3.  "cons" pairs it with a
+    4-sparsity constraint, "regu" with a 0.01 count penalty.
     """
-    c = np.arange(1.0, 7.0)
-    Q = np.outer(c, c) + np.eye(6)
-    p = np.ones(6)
-    obj = QuadraticObjective(Q=Q, p=p)
+    A = np.vstack((np.arange(1.0, 7.0), np.eye(6)))
+    b = np.concatenate(([0.0], -np.ones(6)))
+    obj = QuadraticObjective(A=A, b=b)
     return CompositeProblem(obj, make_term(mode, 4 if mode == "cons" else 0.01))

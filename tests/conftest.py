@@ -16,13 +16,18 @@ import pytest
 from blockdec import (Cardinality, CompositeProblem, L0Penalty,
                       QuadraticObjective, gen_random, table1_problem)
 
-# The six-variable demo problem: Q = cc' + I with c = (1..6), p = all-ones.
-# Exact rational optima (Sherman-Morrison on the optimal support):
-#   constrained s=4: support (0,1,2,5), x = (-13,-9,-5,0,0,7)/17, F* = -10/17
-#   penalty lam=0.01: support (0,1,2,4,5), F* = -417/760
-CONS_GLOBAL_F = -10.0 / 17.0
+pytest_plugins = ("pytester",)
+
+# The six-variable demo problem: Q = cc' + I with c = (1..6), p = all-ones,
+# given by its exact factor, so f = 1/2 x'Qx + p'x + 1/2 ||b||^2 with
+# 1/2 ||b||^2 = 3.  Exact rational optima (Sherman-Morrison on the optimal
+# support):
+#   constrained s=4: support (0,1,2,5), x = (-13,-9,-5,0,0,7)/17, F* = 3 - 10/17
+#   penalty lam=0.01: support (0,1,2,4,5), F* = 3 - 417/760
+DEMO_OFFSET = 3.0
+CONS_GLOBAL_F = DEMO_OFFSET - 10.0 / 17.0
 CONS_GLOBAL_X = np.array([-13.0, -9.0, -5.0, 0.0, 0.0, 7.0]) / 17.0
-REGU_GLOBAL_F = -417.0 / 760.0
+REGU_GLOBAL_F = DEMO_OFFSET - 417.0 / 760.0
 DEMO_L = 92.0  # 1 + ||c||^2, the largest eigenvalue of cc' + I
 
 
@@ -72,13 +77,28 @@ def demo_regu():
     return table1_problem("regu")
 
 
+def factor_gram(Q, p):
+    """The objective with A'A = Q and -A'b = p to rounding, for p in range(Q).
+
+    From Q = V diag(w) V' (eigh), on the eigenvalues above rounding:
+    A = diag(sqrt(w)) V' and b = -diag(1/sqrt(w)) V'p.  Its f(x) is
+    1/2 x'Qx + p'x + 1/2 ||b||^2.
+    """
+    w, V = np.linalg.eigh(np.asarray(Q, dtype=float))
+    keep = w > len(w) * np.finfo(float).eps * max(w[-1], 0.0)
+    root, V = np.sqrt(w[keep]), V[:, keep]
+    A, b = root[:, None] * V.T, -(V.T @ p) / root
+    np.testing.assert_allclose(-(A.T @ b), p, atol=1e-9 * (1 + np.abs(p).max()))
+    return QuadraticObjective(A=A, b=b)
+
+
 def random_gram_problem(n, seed, term):
-    """Random PSD Gram-form problem (Q = G'G + small ridge)."""
+    """Random problem given by a PSD Gram (Q = G'G + small ridge) and p, factored."""
     rng = np.random.default_rng(seed)
     G = rng.standard_normal((n + 2, n))
     Q = G.T @ G + 0.1 * np.eye(n)
     p = rng.standard_normal(n)
-    return CompositeProblem(QuadraticObjective(Q=Q, p=p), term)
+    return CompositeProblem(factor_gram(Q, p), term)
 
 
 def random_factored_problem(m, n, seed, term, noise=0.5, support=None):

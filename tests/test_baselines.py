@@ -290,9 +290,3 @@ class TestCvxL1Sweep:
         A, b, _ = gen_random(10, 20, 3, noise_scale=5.0, seed=11)
         x = cvx_l1_sweep(QuadraticObjective(A=A, b=b), 3)
         assert 0.5 * np.sum((A @ x - b) ** 2) <= 0.5 * float(b @ b) + 1e-12
-
-    def test_gram_form_objective_rejected(self):
-        # the debiasing refit and its score need A and b, which Gram data lack
-        A, b, _ = gen_random(10, 20, 3, seed=11)
-        with pytest.raises(InvalidParameterError, match="Gram-form"):
-            cvx_l1_sweep(QuadraticObjective(Q=A.T @ A, p=-A.T @ b), 3)

@@ -13,8 +13,8 @@ from blockdec import dec as dec_module
 from blockdec.dec import check_stopping
 from blockdec import working_set as working_set_module
 
-from conftest import (CONS_GLOBAL_F, CONS_GLOBAL_X, REGU_GLOBAL_F,
-                      random_factored_problem, random_gram_problem)
+from conftest import (CONS_GLOBAL_F, CONS_GLOBAL_X, REGU_GLOBAL_F, factor_gram,
+                      random_factored_problem)
 
 EPS = np.finfo(float).eps
 
@@ -81,7 +81,7 @@ class TestStoppingRule:
     def test_window_longer_than_the_first_buffer(self, solve):
         # the first move's drop keeps the window mean above epsilon until
         # the window slides past it, beyond the drop buffer's first 1024
-        prob = CompositeProblem(QuadraticObjective(Q=np.eye(4), p=-np.arange(1.0, 5.0)),
+        prob = CompositeProblem(QuadraticObjective(A=np.eye(4), b=np.arange(1.0, 5.0)),
                                 L0Penalty(0.1))
         window = 1100
         x, trace = solve(prob, np.ones(4), window)
@@ -195,20 +195,6 @@ class TestRunDec:
             assert np.all(np.abs(g - fresh) <= carried_gradient_bound(A, b, points, 5))
         assert len(points) == 1 + moves
 
-    def test_gram_form_gradient_is_fresh(self, monkeypatch):
-        # a Gram-form objective has no residual to carry: g = Qx + p at every point
-        prob = random_gram_problem(16, 4, L0Penalty(0.5))
-        fresh = []
-
-        def checked_solve(prob, x, g, B, theta):
-            fresh.append(np.array_equal(g, prob.objective.gradient(x)))
-            return solve_block(prob, x, g, B, theta)
-
-        monkeypatch.setattr(dec_module, "solve_block", checked_solve)
-        run_dec(prob, init_solution(16, prob.term, 4),
-                DecConfig(n_random=3, n_greedy=2, seed=4, max_iters=80))
-        assert fresh and all(fresh)
-
     @pytest.mark.parametrize("term", [Cardinality(3), L0Penalty(0.5)], ids=["cons", "regu"])
     def test_one_residual_per_point(self, term, count_calls):
         # F(x0) and the first gradient share the one residual formed at x0;
@@ -289,7 +275,7 @@ class TestRunDec:
     def test_gradient_renewed_after_an_underflowing_step(self, count_calls):
         # clearing entries of 1e-170 is a move whose step_norm squares to
         # 0.0; the gradient must still follow x
-        prob = CompositeProblem(QuadraticObjective(Q=np.eye(4), p=np.zeros(4)),
+        prob = CompositeProblem(QuadraticObjective(A=np.eye(4), b=np.zeros(4)),
                                 L0Penalty(1.0))
         calls = count_calls(prob.objective, "gradient")
         x, trace = run_dec(prob, np.full(4, 1e-170),
@@ -301,7 +287,7 @@ class TestRunDec:
     def test_underflowing_full_block_move_does_not_settle(self, monkeypatch):
         # the first full-block solve clears 1e-170 entries (step_norm 0.0);
         # only the second, which leaves x alone, may settle the run
-        prob = CompositeProblem(QuadraticObjective(Q=np.eye(4), p=np.zeros(4)),
+        prob = CompositeProblem(QuadraticObjective(A=np.eye(4), b=np.zeros(4)),
                                 L0Penalty(1.0))
         solves = []
 
@@ -523,9 +509,9 @@ class TestIdenticalToSolvingEveryBlock:
     def test_byte_identical(self, label, form, monkeypatch):
         n, term, start, (n_random, n_greedy) = self.CASES[label]
         prob, _ = random_factored_problem(20, n, 3, term)
-        if form == "gram":  # the same problem as Q = A'A and p = -A'b
+        if form == "gram":  # the same problem given by Q = A'A and p = -A'b, refactored
             A, b = prob.objective.A, prob.objective.b
-            prob = CompositeProblem(QuadraticObjective(Q=A.T @ A, p=-(A.T @ b)), term)
+            prob = CompositeProblem(factor_gram(A.T @ A, -(A.T @ b)), term)
         x0 = init_solution(n, term, 3) if start == "full" else np.zeros(n)
         config = DecConfig(n_random=n_random, n_greedy=n_greedy, seed=3, max_iters=300)
         solves = []

@@ -18,6 +18,7 @@ from blockdec.bench import (RESULTS_HEADER, SOLVERS, TRACE_HEADER, benchmark,
 from blockdec.data import (FLOAT_FMT, load_dense_instance, load_sparse_text,
                            save_sparse_text)
 
+from conftest import factor_gram
 from conftest import run_cli as cli
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -489,6 +490,91 @@ class TestPointFiles:
         assert err.value.line == 3
 
 
+def _load_from_fifo(tmp_path, load, text):
+    """``load`` on a FIFO that another thread feeds ``text``; returns its value or error.
+
+    A loader that opened the path a second time would wait there for a
+    writer that never comes: the test gives it one to end the wait, then
+    fails.
+    """
+    fifo = tmp_path / "input.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
+    result = {}
+
+    def read():
+        try:
+            result["value"] = load(fifo)
+        except DataFormatError as exc:
+            result["error"] = exc
+
+    reader = threading.Thread(target=read, daemon=True)
+    writer.start()
+    reader.start()
+    reader.join(timeout=10)
+    writer.join(timeout=10)
+    if reader.is_alive():
+        try:  # the reader's open counts as one, so this open does not block
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+        except OSError:
+            pass
+        reader.join(timeout=10)
+        pytest.fail(f"{load.__name__} was still reading the FIFO after 10 s")
+    assert not writer.is_alive()
+    return result
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a FIFO")
+class TestEachLoaderOpensItsFileOnce:
+    """A pipe's data can be read once: no loader may open its path again."""
+
+    def test_load_instance_dense(self, tmp_path):
+        got = _load_from_fifo(tmp_path, load_instance, "2 2\n1 2\n3 4\n5 6\n")
+        A, b = got["value"]
+        np.testing.assert_array_equal(A, [[1.0, 2.0], [3.0, 4.0]])
+        np.testing.assert_array_equal(b, [5.0, 6.0])
+
+    def test_load_instance_sparse(self, tmp_path):
+        got = _load_from_fifo(tmp_path, load_instance, "2.0 1:1.0 3:5.0\n-1.0 2:2.0\n")
+        A, b = got["value"]
+        np.testing.assert_array_equal(A, [[1.0, 0.0, 5.0], [0.0, 2.0, 0.0]])
+        np.testing.assert_array_equal(b, [2.0, -1.0])
+
+    @pytest.mark.parametrize("load, text, line", [
+        (load_point, "1\nnan\n", 2),
+        (load_dense_instance, "2 2\n1 2\n3 inf\n5 6\n", 3),
+        (load_instance, "2 2\n1 2\n3 4\n5 -inf\n", 4),
+    ], ids=["point", "dense", "instance"])
+    def test_a_non_finite_number_is_found_in_the_same_stream(self, tmp_path, load, text, line):
+        got = _load_from_fifo(tmp_path, load, text)
+        assert "not a finite number" in str(got["error"]) and got["error"].line == line
+
+    @pytest.mark.parametrize("check_every", [1, 3, 1 << 10])
+    def test_the_first_non_finite_token_at_any_check_size(self, tmp_path, monkeypatch,
+                                                          check_every):
+        # numbers are checked in batches of lines; the error names the first
+        # bad token and its line wherever a batch ends
+        monkeypatch.setattr(data_module, "_CHECK_EVERY", check_every)
+        rows = ["1 2", "3", "", "4 5 6", "7 8", "9"]
+        path = tmp_path / "x.txt"
+        for i in range(9):
+            tokens = " ".join(rows).split()
+            tokens[i] = "-inf"
+            text, k = [], 0
+            for row in rows:
+                width = len(row.split())
+                text.append(" ".join(tokens[k:k + width]))
+                k += width
+            path.write_text("\n".join(text) + "\n")
+            line = next(ln for ln, row in enumerate(text, 1) if "-inf" in row.split())
+            with pytest.raises(DataFormatError, match="'-inf' is not a finite") as err:
+                load_point(path)
+            assert err.value.line == line
+        path.write_text("1 nan\n2\nx 3\n")  # every number is parsed first
+        with pytest.raises(DataFormatError, match="'x' is not a number"):
+            load_point(path)
+
+
 class TestRunSolver:
     def test_unknown_name_lists_valid(self):
         A, b, _ = gen_random(5, 8, 2, seed=0)
@@ -502,11 +588,16 @@ class TestRunSolver:
 
     @pytest.mark.parametrize("name", ["omp", "cvx-l1"])
     def test_support_based_solvers_need_factored_data(self, name):
-        # their refits read A and b, which a Gram-form objective does not have
+        # their refits read A and b: a problem given by its Gram data is
+        # refused as such, and once factored it gives the same x to rounding,
+        # since both solvers depend on A and b only through A'A and A'b
         A, b, _ = gen_random(5, 8, 2, seed=0)
-        gram = QuadraticObjective(Q=A.T @ A, p=-A.T @ b)
-        with pytest.raises(InvalidParameterError, match="Gram-form"):
-            run_solver(name, gram, "cons", 2, DecConfig())
+        Q, p = A.T @ A, -(A.T @ b)
+        with pytest.raises(TypeError):
+            QuadraticObjective(Q=Q, p=p)
+        x, _, _ = run_solver(name, QuadraticObjective(A=A, b=b), "cons", 2, DecConfig())
+        x_gram, _, _ = run_solver(name, factor_gram(Q, p), "cons", 2, DecConfig())
+        np.testing.assert_allclose(x_gram, x, rtol=1e-8, atol=1e-10)
 
     def test_make_term_validation(self):
         with pytest.raises(InvalidParameterError):

@@ -13,7 +13,7 @@ from blockdec import (INFEASIBLE, Cardinality, CompositeProblem, DecConfig,
                       corrupt, gen_random, init_solution, pgm, run_dec,
                       table1_problem)
 
-from conftest import DEMO_L
+from conftest import DEMO_L, factor_gram
 
 
 def _rand_gram(n, seed):
@@ -23,36 +23,37 @@ def _rand_gram(n, seed):
 
 
 def _gram_objective(n, seed):
-    Q, p = _rand_gram(n, seed)
-    return QuadraticObjective(Q=Q, p=p)
+    return factor_gram(*_rand_gram(n, seed))
 
 
 class TestQuadraticObjective:
     def test_gram_value_matches_formula(self):
+        # the factor of (Q, p): f = 1/2 x'Qx + p'x + 1/2 ||b||^2
         Q, p = _rand_gram(5, 0)
-        obj = QuadraticObjective(Q=Q, p=p)
+        obj = factor_gram(Q, p)
+        offset = 0.5 * float(obj.b @ obj.b)
         rng = np.random.default_rng(1)
         for _ in range(5):
             x = rng.standard_normal(5)
-            assert obj.value(x) == pytest.approx(0.5 * x @ Q @ x + p @ x, rel=1e-12)
+            assert obj.value(x) == pytest.approx(0.5 * x @ Q @ x + p @ x + offset, rel=1e-12)
 
     def test_factored_gram_agreement(self):
-        # factored and Gram forms differ exactly by the constant 1/2 ||b||^2
+        # f and its Gram data (Q, p) = (A'A, -A'b) differ exactly by 1/2 ||b||^2
         rng = np.random.default_rng(2)
         A = rng.standard_normal((7, 4))
         b = rng.standard_normal(7)
         fac = QuadraticObjective(A=A, b=b)
-        gram = QuadraticObjective(Q=A.T @ A, p=-(A.T @ b))
+        Q, p = A.T @ A, -(A.T @ b)
         offset = 0.5 * float(b @ b)
         for _ in range(10):
             x = rng.standard_normal(4)
-            assert fac.value(x) == pytest.approx(gram.value(x) + offset, rel=1e-10, abs=1e-10)
-            np.testing.assert_allclose(fac.gradient(x), gram.gradient(x), atol=1e-10)
+            assert fac.value(x) == pytest.approx(0.5 * x @ Q @ x + p @ x + offset,
+                                                 rel=1e-10, abs=1e-10)
+            np.testing.assert_allclose(fac.gradient(x), Q @ x + p, atol=1e-10)
 
     def test_gradient_matches_finite_differences(self):
         # central differences, step 1e-5, on random points
-        Q, p = _rand_gram(5, 3)
-        obj = QuadraticObjective(Q=Q, p=p)
+        obj = _gram_objective(5, 3)
         rng = np.random.default_rng(4)
         for _ in range(20):
             x = rng.standard_normal(5)
@@ -63,32 +64,24 @@ class TestQuadraticObjective:
                 fd = (obj.value(x + e) - obj.value(x - e)) / 2e-5
                 assert g[i] == pytest.approx(fd, rel=1e-5, abs=1e-6)
 
-    def test_asymmetric_q_rejected(self):
-        Q = np.array([[1.0, 2.0], [0.0, 1.0]])
-        with pytest.raises(InvalidParameterError):
-            QuadraticObjective(Q=Q, p=np.zeros(2))
-
-    def test_negative_diagonal_rejected(self):
-        Q = np.array([[1.0, 0.0], [0.0, -1.0]])
-        with pytest.raises(InvalidParameterError):
-            QuadraticObjective(Q=Q, p=np.zeros(2))
+    def test_gram_form_is_rejected(self):
+        # (A, b) is the one data form; factor a Gram problem first
+        with pytest.raises(TypeError):
+            QuadraticObjective(Q=np.eye(2), p=np.zeros(2))
+        with pytest.raises(TypeError):
+            QuadraticObjective(A=np.eye(2))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_data_rejected(self, bad):
         A, b = np.ones((3, 2)), np.ones(3)
-        Q, p = np.eye(2), np.zeros(2)
-        A[1, 0] = b[2] = Q[0, 0] = p[1] = bad
+        A[1, 0] = b[2] = bad
         with pytest.raises(DataFormatError, match="non-finite"):
             QuadraticObjective(A=A, b=np.ones(3))
         with pytest.raises(DataFormatError, match="non-finite"):
             QuadraticObjective(A=np.ones((3, 2)), b=b)
-        with pytest.raises(DataFormatError, match="non-finite"):
-            QuadraticObjective(Q=Q, p=np.zeros(2))
-        with pytest.raises(DataFormatError, match="non-finite"):
-            QuadraticObjective(Q=np.eye(2), p=p)
 
     def test_finiteness_check_builds_no_mask_the_size_of_the_data(self, monkeypatch):
-        # A, b, Q and p are each checked from their min and max
+        # A and b are each checked from their sum, or their min and max
         sizes, isfinite = [], np.isfinite
 
         def recording(x, *args, **kw):
@@ -98,20 +91,19 @@ class TestQuadraticObjective:
         monkeypatch.setattr(np, "isfinite", recording)
         A, b = np.ones((30, 40)), np.ones(30)
         QuadraticObjective(A=A, b=b)
-        QuadraticObjective(Q=A.T @ A, p=-(A.T @ b))
         assert sizes and max(sizes) == 1
         # finite entries whose sum overflows are accepted
         big = np.full(3, 1.7976931348623157e308)
         QuadraticObjective(A=np.diag(big), b=big)
-        QuadraticObjective(Q=np.diag(big / 2), p=big)  # Q + Q' stays finite
 
     def test_shape_mismatches(self):
-        Q, p = _rand_gram(3, 5)
-        obj = QuadraticObjective(Q=Q, p=p)
+        obj = _gram_objective(3, 5)
         with pytest.raises(DimensionMismatchError):
             obj.value(np.zeros(4))
-        with pytest.raises(InvalidParameterError):
-            QuadraticObjective(Q=Q, p=p, A=np.zeros((2, 3)), b=np.zeros(2))
+        with pytest.raises(DimensionMismatchError):
+            QuadraticObjective(A=np.zeros((2, 3)), b=np.zeros(3))
+        with pytest.raises(DimensionMismatchError):
+            QuadraticObjective(A=np.zeros(3), b=np.zeros(3))
 
     def test_coordinate_lipschitz_is_gram_diagonal(self):
         rng = np.random.default_rng(6)
@@ -159,8 +151,7 @@ class TestQuadraticObjective:
         # handed, so later reads agree with the data it was built from
         rng = np.random.default_rng(15)
         A, b = rng.standard_normal((4, 3)), rng.standard_normal(4)
-        for obj in (QuadraticObjective(A=A, b=b),
-                    QuadraticObjective(Q=A.T @ A, p=-(A.T @ b))):
+        for obj in (QuadraticObjective(A=A, b=b), factor_gram(A.T @ A, -(A.T @ b))):
             p, Q = obj.linear_term(), obj.gram_matrix()
             with pytest.raises(ValueError):
                 p[0] = 99.0
@@ -172,7 +163,7 @@ class TestQuadraticObjective:
                                        obj.gram_submatrix([0, 1]), rtol=1e-12)
 
     def test_a_and_b_are_own_read_only_copies(self):
-        # the factored data every solve on an instance reads; Gram data have none
+        # the data every solve on an instance reads
         rng = np.random.default_rng(16)
         A, b = rng.standard_normal((4, 3)), rng.standard_normal(4)
         obj = QuadraticObjective(A=A, b=b)
@@ -182,8 +173,6 @@ class TestQuadraticObjective:
         with pytest.raises(ValueError):
             obj.b[0] = 99.0
         assert obj.A[0, 0] != 99.0 and obj.b[0] != 99.0
-        gram = QuadraticObjective(Q=np.eye(3), p=np.zeros(3))
-        assert gram.A is None and gram.b is None
 
     def test_tall_data_form_p_qv_and_l_without_the_gram(self):
         # 40x12 is under the cache limit, yet p, Qv and L each come from A by
@@ -205,7 +194,7 @@ class TestQuadraticObjective:
 
     def test_lipschitz_global_matches_eigvalsh(self):
         Q, p = _rand_gram(8, 7)
-        obj = QuadraticObjective(Q=Q, p=p)
+        obj = factor_gram(Q, p)
         expect = float(np.linalg.eigvalsh(Q)[-1])
         assert obj.lipschitz_global() == pytest.approx(expect, rel=1e-9)
 
@@ -329,14 +318,6 @@ class TestResidual:
         r = obj.moved_residual(obj.residual(x), B, d)
         scale = np.abs(A) @ (np.abs(x) + np.abs(moved)) + np.abs(b)
         assert np.all(np.abs(r - (A @ moved - b)) <= 4 * self.N * np.finfo(float).eps * scale)
-
-    def test_gram_form_has_no_residual(self):
-        Q, p = _rand_gram(5, 4)
-        obj = QuadraticObjective(Q=Q, p=p)
-        x = np.array([0.0, 1.0, 0.0, -2.0, 0.0])
-        assert obj.residual(x) is None
-        assert obj.moved_residual(None, [1], [1.0]) is None
-        assert obj.value(x, r=None) == 0.5 * float(x @ (Q @ x)) + float(p @ x)
 
     def test_residual_checks_the_shape(self):
         _, _, obj = self._objective()
@@ -513,8 +494,7 @@ class TestExactLipschitz:
         A = _designs()[design]
         b = np.ones(A.shape[0])
         expect = np.linalg.norm(A, 2) ** 2
-        for obj in (QuadraticObjective(A=A, b=b),
-                    QuadraticObjective(Q=A.T @ A, p=-(A.T @ b))):
+        for obj in (QuadraticObjective(A=A, b=b), factor_gram(A.T @ A, -(A.T @ b))):
             assert obj.lipschitz_global() == pytest.approx(expect, rel=1e-12, abs=0)
 
     def test_corrupted_benchmark_instance(self):
@@ -531,10 +511,9 @@ class TestExactLipschitz:
             assert obj.lipschitz_global() == 0.0
             with pytest.raises(InvalidParameterError, match="zero quadratic"):
                 pgm(CompositeProblem(obj, Cardinality(2)), np.zeros(shape[1]))
-        assert QuadraticObjective(Q=np.zeros((9, 9)), p=np.ones(9)).lipschitz_global() == 0.0
 
     def test_cached_gram_takes_the_same_call(self, demo_cons):
-        # n <= m and Gram form: eigvalsh of the very Q the solvers read
+        # n <= m: eigvalsh of the very Q the solvers read
         A = _designs()["tall"]
         objs = [QuadraticObjective(A=A, b=np.ones(90)),
                 _gram_objective(7, 3),
@@ -562,7 +541,8 @@ class TestExactLipschitz:
     @pytest.mark.parametrize("make", [
         lambda: QuadraticObjective(A=np.full((3, 4), 1e200), b=np.ones(3)),
         lambda: QuadraticObjective(A=np.full((4, 3), 1e200), b=np.ones(4)),
-        lambda: QuadraticObjective(Q=np.full((4, 4), 5e307), p=np.zeros(4)),
+        # Q = 5e307 everywhere, by its rank-one factor
+        lambda: QuadraticObjective(A=np.full((1, 4), np.sqrt(5e307)), b=np.zeros(1)),
     ], ids=["wide", "tall", "gram"])
     def test_overflowing_gram_is_numerical_error(self, branch, make):
         # finite data whose Gram, or its largest eigenvalue, overflows
@@ -582,22 +562,20 @@ class TestExactLipschitz:
 class TestCompositeProblem:
     def test_value_composition(self, demo_regu):
         x = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-        # f(e_0) = 1/2*Q_00 + p_0 = 2; plus one active coordinate
-        assert composite_value(demo_regu, x) == pytest.approx(2.0 + 0.01)
+        # f(e_0) = 1/2*Q_00 + p_0 + 1/2 ||b||^2 = 2 + 3; plus one active coordinate
+        assert composite_value(demo_regu, x) == pytest.approx(5.0 + 0.01)
 
     def test_infeasible_passthrough(self, demo_cons):
         x = np.ones(6)  # 6 nonzeros > s = 4
         assert composite_value(demo_cons, x) is INFEASIBLE
 
     def test_cardinality_exceeding_dimension_rejected(self):
-        Q, p = _rand_gram(3, 11)
         with pytest.raises(InvalidParameterError):
-            CompositeProblem(QuadraticObjective(Q=Q, p=p), Cardinality(4))
+            CompositeProblem(_gram_objective(3, 11), Cardinality(4))
 
     def test_term_type_checked(self):
-        Q, p = _rand_gram(3, 12)
         with pytest.raises(InvalidParameterError):
-            CompositeProblem(QuadraticObjective(Q=Q, p=p), "l0")
+            CompositeProblem(_gram_objective(3, 12), "l0")
 
     @given(st.integers(0, 2 ** 6 - 1))
     @settings(max_examples=30, deadline=None)
@@ -611,5 +589,5 @@ class TestCompositeProblem:
             if (mask >> j) & 1:
                 x[j] = 0.5 * (j + 1)
         Q = np.outer(c, c) + np.eye(6)
-        expect = 0.5 * x @ Q @ x + x.sum() + 0.01 * int(np.count_nonzero(x))
+        expect = 0.5 * x @ Q @ x + x.sum() + 3.0 + 0.01 * int(np.count_nonzero(x))
         assert composite_value(prob, x) == pytest.approx(expect, rel=1e-12)

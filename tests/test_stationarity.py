@@ -30,7 +30,7 @@ from blockdec.stationarity import ROUND_REL, ZERO_TOL
 from blockdec.subproblem import OK, TIE_TOL, pattern_deltas
 from blockdec.working_set import random_set
 
-from conftest import CONS_GLOBAL_X, REGU_GLOBAL_F, SRC, random_gram_problem
+from conftest import CONS_GLOBAL_X, REGU_GLOBAL_F, SRC, factor_gram, random_gram_problem
 
 # Frozen reference sets for the demo problem (independently derived from the
 # closed form x_i = -1 + c_i * sigma_S / (1 + q_S) on each support S):
@@ -216,7 +216,7 @@ class TestIsLStationaryCons:
 
     def test_rejects_relaxation_terms(self):
         prob = CompositeProblem(
-            QuadraticObjective(Q=np.eye(2), p=np.zeros(2)), L1Penalty(0.1))
+            QuadraticObjective(A=np.eye(2), b=np.zeros(2)), L1Penalty(0.1))
         with pytest.raises(InvalidParameterError):
             is_l_stationary(prob, np.zeros(2))
 
@@ -254,7 +254,7 @@ class TestIsLStationaryRegu:
         # it sit exactly on a boundary, and their floating-point neighbours
         # just inside or just outside; the gradient is set directly
         L, tol = 1.0, 0.625
-        prob = CompositeProblem(QuadraticObjective(Q=np.eye(6), p=np.zeros(6)),
+        prob = CompositeProblem(QuadraticObjective(A=np.eye(6), b=np.zeros(6)),
                                 L0Penalty(0.8125))
 
         def near(v):
@@ -376,8 +376,7 @@ class TestIsBlockK:
         rng = np.random.default_rng(0)
         G = rng.standard_normal((42, 40))
         prob = CompositeProblem(
-            QuadraticObjective(Q=G.T @ G + np.eye(40), p=rng.standard_normal(40)),
-            L0Penalty(0.1))
+            factor_gram(G.T @ G + np.eye(40), rng.standard_normal(40)), L0Penalty(0.1))
         with pytest.raises(BudgetExceededError, match="landscape too large"):
             is_block_k(prob, np.zeros(40), 8)
 
@@ -420,11 +419,11 @@ class TestEnumerateBasicPoints:
             np.testing.assert_allclose(x, demo_basic_point(S), atol=1e-9)
 
     def test_min_norm_on_singular_support(self):
-        # rank-one Q with consistent rhs: the enumerated point must be the
-        # minimum-norm solution c_S / ||c_S||^2
+        # rank-one Q = cc' with consistent rhs p = -c: the enumerated point
+        # must be the minimum-norm solution c_S / ||c_S||^2
         c = np.array([1.0, 2.0, 3.0])
         prob = CompositeProblem(
-            QuadraticObjective(Q=np.outer(c, c), p=-c), L0Penalty(0.1))
+            QuadraticObjective(A=c[None, :], b=np.ones(1)), L0Penalty(0.1))
         pts = dict(enumerate_basic_points(prob))
         x = pts[(0, 1)]
         np.testing.assert_allclose(x[:2], c[:2] / (c[:2] @ c[:2]), atol=1e-8)
@@ -442,8 +441,7 @@ class TestEnumerateBasicPoints:
         rng = np.random.default_rng(1)
         G = rng.standard_normal((32, 30))
         prob = CompositeProblem(
-            QuadraticObjective(Q=G.T @ G + np.eye(30), p=rng.standard_normal(30)),
-            Cardinality(7))
+            factor_gram(G.T @ G + np.eye(30), rng.standard_normal(30)), Cardinality(7))
         with pytest.raises(BudgetExceededError):
             enumerate_basic_points(prob)
 
@@ -495,7 +493,7 @@ class TestLandscapeTable:
         G = rng.standard_normal((32, 30))
         term = Cardinality(7) if mode == "cons" else L0Penalty(0.1)
         prob = CompositeProblem(
-            QuadraticObjective(Q=G.T @ G + np.eye(30), p=rng.standard_normal(30)), term)
+            factor_gram(G.T @ G + np.eye(30), rng.standard_normal(30)), term)
         with pytest.raises(InvalidParameterError, match="k_max"):
             landscape_table(prob, k_max=k_max)
 
@@ -505,7 +503,7 @@ class TestLandscapeTable:
     def test_default_k_max_below_least_block_size(self):
         # n = 1 under a cap admits no block size (k >= 2): the default k_max
         # gives the basic and L counts with no block columns
-        prob = CompositeProblem(QuadraticObjective(Q=np.eye(1), p=-np.ones(1)), Cardinality(1))
+        prob = CompositeProblem(QuadraticObjective(A=np.eye(1), b=np.ones(1)), Cardinality(1))
         counts = landscape_table(prob)
         assert (counts.basic, counts.l_stationary, counts.block) == (2, 1, {})
         with pytest.raises(InvalidParameterError, match="k_max"):
@@ -580,6 +578,7 @@ class TestStackedValues:
 
     @pytest.mark.parametrize("mode", ["cons", "regu"])
     def test_table1_gram_form(self, mode):
+        # Table 1 is given by its Gram data (Q, p) and built from their exact factor
         prob = table1_problem(mode)
         feasible = self._check(prob, np.array(random_points(prob, np.random.default_rng(0), 20)))
         assert (not feasible.all()) == (mode == "cons")  # random points overfill the cap
@@ -647,11 +646,15 @@ class TestHierarchy:
 
 class TestTable1Problem:
     def test_structure(self):
+        # the factor A = [c'; I], b = (0, -1, ..., -1) is exact: A'A = cc' + I
+        # and -A'b = 1 bit for bit, and f shifts by 1/2 ||b||^2 = 3
         prob = table1_problem("cons")
         c = np.arange(1.0, 7.0)
-        np.testing.assert_allclose(prob.objective.gram_matrix(),
-                                   np.outer(c, c) + np.eye(6))
-        np.testing.assert_allclose(prob.objective.linear_term(), np.ones(6))
+        obj = prob.objective
+        assert np.array_equal(obj.A.T @ obj.A, np.outer(c, c) + np.eye(6))
+        assert np.array_equal(obj.gram_matrix(), np.outer(c, c) + np.eye(6))
+        assert np.array_equal(obj.linear_term(), np.ones(6))
+        assert 0.5 * float(obj.b @ obj.b) == 3.0 == obj.value(np.zeros(6))
         assert isinstance(prob.term, Cardinality) and prob.term.s == 4
         regu = table1_problem("regu")
         assert isinstance(regu.term, L0Penalty) and regu.term.lam == 0.01
@@ -863,14 +866,15 @@ class TestBatchedCertificateMatchesLoop:
         # the loop keeps the first, within TIE_TOL, so its best change is
         # -5e-4 although the least is lower.  A slack between the two passes.
         prob = CompositeProblem(
-            QuadraticObjective(Q=np.eye(2), p=-np.sqrt([1e-3, 1e-3 + 5e-13])), Cardinality(1))
-        x = np.zeros(2)  # F(x) = 0, so the slack is tol
+            QuadraticObjective(A=np.eye(2), b=np.sqrt([1e-3, 1e-3 + 5e-13])), Cardinality(1))
+        x = np.zeros(2)
+        scale = 1.0 + composite_value(prob, x)  # the slack is tol * (1 + F(x))
         g = prob.objective.gradient(x)
         assert solve_block(prob, x, g, [0, 1], 0.0).composite_delta == pytest.approx(
             -5e-4, rel=1e-14, abs=0.0)
-        assert is_block_k(prob, x, 2, tol=5e-4 + 1.25e-13)
-        assert reference_is_block_k(prob, x, 2, tol=5e-4 + 1.25e-13)
-        assert not is_block_k(prob, x, 2, tol=5e-4 - 1e-13)
+        assert is_block_k(prob, x, 2, tol=(5e-4 + 1.25e-13) / scale)
+        assert reference_is_block_k(prob, x, 2, tol=(5e-4 + 1.25e-13) / scale)
+        assert not is_block_k(prob, x, 2, tol=(5e-4 - 1e-13) / scale)
 
     @pytest.mark.parametrize("scale", [1.0, 1e6])
     @pytest.mark.parametrize("mode", ["cons", "regu"])
@@ -879,8 +883,9 @@ class TestBatchedCertificateMatchesLoop:
         # it, and within TIE_TOL of it
         term = Cardinality(3) if mode == "cons" else L0Penalty(0.05 * scale)
         base = random_gram_problem(6, 11, term)
-        prob = CompositeProblem(QuadraticObjective(Q=scale * base.objective.gram_matrix(),
-                                                   p=scale * base.objective.linear_term()),
+        # Q and p times scale
+        prob = CompositeProblem(QuadraticObjective(A=np.sqrt(scale) * base.objective.A,
+                                                   b=np.sqrt(scale) * base.objective.b),
                                 term)
         blocks = list(itertools.combinations(range(6), 2))
         verdicts = set()

@@ -18,9 +18,13 @@ from conftest import random_factored_problem, random_gram_problem
 
 
 def oracle_block_min(prob, x, B, theta):
-    """Brute-force block optimum via numpy lstsq per pattern (independent path)."""
+    """Brute-force block optimum via numpy lstsq per pattern (independent path).
+
+    F = 1/2 z'Qz + p'z + 1/2 ||b||^2 + h(z), plus the anchor term.
+    """
     Q = prob.objective.gram_matrix()
     p = prob.objective.linear_term()
+    offset = 0.5 * float(prob.objective.b @ prob.objective.b)
     n = prob.n
     idx = list(B)
     k = len(idx)
@@ -39,7 +43,7 @@ def oracle_block_min(prob, x, B, theta):
             z[T] = np.linalg.lstsq(M, rhs, rcond=None)[0]
         if np.count_nonzero(z) > budget and lam == 0.0:
             continue
-        F = (0.5 * z @ Q @ z + p @ z + lam * np.count_nonzero(z)
+        F = (0.5 * z @ Q @ z + p @ z + offset + lam * np.count_nonzero(z)
              + 0.5 * theta * np.sum((z - x) ** 2))
         if best_F is None or F < best_F - 1e-13:
             best_F, best_z = F, z
@@ -177,11 +181,10 @@ class TestSolveBlockCardinality:
         np.testing.assert_array_equal(result.x_next[R], x[R])
 
     def test_singular_block_at_zero_theta_uses_ridge(self):
-        # rank-1 Q makes the two-coordinate pattern singular at theta = 0;
+        # rank-1 Q = cc' makes the two-coordinate pattern singular at theta = 0;
         # the ridge path must solve it, and the sparser tie wins
         c = np.array([1.0, 2.0, 3.0])
-        Q = np.outer(c, c)
-        prob = CompositeProblem(QuadraticObjective(Q=Q, p=-c), Cardinality(3))
+        prob = CompositeProblem(QuadraticObjective(A=c[None, :], b=np.ones(1)), Cardinality(3))
         x = np.zeros(3)
         result = solve_block(prob, x, prob.objective.gradient(x), [0, 1], 0.0)
         oracle_F, _ = oracle_block_min(prob, x, [0, 1], 0.0)
@@ -212,22 +215,20 @@ class TestSolveBlockPenalty:
     def test_recount_on_exactly_zero_solution(self):
         # a pattern whose solved coordinate is exactly 0 must be charged
         # for the actual nonzero count, not the pattern size
-        Q = np.eye(2)
-        p = np.array([0.0, -1.0])  # coordinate 0 wants to sit exactly at 0
-        prob = CompositeProblem(QuadraticObjective(Q=Q, p=p), L0Penalty(0.1))
+        # Q = I, p = (0, -1): coordinate 0 wants to sit exactly at 0
+        prob = CompositeProblem(QuadraticObjective(A=np.eye(2), b=np.array([0.0, 1.0])),
+                                L0Penalty(0.1))
         x = np.zeros(2)
         result = solve_block(prob, x, prob.objective.gradient(x), [0, 1], 0.0)
         np.testing.assert_allclose(result.x_next, [0.0, 1.0])
-        assert composite_value(prob, result.x_next) == pytest.approx(-0.5 + 0.1)
+        assert composite_value(prob, result.x_next) == pytest.approx(-0.5 + 0.5 + 0.1)
 
 
 class TestTieBreaking:
     def test_equal_objective_prefers_sparser(self):
         # two orthogonal coordinates with identical improvement; the sparser
         # single-coordinate pattern must not lose to the denser ones
-        Q = np.eye(2)
-        p = np.array([-1.0, -1.0])
-        prob = CompositeProblem(QuadraticObjective(Q=Q, p=p), Cardinality(1))
+        prob = CompositeProblem(QuadraticObjective(A=np.eye(2), b=np.ones(2)), Cardinality(1))
         x = np.zeros(2)
         result = solve_block(prob, x, prob.objective.gradient(x), [0, 1], 0.0)
         assert np.count_nonzero(result.x_next) == 1
@@ -312,9 +313,7 @@ class TestValidation:
     def test_unsorted_indices_match_sorted(self):
         # bit j of the pattern mask is the j-th smallest index whatever the
         # input order, so tie-breaking and the result do not depend on it
-        Q = np.eye(3)
-        p = np.array([-1.0, -1.0, -1.0])
-        prob = CompositeProblem(QuadraticObjective(Q=Q, p=p), Cardinality(1))
+        prob = CompositeProblem(QuadraticObjective(A=np.eye(3), b=np.ones(3)), Cardinality(1))
         x = np.zeros(3)
         want = solve_block(prob, x, prob.objective.gradient(x), [0, 1, 2], 0.0)
         np.testing.assert_allclose(want.x_next, [1.0, 0.0, 0.0])
@@ -347,8 +346,7 @@ class TestValidation:
 
     def test_relaxation_terms_rejected(self):
         rng = np.random.default_rng(9)
-        Q = np.eye(3)
-        prob = CompositeProblem(QuadraticObjective(Q=Q, p=rng.standard_normal(3)),
+        prob = CompositeProblem(QuadraticObjective(A=np.eye(3), b=rng.standard_normal(3)),
                                 L1Penalty(0.1))
         with pytest.raises(InvalidParameterError):
             solve_block(prob, np.zeros(3), prob.objective.gradient(np.zeros(3)), [0], 1e-3)
@@ -526,7 +524,7 @@ class TestTieRulesInMaskOrder:
     def test_stay_put_is_not_replaced_by_a_negligible_sparser_pattern(self):
         # clearing x_0 = 1e-7 changes F by -5e-15, inside TIE_TOL: x stays,
         # although the cleared point is sparser
-        prob = CompositeProblem(QuadraticObjective(Q=np.eye(2), p=np.zeros(2)),
+        prob = CompositeProblem(QuadraticObjective(A=np.eye(2), b=np.zeros(2)),
                                 Cardinality(1))
         x = np.array([1e-7, 0.0])
         g = prob.objective.gradient(x)
@@ -624,8 +622,10 @@ class TestPerSystemRidge:
         # bound in the 1e-3 coordinate by a factor of about 10, and a
         # refinement pass with the ridged factor would meet it.  The loop
         # does not refine a ridged system and raises
-        Q = np.array([[4.0, 4.0, 0.0], [4.0, 4.0, 0.0], [0.0, 0.0, 1e-3]])
-        prob = CompositeProblem(QuadraticObjective(Q=Q, p=-np.ones(3)), L0Penalty(0.1))
+        # Q = [[4, 4, 0], [4, 4, 0], [0, 0, 1e-3]] and p = -1, by its factor
+        A = np.array([[2.0, 2.0, 0.0], [0.0, 0.0, np.sqrt(1e-3)]])
+        b = np.array([0.5, 1.0 / np.sqrt(1e-3)])
+        prob = CompositeProblem(QuadraticObjective(A=A, b=b), L0Penalty(0.1))
         x = np.zeros(3)
         g = prob.objective.gradient(x)
         assert _outcome(reference_solve_block, prob, x, g, [0, 1, 2], 0.0) is NumericalError
@@ -637,11 +637,14 @@ class TestPerSystemRidge:
         # factor, and the nearly duplicated, inconsistent pair {0, 2}
         # (mask 5) factors but misses its residual bound: the loop stops at
         # mask 5, whose error is not the group's first system's
-        d = 2.0 ** -40
-        Q = np.array([[4.0 + d, 0.0, 4.0, 4.0], [0.0, 1.0, 0.0, 0.0],
-                      [4.0, 0.0, 4.0, 4.0], [4.0, 0.0, 4.0, 4.0]])
-        p = np.array([0.3, 0.5, -0.7, -0.7])
-        prob = CompositeProblem(QuadraticObjective(Q=Q, p=p), L0Penalty(0.1))
+        # Q = [[4 + d, 0, 4, 4], [0, 1, 0, 0], [4, 0, 4, 4], [4, 0, 4, 4]] with
+        # d = 2^-40 and p = (0.3, 0.5, -0.7, -0.7), by an exact factor of Q
+        A = np.array([[2.0, 0.0, 2.0, 2.0], [2.0 ** -20, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+        b = np.array([0.35, -(2.0 ** 20), -0.5])
+        prob = CompositeProblem(QuadraticObjective(A=A, b=b), L0Penalty(0.1))
+        Q = prob.objective.gram_matrix()
+        assert Q[0, 0] == 4.0 + 2.0 ** -40
+        np.testing.assert_array_equal(Q[1:, 1:], [[1, 0, 0], [0, 4, 4], [0, 4, 4]])
         x = np.zeros(4)
         g = prob.objective.gradient(x)
         theta = 1e-300

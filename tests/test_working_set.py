@@ -95,9 +95,9 @@ class TestGreedyScores:
 
     def test_penalty_zero_scores_clipped_at_zero(self):
         # a coordinate whose activation gain does not cover lam scores 0
-        Q = np.eye(2)
-        p = np.array([-0.1, -3.0])
-        prob = CompositeProblem(QuadraticObjective(Q=Q, p=p), L0Penalty(0.5))
+        # (Q = I, p = -b)
+        prob = CompositeProblem(QuadraticObjective(A=np.eye(2), b=np.array([0.1, 3.0])),
+                                L0Penalty(0.5))
         scores = greedy_scores(prob, *at_zero(prob))
         assert scores[0] == 0.0  # 0.5 - 0.005 > 0, clipped
         assert scores[1] == pytest.approx(0.5 - 4.5)
@@ -110,15 +110,18 @@ class TestGreedyScores:
                 assert np.all(scores <= 0.0)
 
     def test_flat_coordinate_with_slope_is_minus_infinity(self):
-        Q = np.diag([1.0, 0.0])
-        p = np.array([0.0, 1.0])
-        prob = CompositeProblem(QuadraticObjective(Q=Q, p=p), Cardinality(2))
-        scores = greedy_scores(prob, *at_zero(prob))
+        # column 1's curvature Q_11 = 1e-340 underflows to 0, its slope
+        # g_1 = -1e-170 * 1e160 does not
+        A = np.array([[0.0, 1e-170], [1.0, 0.0]])
+        prob = CompositeProblem(QuadraticObjective(A=A, b=np.array([1e160, 0.0])),
+                                Cardinality(2))
+        x, g = at_zero(prob)
+        assert prob.objective.coordinate_lipschitz()[1] == 0.0 and g[1] != 0.0
+        scores = greedy_scores(prob, x, g)
         assert scores[1] == -np.inf
 
     def test_relaxation_rejected(self):
-        Q = np.eye(2)
-        prob = CompositeProblem(QuadraticObjective(Q=Q, p=np.zeros(2)), L1Penalty(0.1))
+        prob = CompositeProblem(QuadraticObjective(A=np.eye(2), b=np.zeros(2)), L1Penalty(0.1))
         with pytest.raises(InvalidParameterError):
             greedy_scores(prob, *at_zero(prob))
 
@@ -126,17 +129,16 @@ class TestGreedyScores:
 class TestSelectWorkingSet:
     def test_pure_greedy_picks_best_scores(self):
         # equispaced gradient magnitudes make the ranking unambiguous
-        Q = np.eye(4)
-        p = np.array([-4.0, -1.0, -3.0, -2.0])
-        prob = CompositeProblem(QuadraticObjective(Q=Q, p=p), Cardinality(4))
+        # (Q = I, p = -b)
+        prob = CompositeProblem(QuadraticObjective(A=np.eye(4), b=np.array([4.0, 1.0, 3.0, 2.0])),
+                                Cardinality(4))
         rng = np.random.default_rng(0)
         ws = select_working_set(prob, *at_zero(prob), 0, 2, rng)
         assert ws.tolist() == [0, 2]  # scores -8, -0.5, -4.5, -2
 
     def test_greedy_ties_break_to_lower_index(self):
-        Q = np.eye(3)
-        p = np.array([-2.0, -2.0, -2.0])
-        prob = CompositeProblem(QuadraticObjective(Q=Q, p=p), Cardinality(3))
+        prob = CompositeProblem(QuadraticObjective(A=np.eye(3), b=np.full(3, 2.0)),
+                                Cardinality(3))
         rng = np.random.default_rng(0)
         ws = select_working_set(prob, *at_zero(prob), 0, 2, rng)
         assert ws.tolist() == [0, 1]
